@@ -36,10 +36,10 @@ from .stirling import (
     EpResult,
     PrecisionError,
     StableParams,
-    StirlingQuery,
     default_precision,
     min_stirling_ord,
     mstirling_mod,
+    mstirling_scan,
     stable_min_ord,
     stable_params,
     stirling_exact,

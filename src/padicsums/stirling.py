@@ -5,17 +5,17 @@ The quantity of interest is
 
     min over m >= n of ord_p(m! * S(k, m))
 
-for k far too large to expand S(k, m) exactly.  Each term is computed
-through the surjection count sum(C(m,j)(-1)**(m-j) j**k) modulo p**E with
-structured exponents, so only the residue of k modulo the Carmichael
-number of p**E is ever needed.  For the geometric family of exponents
-k = (p-1) p**L + d the minimum stabilizes once L is large enough, and the
-stabilized value can be certified from exact integer scans.
+for k far too large to expand S(k, m) exactly.  m! S(k, m) is the m-th
+forward difference of j**k at 0, so a scan reads every m off one
+difference table of j**k mod p**E, and only the residue of k modulo the
+Carmichael number of p**E is ever needed.  For the geometric family of
+exponents k = (p-1) p**L + d the minimum stabilizes once L is large
+enough, and the stabilized value can be certified from exact integer scans.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 from .exponents import StructuredExponent, as_exponent, carmichael_prime_power
@@ -46,20 +46,12 @@ class PrecisionError(Exception):
 
 
 def stirling_exact(k: int, m: int) -> int:
-    """S(k, m) by the triangle recurrence S(k,m) = m S(k-1,m) + S(k-1,m-1)."""
+    """S(k, m), read off the last row of stirling_rows(k, m)."""
     if k < 0 or m < 0:
         raise ValueError(f"need k, m >= 0, got k={k}, m={m}")
-    if k > STIRLING_CAP:
-        raise CapacityError(f"exact Stirling numbers capped at k <= {STIRLING_CAP}, got k={k}")
-    if m > k:
-        return 0
-    row = [1] + [0] * m  # row of S(0, *)
-    for i in range(1, k + 1):
-        hi = min(i, m)
-        for j in range(hi, 0, -1):
-            row[j] = j * row[j] + row[j - 1]
-        row[0] = 0
-    return row[m]
+    for _, row in stirling_rows(k, m):
+        pass
+    return row[m] if m <= k else 0
 
 
 def stirling_rows(k_max: int, m_max: int):
@@ -78,32 +70,67 @@ def stirling_rows(k_max: int, m_max: int):
         yield i, row[:]
 
 
+def _powers(k: StructuredExponent, p: int, E: int):
+    """Yield j**k mod p**E for j = 0, 1, 2, ..., with 0**0 = 1.
+
+    Units take k modulo the Carmichael number of p**E; a multiple of p
+    gives 0 once k >= E, as ord_p(j**k) >= k.  Invalid p or E raise on
+    first use.
+    """
+    M = p**E
+    k_unit = k.mod(carmichael_prime_power(p, E))
+    k_small = k.value() if k.materializable else None
+    for j in itertools.count():
+        if j % p:
+            yield pow(j, k_unit, M)
+        else:
+            yield 0 if k_small is None or k_small >= E else pow(j, k_small, M)
+
+
+def _diagonal(values):
+    """Yield the forward differences D^m a(0), m = 0, 1, ..., of a_0, a_1, ...
+
+    row[i] holds D^i a(m-i), so each new a_m costs m subtractions.  Exact
+    integers stay exact; a caller working mod M reduces what it reads.
+    """
+    row = []
+    for cur in values:
+        for i, prev in enumerate(row):
+            row[i] = cur
+            cur -= prev
+        row.append(cur)
+        yield cur
+
+
+def mstirling_scan(k, p: int, E: int):
+    """Yield m! S(k, m) mod p**E for m = 0, 1, 2, ... from one difference table.
+
+    m! S(k, m) is the m-th forward difference of j**k at 0, so a scan over
+    consecutive m needs each power once and O(m) additions per new m.
+    """
+    M = p**E
+    return (x % M for x in _diagonal(_powers(as_exponent(k), p, E)))
+
+
 def mstirling_mod(k, m: int, p: int, E: int) -> ModPE:
     """m! * S(k, m) modulo p**E for a possibly huge structured exponent k.
 
-    Uses the surjection count sum(C(m,j) (-1)**(m-j) j**k); binomials are
-    carried incrementally as unit * p**t so division by j stays legal in
-    Z/p**E.  The j = 0 term follows the convention 0**0 = 1, which makes
-    the formula correct at k = 0.
+    Uses the surjection count sum(C(m,j) (-1)**(m-j) j**k) in O(m) terms.
+    Binomials are carried incrementally as (u / w) * p**t with units u, w,
+    and the sum as a fraction over w, so dividing by j stays legal in
+    Z/p**E and costs one modular inverse in all.
     """
-    check_prime(p)
     if m < 0:
         raise ValueError(f"m must be >= 0, got m={m}")
-    if E < 1:
-        raise ValueError(f"precision E must be >= 1, got E={E}")
-    k = as_exponent(k)
     M = p**E
-    lam = carmichael_prime_power(p, E)
-    k_unit = k.mod(lam)  # exponent residue for bases coprime to p
-    k_small = k.value() if k.materializable else None
     ppow = [1]
     for _ in range(E - 1):
         ppow.append(ppow[-1] * p)
 
-    u, t = 1, 0  # C(m, j) = u * p**t with u a unit mod M
+    u, w, t = 1, 1, 0  # C(m, j) = u / w * p**t; the sum so far is total / w
     total = 0
     sign = 1 if m % 2 == 0 else -1  # (-1)**(m-j) at j = 0
-    for j in range(m + 1):
+    for j, pw in zip(range(m + 1), _powers(as_exponent(k), p, E)):
         if j:
             num = m - j + 1
             while num % p == 0:
@@ -115,25 +142,12 @@ def mstirling_mod(k, m: int, p: int, E: int) -> ModPE:
                 t -= 1
             u = u * num % M
             if den != 1:
-                u = u * pow(den, -1, M) % M
-        if j == 0:
-            pw = 1 if (k_small == 0) else 0
-        elif j % p:
-            pw = pow(j, k_unit, M)
-        elif k_small is None:
-            pw = 0
-        else:
-            v = 0
-            jj = j
-            while jj % p == 0:
-                v += 1
-                jj //= p
-            pw = 0 if v * k_small >= E else pow(j, k_small, M)
+                w = w * den % M
+                total = total * den % M
         if pw and t < E:
-            term = u * ppow[t] % M * pw % M
-            total = (total + sign * term) % M
+            total = (total + sign * (u * ppow[t] % M * pw)) % M
         sign = -sign
-    return ModPE(total, p, E)
+    return ModPE(total * pow(w, -1, M) % M, p, E)
 
 
 def default_precision(p: int, n: int) -> int:
@@ -144,24 +158,6 @@ def default_precision(p: int, n: int) -> int:
     """
     q = p - 1
     return max(1, (n - 1) * (q * q + q + 1) // (q * q)) + 8
-
-
-@dataclass(frozen=True)
-class StirlingQuery:
-    """One minimum-order query: prime, scan start, structured exponent."""
-
-    p: int
-    n: int
-    k: StructuredExponent
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got n={self.n}")
-        k = as_exponent(self.k)
-        object.__setattr__(self, "k", k)
-        if k.materializable and k.value() < self.n:
-            raise ValueError(f"k must be >= n, got k={k} < n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -198,21 +194,21 @@ def _scan_min(p, n, k, E, m_hi, adaptive):
     best = None
     witness = None
     last_change = n
-    m = n
     hi = m_hi
-    while m <= hi:
-        x = mstirling_mod(k, m, p, E)
-        if x.residue:
+    for m, r in enumerate(mstirling_scan(k, p, E)):
+        if m < n:
+            continue
+        if r:
             v = 0
-            r = x.residue
             while r % p == 0:
                 v += 1
                 r //= p
             if best is None or v < best:
                 best, witness, last_change = v, m, m
-        if adaptive and m == hi and last_change > hi - STABLE_RUN:
+        if m >= hi:
+            if not (adaptive and last_change > hi - STABLE_RUN):
+                break
             hi += WINDOW_STEP
-        m += 1
     return best, witness, hi
 
 
@@ -234,8 +230,12 @@ def min_stirling_ord(
     every scanned term is indistinguishable from zero the precision is
     doubled, up to ``retries`` times.
     """
-    query = StirlingQuery(p, n, as_exponent(k))
-    k = query.k
+    check_prime(p)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got n={n}")
+    k = as_exponent(k)
+    if k.materializable and k.value() < n:
+        raise ValueError(f"k must be >= n, got k={k} < n={n}")
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
     exact_path = k.materializable and k.value() <= n + window
@@ -297,25 +297,22 @@ def stable_params(
         raise ValueError(f"d must be >= 0, got d={d}")
     N = n - 1 + n // (p * (p - 1))
     N0 = L0 = m0 = None
-    m = n
     hi = n + m_window
     last_change = n
-    while m <= hi:
-        s = 0
-        row = math.comb
-        for j in range(1, m + 1):
-            if j % p:
-                term = row(m, j) * j**d
-                s = s - term if j & 1 else s + term
+    family = (j**d if j % p else 0 for j in itertools.count())
+    for m, s in enumerate(_diagonal(family)):
+        if m < n:
+            continue
         if s:
             v = ord_int(p, s).value
             if N0 is None:
                 N0 = v
             if L0 is None or v < L0:
                 L0, m0, last_change = v, m, m
-        if m == hi and last_change > hi - STABLE_RUN:
+        if m >= hi:
+            if last_change <= hi - STABLE_RUN:
+                break
             hi += WINDOW_STEP
-        m += 1
     if N0 is None:
         raise ValueError(f"every family sum for m in [{n}, {hi}] vanished (p={p}, d={d})")
     return StableParams(N=N, N0=N0, L0=L0, m0=m0, m_scanned=(n, hi))

@@ -38,7 +38,7 @@ from .polysum import (
     check_floor_identity,
     check_split_identity,
 )
-from .stirling import mstirling_mod, stable_min_ord
+from .stirling import mstirling_scan, stable_min_ord
 
 
 CHECK_NAMES = (
@@ -222,23 +222,34 @@ def check_stirling_diff_bound(p: int, alpha: int, h: int, l: int, m: int, n: int
     modulo p**E with E two above the bound, so the verdict is never left
     undetermined.
     """
+    return _stirling_diff_block(p, alpha, h, n, [(l, m)])[0]
+
+
+def _stirling_diff_block(p, alpha, h, n, lms):
+    """check_stirling_diff_bound for each (l, m) of one (p, alpha, h, n) block.
+
+    Each exponent k h (p-1) p^alpha + n - 1, k <= max l, gets one difference
+    table, read modulo the largest p**E the block needs.
+    """
     check_prime(p)
-    for name, v in (("alpha", alpha), ("h", h), ("l", l), ("m", m)):
+    for name, v in (("alpha", alpha), ("h", h), ("l", min(l for l, _ in lms)), ("m", min(m for _, m in lms))):
         if v < 0:
             raise ValueError(f"{name} must be >= 0, got {v}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    inst = (("p", p), ("alpha", alpha), ("h", h), ("l", l), ("m", m), ("n", n))
-    bound = min(l * (alpha + 1), n - 1 + ord_factorial(p, m // p))
-    E = max(bound + 2, 1)
-    M = p**E
-    acc = 0
-    for k in range(l + 1):
+    bounds = [min(l * (alpha + 1), n - 1 + ord_factorial(p, m // p)) for l, m in lms]
+    top_E, top_m = max(bounds) + 2, max(m for _, m in lms)
+    tables = []
+    for k in range(max(l for l, _ in lms) + 1):
         exp = StructuredExponent.tower(k * h * (p - 1), p, alpha, n - 1)
-        term = math.comb(l, k) * mstirling_mod(exp, m, p, E).residue
-        acc = acc - term if k & 1 else acc + term
-    tv = trunc_val(ModPE(acc % M, p, E))
-    return _outcome("stirling-diff-bound", inst, tv.value, tv.exact, bound)
+        tables.append(list(itertools.islice(mstirling_scan(exp, p, top_E), top_m + 1)))
+    outs = []
+    for (l, m), bound in zip(lms, bounds):
+        acc = sum(math.comb(l, k) * (-1) ** k * tables[k][m] for k in range(l + 1))
+        tv = trunc_val(ModPE(acc % p ** (bound + 2), p, bound + 2))
+        inst = (("p", p), ("alpha", alpha), ("h", h), ("l", l), ("m", m), ("n", n))
+        outs.append(_outcome("stirling-diff-bound", inst, tv.value, tv.exact, bound))
+    return outs
 
 
 def check_factorial_match(n: int, L: int | None = None) -> CheckOutcome:
@@ -653,8 +664,14 @@ def _eval_instance_task(args):
     check, instances = args
     agg = _Agg()
     if check == "stirling-diff-bound":
-        for p, alpha, h, l, m, n in instances:
-            agg.fold(check_stirling_diff_bound(p, alpha, h, l, m, n))
+        blocks = {}  # (p, alpha, h, n) -> {index: (l, m)}; a block shares its tables
+        for i, (p, alpha, h, l, m, n) in enumerate(instances):
+            blocks.setdefault((p, alpha, h, n), {})[i] = (l, m)
+        outs = {}
+        for key, lms in blocks.items():
+            outs.update(zip(lms, _stirling_diff_block(*key, list(lms.values()))))
+        for i in sorted(outs):
+            agg.fold(outs[i])
     elif check == "factorial-match":
         for (n,) in instances:
             agg.fold(check_factorial_match(n))

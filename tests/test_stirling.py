@@ -14,6 +14,7 @@ from padicsums import (
     mstirling_mod,
     ord_factorial,
     ord_int,
+    parse_exponent,
     stable_min_ord,
     stable_params,
     stirling_exact,
@@ -195,3 +196,55 @@ def test_stable_family_lower_bound_invariant():
             res = stable_min_ord(p, n)
             floor_bound = n - 1 + ord_factorial(p, n // p)
             assert res.value.at_least(floor_bound) is True, (p, n)
+
+
+# (value, exact, m_scanned, witness_m, precision, certificate), recorded
+# before the scans moved to one forward-difference table.  A faster kernel
+# must not move any of them: the scan bounds are printed by ``compute ep``.
+PINNED_SCANS = {
+    "exact-finite-k": (
+        lambda: min_stirling_ord(3, 29, 80), (15, True, (29, 80), 29, 57, "exact-finite-k")),
+    "stable p=3 n=19": (
+        lambda: stable_min_ord(3, 19), (20, True, (19, 79), 19, 39, "stable-family")),
+    "stable p=3 n=28": (
+        lambda: stable_min_ord(3, 28), (31, True, (28, 88), 28, 55, "stable-family")),
+    "stable p=3 n=41": (
+        lambda: stable_min_ord(3, 41), (45, True, (41, 101), 41, 78, "stable-family")),
+    "stable p=2 n=7": (
+        lambda: stable_min_ord(2, 7), (8, True, (7, 67), 7, 26, "stable-family")),
+    "window extension": (
+        lambda: min_stirling_ord(3, 29, 4401, window=3),
+        (18, True, (29, 62), 29, 57, "heuristic-window")),
+    "precision doubling": (
+        lambda: min_stirling_ord(2, 12, parse_exponent("1*7^70000+30"), precision=2),
+        (11, True, (12, 72), 12, 16, "heuristic-window")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCANS))
+def test_scan_results_pinned(name):
+    query, want = PINNED_SCANS[name]
+    res = query()
+    got = (res.value.value, res.value.exact, res.m_scanned, res.witness_m, res.precision, res.certificate)
+    assert got == want
+
+
+def test_precision_error_partial_pinned():
+    with pytest.raises(PrecisionError) as ei:
+        min_stirling_ord(3, 80, parse_exponent("1*7^70000+90"), precision=2)
+    part = ei.value.partial
+    got = (part.value.value, part.value.exact, part.m_scanned, part.witness_m, part.precision, part.certificate)
+    assert got == (32, False, (80, 140), None, 32, "heuristic-window")
+
+
+def test_stable_params_scans_pinned():
+    want = {
+        (3, 19, 60): (21, 20, 20, 19, (19, 79)),
+        (3, 28, 60): (31, 31, 31, 28, (28, 88)),
+        (3, 41, 60): (46, 45, 45, 41, (41, 101)),
+        (2, 7, 60): (9, 8, 8, 7, (7, 67)),
+        (3, 60, 5): (69, 68, 68, 60, (60, 95)),  # one window extension
+    }
+    for (p, n, window), fields in want.items():
+        sp = stable_params(p, n, m_window=window)
+        assert (sp.N, sp.N0, sp.L0, sp.m0, sp.m_scanned) == fields, (p, n, window)

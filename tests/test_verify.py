@@ -1,5 +1,6 @@
 """Check functions, grids, and sweep reports."""
 
+import itertools
 import json
 import random
 
@@ -27,6 +28,7 @@ from padicsums import (
     parse_poly,
     sweep,
 )
+from padicsums import verify
 from padicsums.verify import BOUND_CHECKS, conjecture_l, conjecture_modulus
 
 
@@ -249,6 +251,33 @@ def test_sweep_determinism_across_jobs():
     par = sweep("carry-bound", grid=grid, jobs=2)
     assert seq.to_json() == par.to_json()
     assert seq.to_markdown() == par.to_markdown()
+
+
+def test_stirling_diff_sweep_shares_blocks_deterministically():
+    # 704 instances; each (p, alpha, h, n) block shares its difference tables,
+    # and with n innermost some blocks straddle the 256-instance chunk edge.
+    grid = parse_grid("p=2,3;alpha=0..1;h=1..2;l=0..3;m=2..12;n=2..3")
+    insts = list(itertools.product(*(grid[a] for a in ("p", "alpha", "h", "l", "m", "n"))))
+    chunk = verify._INSTANCE_CHUNK
+    sides = {}
+    for i, (p, alpha, h, _, _, n) in enumerate(insts):
+        sides.setdefault((p, alpha, h, n), set()).add(i // chunk)
+    assert len(insts) > chunk and any(len(s) > 1 for s in sides.values())
+    seq = sweep("stirling-diff-bound", grid=grid, jobs=1)
+    par = sweep("stirling-diff-bound", grid=grid, jobs=2)
+    assert seq.to_json() == par.to_json()
+    # the single-instance API gives the same verdicts, one instance at a time
+    held = undetermined = 0
+    slack = {}
+    for p, alpha, h, l, m, n in insts:
+        oc = check_stirling_diff_bound(p, alpha, h, l, m, n)
+        held += oc.holds is True
+        undetermined += oc.holds is None
+        if oc.slack is not None:
+            lo, hi = slack.get(f"p={p},alpha={alpha}", (oc.slack, oc.slack))
+            slack[f"p={p},alpha={alpha}"] = (min(lo, oc.slack), max(hi, oc.slack))
+    assert (seq.checked, seq.held, seq.undetermined, seq.violations) == (len(insts), held, undetermined, [])
+    assert seq.slack == slack
 
 
 def test_bound_sweep_agrees_with_single_sweeps():
