@@ -3,7 +3,6 @@
 from .padic import (
     CapacityError,
     ModPE,
-    PrimePowerCtx,
     TruncatedValuation,
     Valuation,
     carries,
@@ -22,7 +21,6 @@ from .exponents import (
 )
 from .polysum import (
     IntPolynomial,
-    ResidueClassSumSpec,
     alt_floor_sum,
     alt_sum,
     binom_exact,

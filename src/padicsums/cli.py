@@ -149,6 +149,17 @@ def _cmd_compute_delta(args) -> int:
     return 0
 
 
+def _golden_compare(cells) -> int:
+    """Print a golden mismatch line for each (label, computed, reference) that differs; 1 if any did."""
+    mismatches = 0
+    for label, got, want in cells:
+        if got != want:
+            mismatches += 1
+            shown = "inf" if got is None else got
+            print(f"golden mismatch: {label}: computed {shown}, reference {want}", file=sys.stderr)
+    return 1 if mismatches else 0
+
+
 def _cmd_table_one(args) -> int:
     if args.golden and (args.lo < golden.TABLE1_N_FROM or args.hi > golden.TABLE1_N_TO):
         raise ValueError(
@@ -160,16 +171,14 @@ def _cmd_table_one(args) -> int:
     sys.stdout.write(render(rows))
     if not args.golden:
         return 0
-    mismatches = []
-    for row in rows:
-        i = row.n - golden.TABLE1_N_FROM
-        if row.stable != golden.TABLE1_STABLE[i]:
-            mismatches.append(f"n={row.n} stable: computed {row.stable}, reference {golden.TABLE1_STABLE[i]}")
-        if row.bound != golden.TABLE1_BOUND[i]:
-            mismatches.append(f"n={row.n} bound: computed {row.bound}, reference {golden.TABLE1_BOUND[i]}")
-    for line in mismatches:
-        print(f"golden mismatch: {line}", file=sys.stderr)
-    return 1 if mismatches else 0
+    return _golden_compare(
+        cell
+        for row in rows
+        for cell in (
+            (f"n={row.n} stable", row.stable, golden.TABLE1_STABLE[row.n - golden.TABLE1_N_FROM]),
+            (f"n={row.n} bound", row.bound, golden.TABLE1_BOUND[row.n - golden.TABLE1_N_FROM]),
+        )
+    )
 
 
 def _cmd_table_two(args) -> int:
@@ -178,15 +187,7 @@ def _cmd_table_two(args) -> int:
     sys.stdout.write(render(matrix))
     if not args.golden:
         return 0
-    mismatches = [
-        f"({n},{r}): computed {matrix[n][r]}, reference {golden.TABLE2[n][r]}"
-        for n in range(9)
-        for r in range(9)
-        if matrix[n][r] != golden.TABLE2[n][r]
-    ]
-    for line in mismatches:
-        print(f"golden mismatch: {line}", file=sys.stderr)
-    return 1 if mismatches else 0
+    return _golden_compare((f"({n},{r})", matrix[n][r], golden.TABLE2[n][r]) for n in range(9) for r in range(9))
 
 
 def _cmd_table_delta(args) -> int:
@@ -203,16 +204,9 @@ def _cmd_table_delta(args) -> int:
     sys.stdout.write(render(values, args.lo))
     if not args.golden:
         return 0
-    mismatches = []
-    for i, value in enumerate(values):
-        l = args.lo + i
-        want = golden.DELTA[l - golden.DELTA_L_FROM]
-        if value != want:
-            shown = "inf" if value is None else value
-            mismatches.append(f"l={l}: computed {shown}, reference {want}")
-    for line in mismatches:
-        print(f"golden mismatch: {line}", file=sys.stderr)
-    return 1 if mismatches else 0
+    return _golden_compare(
+        (f"l={l}", value, golden.DELTA[l - golden.DELTA_L_FROM]) for l, value in enumerate(values, args.lo)
+    )
 
 
 def _cmd_verify(args) -> int:

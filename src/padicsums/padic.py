@@ -217,30 +217,6 @@ def trunc_val(x: ModPE) -> TruncatedValuation:
     return TruncatedValuation.exact_at(v)
 
 
-@dataclass(frozen=True)
-class PrimePowerCtx:
-    """A prime p with a residue-class modulus p**alpha and working precision E."""
-
-    p: int
-    alpha: int
-    E: int = 1
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got alpha={self.alpha}")
-        if self.E < 1:
-            raise ValueError(f"precision E must be >= 1, got E={self.E}")
-
-    @property
-    def residue_modulus(self) -> int:
-        return self.p**self.alpha
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.E
-
-
 def ord_int(p: int, x: int) -> Valuation:
     """p-adic order of an integer; the order of 0 is infinite.
 

@@ -186,25 +186,6 @@ def binom_poly(l: int) -> IntPolynomial:
     return out
 
 
-@dataclass(frozen=True)
-class ResidueClassSumSpec:
-    """Parameters of one alternating residue-class sum."""
-
-    n: int
-    r: int
-    m: int
-    f: IntPolynomial
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got n={self.n}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got m={self.m}")
-
-    def value(self) -> int:
-        return alt_sum(self.n, self.r, self.m, self.f)
-
-
 _ROW_CAP = 4096
 
 
@@ -247,6 +228,43 @@ def alt_sum(n: int, r: int, m: int, f: IntPolynomial) -> int:
         total = total - term if k & 1 else total + term
         x += 1
     return total
+
+
+def alt_sums_upto(n: int, r: int, m: int, maxl: int, powers: bool = True, falling: bool = False):
+    """alt_sum of x^l and of the falling factorial x(x-1)...(x-l+1), for every l <= maxl.
+
+    One pass over the residue class; returns the two lists indexed by l,
+    with None for a family not asked for.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got n={n}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got m={m}")
+    pows = [0] * (maxl + 1) if powers else None
+    ffs = [0] * (maxl + 1) if falling else None
+    start = r % m
+    if start > n:
+        return pows, ffs
+    row = _comb_row(n) if n <= _ROW_CAP else None
+    x = (start - r) // m
+    for k in range(start, n + 1, m):
+        c = row[k] if row is not None else math.comb(n, k)
+        if k & 1:
+            c = -c
+        if powers:
+            acc = c
+            pows[0] += c
+            for l in range(1, maxl + 1):
+                acc *= x
+                pows[l] += acc
+        if falling:
+            acc = c
+            ffs[0] += c
+            for l in range(1, maxl + 1):
+                acc *= x - l + 1
+                ffs[l] += acc
+        x += 1
+    return pows, ffs
 
 
 def alt_floor_sum(n: int, r: int, m: int, f: IntPolynomial) -> int:

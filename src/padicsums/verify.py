@@ -15,6 +15,7 @@ import math
 import random
 import re
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -29,38 +30,16 @@ from .padic import (
     trunc_val,
 )
 from .polysum import (
-    _ROW_CAP,
-    _comb_row,
     IntPolynomial,
     ONE,
     alt_sum,
+    alt_sums_upto,
     binom_poly,
     check_floor_identity,
     check_split_identity,
 )
 from .stirling import mstirling_scan, stable_min_ord
 
-
-CHECK_NAMES = (
-    "polysum-bound",
-    "carry-bound",
-    "binom-weight-bound",
-    "plain-sum-bound",
-    "totient-bound",
-    "stirling-diff-bound",
-    "factorial-match",
-    "floor-identity",
-    "split-identity",
-    "equality-conjecture",
-)
-
-BOUND_CHECKS = (
-    "polysum-bound",
-    "carry-bound",
-    "binom-weight-bound",
-    "plain-sum-bound",
-    "totient-bound",
-)
 
 IDENTITY_CHECKS = ("floor-identity", "split-identity")
 
@@ -117,66 +96,156 @@ class CheckOutcome:
         }
 
 
-def _outcome(check, inst, s_ord, exact, bound, note=""):
-    """Fold a measured order against an integer bound into an outcome."""
+def _verdict(s_ord, exact, bound, sound=True):
+    """(slack, holds) of a measured order against an integer bound; None order: the sum vanished.
+
+    sound=False marks a bound whose own derivation failed: a violation whatever the order.
+    """
+    if not sound:
+        return None, False
     if s_ord is None:
-        return CheckOutcome(check, inst, None, True, bound, None, True, note=note)
+        return None, True
     if exact:
-        return CheckOutcome(check, inst, s_ord, True, bound, s_ord - bound, s_ord >= bound, note=note)
-    holds = True if s_ord >= bound else None
-    return CheckOutcome(check, inst, s_ord, False, bound, None, holds, note=note)
+        return s_ord - bound, s_ord >= bound
+    return None, True if s_ord >= bound else None
 
 
-def _exact_sum_outcome(check, inst, p, s, bound, note=""):
-    if s == 0:
-        return _outcome(check, inst, None, True, bound, note)
-    return _outcome(check, inst, ord_int(p, s).value, True, bound, note)
+def _outcome(check, inst, s_ord, exact, bound, note="", sound=True):
+    slack, holds = _verdict(s_ord, exact, bound, sound)
+    lhs = s_ord if sound else None
+    return CheckOutcome(check, inst, lhs, exact or lhs is None, bound, slack, holds, note=note)
 
 
 def _skipped(check, inst, note):
     return CheckOutcome(check, inst, None, True, None, None, None, skipped=True, note=note)
 
 
-def check_polysum_bound(p: int, alpha: int, n: int, r: int, f: IntPolynomial) -> CheckOutcome:
-    """ord_p of the alternating residue-class sum of f is >= ord_p(floor(n/p^alpha)!)."""
+def _order(p, s):
+    return None if s == 0 else ord_int(p, s).value
+
+
+def _carry_bound(p, alpha, n, r, base, ls):
+    m = p**alpha
+    tau = carries(p, r % m, (n - r) % m)
+    assert 0 <= tau <= alpha
+    return [base + tau] * len(ls), f"tau={tau}", True
+
+
+def _plain_sum_bound(p, alpha, n, r, base, ls):
+    # ord_p(floor(n/p^(alpha-1))!), checked against the order chain; alpha = 0 uses n*p
+    prev = n * p if alpha == 0 else n // p ** (alpha - 1)
+    bound = ord_factorial(p, prev)
+    chain = n // p**alpha + base
+    return [bound], f"order chain broken: {bound} != {chain}" if bound != chain else "", bound == chain
+
+
+def _totient_precondition(p, alpha, n):
+    if alpha < 1:
+        return f"alpha must be >= 1, got {alpha}"
+    if n < p ** (alpha - 1):
+        return f"n must be >= p**(alpha-1) = {p ** (alpha - 1)}, got n={n}"
+    return None
+
+
+def _totient_bound(p, alpha, n, r, base, ls):
+    return [(n - p ** (alpha - 1)) // euler_phi_prime_power(p, alpha)], "", True
+
+
+@dataclass(frozen=True)
+class _Bound:
+    """One lower bound on the order of an alternating residue-class sum.
+
+    weight names the summand: "x^l", "C(x,l)" (the falling factorial over
+    l!, whose exact division is asserted) or "1"; only the first two read
+    the l axis.  bound(p, alpha, n, r, base, ls), with base the order of
+    floor(n/p^alpha)!, gives one bound per l, the note, and False when the
+    bound's own derivation fails (each instance is then a violation with no
+    measured order).  precondition(p, alpha, n) names the hypothesis an
+    instance misses: the check_* function raises it as a ValueError and the
+    sweep counts the instance skipped.
+    """
+
+    weight: str
+    bound: Callable
+    precondition: Callable = lambda p, alpha, n: None
+
+    @property
+    def uses_l(self) -> bool:
+        return self.weight != "1"
+
+
+_BOUNDS = {
+    "polysum-bound": _Bound("x^l", lambda p, alpha, n, r, base, ls: ([base] * len(ls), "", True)),
+    "carry-bound": _Bound("x^l", _carry_bound),
+    "binom-weight-bound": _Bound(
+        "C(x,l)", lambda p, alpha, n, r, base, ls: ([base - ord_factorial(p, l) for l in ls], "", True)
+    ),
+    "plain-sum-bound": _Bound("1", _plain_sum_bound),
+    "totient-bound": _Bound("1", _totient_bound, _totient_precondition),
+}
+
+BOUND_CHECKS = tuple(_BOUNDS)
+
+CHECK_NAMES = BOUND_CHECKS + ("stirling-diff-bound", "factorial-match", *IDENTITY_CHECKS, "equality-conjecture")
+
+_WEIGHTS = {"x^l": IntPolynomial.monomial, "C(x,l)": binom_poly, "1": lambda l: ONE}
+
+
+def _check_args(p, alpha, n, l=0):
     check_prime(p)
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if l < 0:
+        raise ValueError(f"l must be >= 0, got {l}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got n={n}")
+
+
+def _bound_inst(p, alpha, n, r, l, d, f=None):
+    inst = (("p", p), ("alpha", alpha), ("n", n), ("r", r))
+    if f is not None:
+        return inst + (("f", str(f)),)
+    return inst + (("l", l),) if d.uses_l else inst
+
+
+def _class_sum(d, s, l, make_inst):
+    """The residue-class sum the bound reads, from the sum of its weight's numerator."""
+    if d.weight != "C(x,l)":
+        return s
+    q, rem = divmod(s, math.factorial(l))
+    if rem:
+        raise AssertionError(f"binomial-weighted sum not divisible by {l}! at {make_inst()}")
+    return q
+
+
+def _check_bound(check, p, alpha, n, r, l=0, f=None):
+    """One instance of a bound check, summed directly with alt_sum (f overrides the weight)."""
+    d = _BOUNDS[check]
+    check_prime(p)
+    missing = d.precondition(p, alpha, n)
+    if missing:
+        raise ValueError(missing)
+    _check_args(p, alpha, n, l)
     m = p**alpha
-    inst = (("p", p), ("alpha", alpha), ("n", n), ("r", r), ("f", str(f)))
-    bound = ord_factorial(p, n // m)
-    return _exact_sum_outcome("polysum-bound", inst, p, alt_sum(n, r, m, f), bound)
+    inst = _bound_inst(p, alpha, n, r, l, d, f)
+    (bound,), note, sound = d.bound(p, alpha, n, r, ord_factorial(p, n // m), (l,))
+    s = alt_sum(n, r, m, f if f is not None else _WEIGHTS[d.weight](l))
+    return _outcome(check, inst, _order(p, _class_sum(d, s, l, lambda: inst)), True, bound, note, sound)
+
+
+def check_polysum_bound(p: int, alpha: int, n: int, r: int, f: IntPolynomial) -> CheckOutcome:
+    """ord_p of the alternating residue-class sum of f is >= ord_p(floor(n/p^alpha)!)."""
+    return _check_bound("polysum-bound", p, alpha, n, r, f=f)
 
 
 def check_carry_bound(p: int, alpha: int, n: int, r: int, l: int) -> CheckOutcome:
     """Sharper monomial bound: the base bound plus the carry count of the residues."""
-    check_prime(p)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
-    m = p**alpha
-    inst = (("p", p), ("alpha", alpha), ("n", n), ("r", r), ("l", l))
-    tau = carries(p, r % m, (n - r) % m)
-    bound = ord_factorial(p, n // m) + tau
-    f = IntPolynomial.monomial(l)
-    return _exact_sum_outcome("carry-bound", inst, p, alt_sum(n, r, m, f), bound, note=f"tau={tau}")
+    return _check_bound("carry-bound", p, alpha, n, r, l)
 
 
 def check_binom_weight_bound(p: int, alpha: int, n: int, r: int, l: int) -> CheckOutcome:
     """Binomial-weighted variant; the bound drops by ord_p(l!) and may be negative."""
-    check_prime(p)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
-    m = p**alpha
-    inst = (("p", p), ("alpha", alpha), ("n", n), ("r", r), ("l", l))
-    q, rem = divmod(alt_sum(n, r, m, binom_poly(l)), math.factorial(l))
-    if rem:
-        raise AssertionError(f"binomial-weighted sum not divisible by {l}! at {inst}")
-    bound = ord_factorial(p, n // m) - ord_factorial(p, l)
-    return _exact_sum_outcome("binom-weight-bound", inst, p, q, bound)
+    return _check_bound("binom-weight-bound", p, alpha, n, r, l)
 
 
 def check_plain_sum_bound(p: int, alpha: int, n: int, r: int) -> CheckOutcome:
@@ -185,34 +254,12 @@ def check_plain_sum_bound(p: int, alpha: int, n: int, r: int) -> CheckOutcome:
     The bound is asserted equal to floor(n/p^alpha) + ord_p(floor(n/p^alpha)!)
     on every instance; alpha = 0 uses n*p in place of the parent floor.
     """
-    check_prime(p)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    m = p**alpha
-    inst = (("p", p), ("alpha", alpha), ("n", n), ("r", r))
-    prev = n * p if alpha == 0 else n // p ** (alpha - 1)
-    bound = ord_factorial(p, prev)
-    chain = n // m + ord_factorial(p, n // m)
-    if bound != chain:
-        return CheckOutcome(
-            "plain-sum-bound", inst, None, True, bound, None, False,
-            note=f"order chain broken: {bound} != {chain}",
-        )
-    return _exact_sum_outcome("plain-sum-bound", inst, p, alt_sum(n, r, m, ONE), bound)
+    return _check_bound("plain-sum-bound", p, alpha, n, r)
 
 
 def check_totient_bound(p: int, alpha: int, n: int, r: int) -> CheckOutcome:
     """Totient-floor bound for the unweighted sum; dominates the factorial bound."""
-    check_prime(p)
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    root = p ** (alpha - 1)
-    if n < root:
-        raise ValueError(f"n must be >= p**(alpha-1) = {root}, got n={n}")
-    m = p**alpha
-    inst = (("p", p), ("alpha", alpha), ("n", n), ("r", r))
-    bound = (n - root) // euler_phi_prime_power(p, alpha)
-    return _exact_sum_outcome("totient-bound", inst, p, alt_sum(n, r, m, ONE), bound)
+    return _check_bound("totient-bound", p, alpha, n, r)
 
 
 def check_stirling_diff_bound(p: int, alpha: int, h: int, l: int, m: int, n: int) -> CheckOutcome:
@@ -316,8 +363,7 @@ def check_equality_conjecture(p: int, alpha: int, n: int, r: int, l: int | None 
         return _skipped("equality-conjecture", inst, f"precondition: l >= {lo}")
     if l % mod != target:
         return _skipped("equality-conjecture", inst, f"precondition: l = {target} (mod {mod})")
-    tau = carries(p, r % m, (n - r) % m)
-    bound = ord_factorial(p, lo) + tau
+    (bound,), _, _ = _carry_bound(p, alpha, n, r, ord_factorial(p, lo), (l,))
     s = alt_sum(n, r, m, IntPolynomial.monomial(l))
     note = "boundary modulus (e=0)" if e == 0 else ""
     if s == 0:
@@ -363,22 +409,17 @@ def parse_grid(text: str) -> dict[str, list[int]]:
 
 
 _CHECK_AXES = {
-    "polysum-bound": ("p", "alpha", "n", "r", "l"),
-    "carry-bound": ("p", "alpha", "n", "r", "l"),
-    "binom-weight-bound": ("p", "alpha", "n", "r", "l"),
-    "plain-sum-bound": ("p", "alpha", "n", "r"),
-    "totient-bound": ("p", "alpha", "n", "r"),
+    **{c: ("p", "alpha", "n", "r") + ("l",) * d.uses_l for c, d in _BOUNDS.items()},
     "stirling-diff-bound": ("p", "alpha", "h", "l", "m", "n"),
     "factorial-match": ("n",),
     "equality-conjecture": ("p", "alpha", "n", "r"),
 }
 
 _DEFAULT_GRID_DESC = {
-    "polysum-bound": "p=2,3,5; alpha=0..3; n=1..200; r=-10..2*p^alpha; l=0..30",
-    "carry-bound": "p=2,3,5; alpha=0..3; n=1..200; r=-10..2*p^alpha; l=0..30",
-    "binom-weight-bound": "p=2,3,5; alpha=0..3; n=1..200; r=-10..2*p^alpha; l=0..30",
-    "plain-sum-bound": "p=2,3,5; alpha=0..3; n=1..200; r=-10..2*p^alpha",
-    "totient-bound": "p=2,3,5; alpha=0..3; n=1..200; r=-10..2*p^alpha",
+    **{
+        c: "p=2,3,5; alpha=0..3; n=1..200; r=-10..2*p^alpha" + "; l=0..30" * d.uses_l
+        for c, d in _BOUNDS.items()
+    },
     "stirling-diff-bound": "p=2,3; alpha=0..3; h=1..2; l=0..3; n=2..30; m=n..n+20",
     "factorial-match": "n=4..40 even; L=max(N,N0)",
     "equality-conjecture": "p=2,3,5; alpha=1,2; n=2p^alpha-1..120; r=0..n; l smallest admissible",
@@ -387,20 +428,14 @@ _DEFAULT_GRID_DESC = {
 
 def default_grid(check: str) -> list[dict[str, list[int]]]:
     """The acceptance grid for a check, as a list of product blocks."""
-    if check in ("polysum-bound", "carry-bound", "binom-weight-bound", "plain-sum-bound", "totient-bound"):
-        blocks = []
-        for p in (2, 3, 5):
-            for alpha in range(4):
-                block = {
-                    "p": [p],
-                    "alpha": [alpha],
-                    "n": list(range(1, 201)),
-                    "r": list(range(-10, 2 * p**alpha + 1)),
-                }
-                if check in ("polysum-bound", "carry-bound", "binom-weight-bound"):
-                    block["l"] = list(range(31))
-                blocks.append(block)
-        return blocks
+    if check in _BOUNDS:
+        uses_l = _BOUNDS[check].uses_l
+        return [
+            {"p": [p], "alpha": [alpha], "n": list(range(1, 201)), "r": list(range(-10, 2 * p**alpha + 1))}
+            | ({"l": list(range(31))} if uses_l else {})
+            for p in (2, 3, 5)
+            for alpha in range(4)
+        ]
     if check == "stirling-diff-bound":
         return [
             {
@@ -416,12 +451,12 @@ def default_grid(check: str) -> list[dict[str, list[int]]]:
     if check == "factorial-match":
         return [{"n": list(range(4, 41, 2))}]
     if check == "equality-conjecture":
-        blocks = []
-        for p in (2, 3, 5):
-            for alpha in (1, 2):
-                for n in range(2 * p**alpha - 1, 121):
-                    blocks.append({"p": [p], "alpha": [alpha], "n": [n], "r": list(range(n + 1))})
-        return blocks
+        return [
+            {"p": [p], "alpha": [alpha], "n": [n], "r": list(range(n + 1))}
+            for p in (2, 3, 5)
+            for alpha in (1, 2)
+            for n in range(2 * p**alpha - 1, 121)
+        ]
     raise GridError(f"no default grid for check {check!r}")
 
 
@@ -447,6 +482,10 @@ def _check_block_axes(check, blocks, need_l):
             raise GridError(f"grid has unknown axes {extra} for check {check!r}")
 
 
+def _slice_key(inst):
+    return ",".join(f"{k}={v}" for k, v in inst if k in ("p", "alpha")) or "all"
+
+
 @dataclass
 class _Agg:
     """Order-preserving partial aggregate of check outcomes."""
@@ -459,29 +498,31 @@ class _Agg:
     violations: list = field(default_factory=list)
     slack: dict = field(default_factory=dict)
 
+    def add(self, key, slack, holds, violation=None):
+        """Count one checked instance of slice key; violation is its outcome when holds is False."""
+        self.checked += 1
+        if holds:
+            self.held += 1
+        elif holds is None:
+            self.undetermined += 1
+        else:
+            self.violations.append(violation)
+        if slack is not None:
+            rec = self.slack.get(key)
+            if rec is None:
+                self.slack[key] = [slack, slack]
+            elif slack < rec[0]:
+                rec[0] = slack
+            elif slack > rec[1]:
+                rec[1] = slack
+
     def fold(self, out: CheckOutcome):
         if out.skipped:
             self.skipped += 1
             return
-        self.checked += 1
         if out.note.startswith("boundary"):
             self.flagged += 1
-        if out.holds is None:
-            self.undetermined += 1
-        elif out.holds:
-            self.held += 1
-        else:
-            self.violations.append(out)
-        if out.slack is not None:
-            key = ",".join(f"{k}={v}" for k, v in out.instance if k in ("p", "alpha")) or "all"
-            rec = self.slack.get(key)
-            if rec is None:
-                self.slack[key] = [out.slack, out.slack]
-            else:
-                if out.slack < rec[0]:
-                    rec[0] = out.slack
-                if out.slack > rec[1]:
-                    rec[1] = out.slack
+        self.add(_slice_key(out.instance) if out.slack is not None else None, out.slack, out.holds, out)
 
     def merge(self, other: "_Agg"):
         self.checked += other.checked
@@ -576,88 +617,38 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _cell_sums(n, r, m, maxl, need_pow, need_ff):
-    """Alternating residue-class sums of x^l (and falling factorials) for l <= maxl."""
-    pows = [0] * (maxl + 1) if need_pow else None
-    ffs = [0] * (maxl + 1) if need_ff else None
-    start = r % m
-    if start > n:
-        return pows, ffs
-    row = _comb_row(n) if n <= _ROW_CAP else None
-    x = (start - r) // m
-    for k in range(start, n + 1, m):
-        c = row[k] if row is not None else math.comb(n, k)
-        if k & 1:
-            c = -c
-        if need_pow:
-            acc = c
-            pows[0] += c
-            for l in range(1, maxl + 1):
-                acc *= x
-                pows[l] += acc
-        if need_ff:
-            acc = c
-            ffs[0] += c
-            for l in range(1, maxl + 1):
-                acc *= x - l + 1
-                ffs[l] += acc
-        x += 1
-    return pows, ffs
-
-
 def _eval_bound_task(args):
     """Evaluate a chunk of (p, alpha, n, r, l-tuple) cells for several bound checks."""
     checks, cells = args
-    aggs = {c: _Agg() for c in checks}
-    need_ff = "binom-weight-bound" in checks
-    need_pow = bool(set(checks) - {"binom-weight-bound"})
+    plan = [(c, _BOUNDS[c], _Agg()) for c in checks]
+    weights = {d.weight for _, d, _ in plan}
     for p, alpha, n, r, ls in cells:
+        _check_args(p, alpha, n, min(ls, default=0))
         m = p**alpha
-        nq = n // m
-        base = ord_factorial(p, nq)
-        maxl = max(ls) if ls else 0
-        pows, ffs = _cell_sums(n, r, m, maxl, need_pow, need_ff)
-        if "polysum-bound" in checks:
-            agg = aggs["polysum-bound"]
-            for l in ls:
-                inst = (("p", p), ("alpha", alpha), ("n", n), ("r", r), ("l", l))
-                agg.fold(_exact_sum_outcome("polysum-bound", inst, p, pows[l], base))
-        if "carry-bound" in checks:
-            agg = aggs["carry-bound"]
-            tau = carries(p, r % m, (n - r) % m)
-            assert 0 <= tau <= alpha
-            for l in ls:
-                inst = (("p", p), ("alpha", alpha), ("n", n), ("r", r), ("l", l))
-                agg.fold(_exact_sum_outcome("carry-bound", inst, p, pows[l], base + tau, note=f"tau={tau}"))
-        if "binom-weight-bound" in checks:
-            agg = aggs["binom-weight-bound"]
-            for l in ls:
-                inst = (("p", p), ("alpha", alpha), ("n", n), ("r", r), ("l", l))
-                lf = ord_factorial(p, l)
-                s = ffs[l]
-                s_ord = None if s == 0 else ord_int(p, s).value - lf
-                agg.fold(_outcome("binom-weight-bound", inst, s_ord, True, base - lf))
-        inst = (("p", p), ("alpha", alpha), ("n", n), ("r", r))
-        if "plain-sum-bound" in checks:
-            prev = n * p if alpha == 0 else n // p ** (alpha - 1)
-            bound = ord_factorial(p, prev)
-            if bound != nq + base:
-                out = CheckOutcome(
-                    "plain-sum-bound", inst, None, True, bound, None, False,
-                    note=f"order chain broken: {bound} != {nq + base}",
-                )
-            else:
-                out = _exact_sum_outcome("plain-sum-bound", inst, p, pows[0], bound)
-            aggs["plain-sum-bound"].fold(out)
-        if "totient-bound" in checks:
-            root = p ** (alpha - 1) if alpha >= 1 else 0
-            if alpha < 1 or n < root:
-                out = _skipped("totient-bound", inst, "precondition: alpha >= 1 and n >= p**(alpha-1)")
-            else:
-                bound = (n - root) // euler_phi_prime_power(p, alpha)
-                out = _exact_sum_outcome("totient-bound", inst, p, pows[0], bound)
-            aggs["totient-bound"].fold(out)
-    return aggs
+        base = ord_factorial(p, n // m)
+        key = _slice_key((("p", p), ("alpha", alpha)))
+        pows, ffs = alt_sums_upto(n, r, m, max(ls, default=0), bool(weights - {"C(x,l)"}), "C(x,l)" in weights)
+        orders = {}  # weight -> order of each sum it reads, shared by the checks that read it
+        for check, d, agg in plan:
+            lv = ls if d.uses_l else (0,)
+            if d.precondition(p, alpha, n):
+                agg.skipped += len(lv)
+                continue
+            bounds, note, sound = d.bound(p, alpha, n, r, base, lv)
+            ords = orders.get(d.weight)
+            if ords is None:
+                sums = ffs if d.weight == "C(x,l)" else pows
+                ords = orders[d.weight] = [
+                    _order(p, _class_sum(d, sums[l], l, lambda: _bound_inst(p, alpha, n, r, l, d))) for l in lv
+                ]
+            for l, s_ord, bound in zip(lv, ords, bounds):
+                slack, holds = _verdict(s_ord, True, bound, sound)
+                if holds:
+                    agg.add(key, slack, holds)
+                else:
+                    inst = _bound_inst(p, alpha, n, r, l, d)
+                    agg.add(key, slack, holds, _outcome(check, inst, s_ord, True, bound, note, sound))
+    return {c: agg for c, _, agg in plan}
 
 
 def _eval_instance_task(args):
@@ -695,13 +686,8 @@ def _eval_identity_task(args):
 
 
 def _chunks(seq, size):
-    chunk = []
-    for item in seq:
-        chunk.append(item)
-        if len(chunk) == size:
-            yield chunk
-            chunk = []
-    if chunk:
+    it = iter(seq)
+    while chunk := list(itertools.islice(it, size)):
         yield chunk
 
 
@@ -722,16 +708,8 @@ def _merge_reports(check_list, agg_streams, grid_desc, started):
     elapsed = time.monotonic() - started
     return {
         c: SweepReport(
-            check=c,
-            grid=grid_desc,
-            checked=a.checked,
-            held=a.held,
-            violations=a.violations,
-            undetermined=a.undetermined,
-            skipped=a.skipped,
-            flagged=a.flagged,
-            slack={k: (v[0], v[1]) for k, v in a.slack.items()},
-            wall_time=elapsed,
+            c, grid_desc, a.checked, a.held, a.violations, a.undetermined, a.skipped, a.flagged,
+            {k: (v[0], v[1]) for k, v in a.slack.items()}, wall_time=elapsed,
         )
         for c, a in totals.items()
     }
@@ -745,7 +723,7 @@ def bound_sweep(checks, grid=None, jobs: int = 1) -> dict[str, SweepReport]:
             raise GridError(f"{check!r} is not a bound check")
     started = time.monotonic()
     blocks, desc = _resolve_grid(checks[0], grid)
-    need_l = any(c in ("polysum-bound", "carry-bound", "binom-weight-bound") for c in checks)
+    need_l = any(_BOUNDS[c].uses_l for c in checks)
     for check in checks:
         _check_block_axes(check, blocks, need_l)
 
@@ -772,14 +750,26 @@ def sweep(check: str, grid=None, jobs: int = 1, samples: int = 10**4, seed: int 
     started = time.monotonic()
     blocks, desc = _resolve_grid(check, grid)
     _check_block_axes(check, blocks, need_l=False)
-    axes = _CHECK_AXES[check]
-
-    def instances():
-        for block in blocks:
-            yield from itertools.product(*(block[a] for a in axes))
-
-    tasks = ((check, chunk) for chunk in _chunks(instances(), _INSTANCE_CHUNK))
+    tasks = _instance_tasks(check, blocks)
     return _merge_reports([check], _run(_eval_instance_task, tasks, jobs), desc, started)[check]
+
+
+def _instance_tasks(check, blocks):
+    """Worker tasks of a grid, cut by the grid alone, never by the pool size.
+
+    A stirling-diff-bound task is one (p, alpha, h) of a block, so that every
+    (p, alpha, h, n) block, which shares its difference tables, stays whole.
+    Other checks are cut every _INSTANCE_CHUNK instances.
+    """
+    axes = _CHECK_AXES[check]
+    if check == "stirling-diff-bound":
+        for block in blocks:
+            for head in itertools.product(block["p"], block["alpha"], block["h"]):
+                yield check, [head + tail for tail in itertools.product(block["l"], block["m"], block["n"])]
+        return
+    instances = itertools.chain.from_iterable(itertools.product(*(b[a] for a in axes)) for b in blocks)
+    for chunk in _chunks(instances, _INSTANCE_CHUNK):
+        yield check, chunk
 
 
 def identity_sweep(check: str, samples: int = 10**4, seed: int = 0, jobs: int = 1) -> SweepReport:

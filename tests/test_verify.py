@@ -10,6 +10,7 @@ from padicsums import (
     CHECK_NAMES,
     CheckOutcome,
     GridError,
+    IntPolynomial,
     SweepReport,
     bound_sweep,
     carries,
@@ -254,15 +255,18 @@ def test_sweep_determinism_across_jobs():
 
 
 def test_stirling_diff_sweep_shares_blocks_deterministically():
-    # 704 instances; each (p, alpha, h, n) block shares its difference tables,
-    # and with n innermost some blocks straddle the 256-instance chunk edge.
+    # 704 instances in 8 tasks, one per (p, alpha, h); each (p, alpha, h, n)
+    # block shares its difference tables, and with n innermost its instances
+    # are interleaved with another block's, yet no block spans two tasks.
     grid = parse_grid("p=2,3;alpha=0..1;h=1..2;l=0..3;m=2..12;n=2..3")
     insts = list(itertools.product(*(grid[a] for a in ("p", "alpha", "h", "l", "m", "n"))))
-    chunk = verify._INSTANCE_CHUNK
+    tasks = [chunk for _, chunk in verify._instance_tasks("stirling-diff-bound", [grid])]
     sides = {}
-    for i, (p, alpha, h, _, _, n) in enumerate(insts):
-        sides.setdefault((p, alpha, h, n), set()).add(i // chunk)
-    assert len(insts) > chunk and any(len(s) > 1 for s in sides.values())
+    for t, chunk in enumerate(tasks):
+        for p, alpha, h, _, _, n in chunk:
+            sides.setdefault((p, alpha, h, n), set()).add(t)
+    assert [i for chunk in tasks for i in chunk] == insts and len(tasks) == 8
+    assert len(sides) == 16 and all(len(s) == 1 for s in sides.values())
     seq = sweep("stirling-diff-bound", grid=grid, jobs=1)
     par = sweep("stirling-diff-bound", grid=grid, jobs=2)
     assert seq.to_json() == par.to_json()
@@ -289,21 +293,47 @@ def test_bound_sweep_agrees_with_single_sweeps():
         assert rep.to_json() == solo.to_json()
 
 
+_DIRECT = {
+    "polysum-bound": lambda p, alpha, n, r, l: check_polysum_bound(p, alpha, n, r, IntPolynomial.monomial(l)),
+    "carry-bound": check_carry_bound,
+    "binom-weight-bound": check_binom_weight_bound,
+    "plain-sum-bound": lambda p, alpha, n, r, l: check_plain_sum_bound(p, alpha, n, r),
+    "totient-bound": lambda p, alpha, n, r, l: check_totient_bound(p, alpha, n, r),
+}
+
+
 def test_fused_sweep_matches_direct_check_calls():
-    grid = parse_grid("p=3;alpha=1;n=1..15;r=0..2;l=0..2")
-    rep = bound_sweep(["carry-bound"], grid=grid)["carry-bound"]
-    held = 0
-    slack = None
-    for n in grid["n"]:
-        for r in grid["r"]:
-            for l in grid["l"]:
-                oc = check_carry_bound(3, 1, n, r, l)
-                if oc.holds:
-                    held += 1
+    # Every bound check, one sweep against one check_* call per instance.
+    # alpha = 0 and n < p^(alpha-1) (n <= 2 at p=3, alpha=2; n = 0 at alpha=1)
+    # miss the totient bound's precondition.
+    for check in BOUND_CHECKS:
+        uses_l = check in ("polysum-bound", "carry-bound", "binom-weight-bound")
+        grid = parse_grid("p=2,3;alpha=0..2;n=0..12;r=-2..4" + ";l=0..3" * uses_l)
+        ls = grid["l"] if uses_l else [None]
+        rep = bound_sweep([check], grid=grid)[check]
+        checked = held = skipped = 0
+        slack = {}
+        for p, alpha, n, r in itertools.product(grid["p"], grid["alpha"], grid["n"], grid["r"]):
+            raised = 0
+            for l in ls:
+                try:
+                    oc = _DIRECT[check](p, alpha, n, r, l)
+                except ValueError:
+                    raised += 1
+                    continue
+                checked += 1
+                held += oc.holds is True
                 if oc.slack is not None:
-                    slack = oc.slack if slack is None else min(slack, oc.slack)
-    assert rep.held == held == rep.checked
-    assert rep.slack["p=3,alpha=1"][0] == slack
+                    lo, hi = slack.get(f"p={p},alpha={alpha}", (oc.slack, oc.slack))
+                    slack[f"p={p},alpha={alpha}"] = (min(lo, oc.slack), max(hi, oc.slack))
+            # the check raises on exactly the instances the sweep skips
+            cell = {"p": [p], "alpha": [alpha], "n": [n], "r": [r], **({"l": ls} if uses_l else {})}
+            assert bound_sweep([check], grid=cell)[check].skipped == raised, (check, p, alpha, n, r)
+            skipped += raised
+        assert (rep.checked, rep.held, rep.skipped) == (checked, held, skipped), check
+        assert (rep.undetermined, rep.violations) == (0, []), check
+        assert rep.slack == slack, check
+        assert (skipped > 0) == (check == "totient-bound"), check
 
 
 def test_conjecture_sweep_report():
