@@ -25,6 +25,7 @@ from .padic import (
     TruncatedValuation,
     check_prime,
     ord_int,
+    ord_nonzero,
 )
 
 STIRLING_CAP = 10**4
@@ -199,10 +200,7 @@ def _scan_min(p, n, k, E, m_hi, adaptive):
         if m < n:
             continue
         if r:
-            v = 0
-            while r % p == 0:
-                v += 1
-                r //= p
+            v = ord_nonzero(p, r)
             if best is None or v < best:
                 best, witness, last_change = v, m, m
         if m >= hi:

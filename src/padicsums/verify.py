@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 
 from .exponents import StructuredExponent
 from .padic import (
-    ModPE,
+    CapacityError,
     carries,
     check_prime,
     euler_phi_prime_power,
     ord_factorial,
     ord_int,
-    trunc_val,
+    ord_nonzero,
 )
 from .polysum import (
     IntPolynomial,
@@ -47,6 +47,8 @@ IDENTITY_CHECKS = ("floor-identity", "split-identity")
 _CELL_CHUNK = 64
 _INSTANCE_CHUNK = 256
 _RENDER_CAP = 50
+# Instances one parsed grid may hold: about three times a default bound grid.
+GRID_CAP = 10**7
 
 
 class GridError(ValueError):
@@ -267,16 +269,30 @@ def check_stirling_diff_bound(p: int, alpha: int, h: int, l: int, m: int, n: int
 
     The sum binom(l,k)(-1)^k m! S(k h (p-1) p^alpha + n - 1, m) is evaluated
     modulo p**E with E two above the bound, so the verdict is never left
-    undetermined.
+    undetermined.  Each S is an integer, so the sum is divisible by m!:
+    when ord_p(m!) >= E it vanishes modulo p**E before any table is read,
+    and the outcome is the floor lhs_ord = E with lhs_exact False.
     """
-    return _stirling_diff_block(p, alpha, h, n, [(l, m)])[0]
+    ((order, bound),) = _stirling_diff_block(p, alpha, h, n, [(l, m)])
+    return _stirling_diff_outcome((p, alpha, h, l, m, n), order, bound)
+
+
+def _stirling_diff_outcome(inst, order, bound):
+    """The outcome of instance (p, alpha, h, l, m, n) from its kernel pair; order None is the floor."""
+    inst = tuple(zip(_CHECK_AXES["stirling-diff-bound"], inst))
+    if order is None:
+        return _outcome("stirling-diff-bound", inst, bound + 2, False, bound)
+    return _outcome("stirling-diff-bound", inst, order, True, bound)
 
 
 def _stirling_diff_block(p, alpha, h, n, lms):
-    """check_stirling_diff_bound for each (l, m) of one (p, alpha, h, n) block.
+    """(order, bound) of check_stirling_diff_bound for each (l, m) of one (p, alpha, h, n) block.
 
-    Each exponent k h (p-1) p^alpha + n - 1, k <= max l, gets one difference
-    table, read modulo the largest p**E the block needs.
+    order is None for a floor: the sum vanishes modulo p**(bound+2).  An
+    instance with ord_p(m!) >= bound + 2 is a floor without a table.  The
+    others share one difference table per exponent k h (p-1) p^alpha + n - 1,
+    k <= their largest l, run up to their largest m and read modulo the
+    largest p**E they need.
     """
     check_prime(p)
     for name, v in (("alpha", alpha), ("h", h), ("l", min(l for l, _ in lms)), ("m", min(m for _, m in lms))):
@@ -284,19 +300,25 @@ def _stirling_diff_block(p, alpha, h, n, lms):
             raise ValueError(f"{name} must be >= 0, got {v}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    bounds = [min(l * (alpha + 1), n - 1 + ord_factorial(p, m // p)) for l, m in lms]
-    top_E, top_m = max(bounds) + 2, max(m for _, m in lms)
+    q = {m: ord_factorial(p, m // p) for _, m in lms}
+    bounds = [min(l * (alpha + 1), n - 1 + q[m]) for l, m in lms]
+    out = [(None, bound) for bound in bounds]
+    # ord_p(m!) = floor(m/p) + ord_p(floor(m/p)!) by Legendre's formula
+    live = [i for i, ((_, m), bound) in enumerate(zip(lms, bounds)) if m // p + q[m] < bound + 2]
+    if not live:
+        return out
+    top_E = max(bounds[i] for i in live) + 2
+    top_m = max(lms[i][1] for i in live)
     tables = []
-    for k in range(max(l for l, _ in lms) + 1):
+    for k in range(max(lms[i][0] for i in live) + 1):
         exp = StructuredExponent.tower(k * h * (p - 1), p, alpha, n - 1)
         tables.append(list(itertools.islice(mstirling_scan(exp, p, top_E), top_m + 1)))
-    outs = []
-    for (l, m), bound in zip(lms, bounds):
-        acc = sum(math.comb(l, k) * (-1) ** k * tables[k][m] for k in range(l + 1))
-        tv = trunc_val(ModPE(acc % p ** (bound + 2), p, bound + 2))
-        inst = (("p", p), ("alpha", alpha), ("h", h), ("l", l), ("m", m), ("n", n))
-        outs.append(_outcome("stirling-diff-bound", inst, tv.value, tv.exact, bound))
-    return outs
+    for i in live:
+        (l, m), bound = lms[i], bounds[i]
+        acc = sum(math.comb(l, k) * (-1) ** k * tables[k][m] for k in range(l + 1)) % p ** (bound + 2)
+        if acc:
+            out[i] = (ord_nonzero(p, acc), bound)
+    return out
 
 
 def check_factorial_match(n: int, L: int | None = None) -> CheckOutcome:
@@ -377,8 +399,13 @@ _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
 
 def parse_grid(text: str) -> dict[str, list[int]]:
-    """Parse 'p=2,3,5; alpha=0..3; n=1..200' into axis value lists."""
-    axes: dict[str, list[int]] = {}
+    """Parse 'p=2,3,5; alpha=0..3; n=1..200' into axis value lists.
+
+    The grid's instance count, the product of its axis lengths, is checked
+    against GRID_CAP before any axis is expanded; a larger grid raises
+    CapacityError.
+    """
+    axes: dict[str, list] = {}  # name -> its items, each a range or a one-value tuple
     for part in text.split(";"):
         if not part.strip():
             continue
@@ -388,7 +415,7 @@ def parse_grid(text: str) -> dict[str, list[int]]:
         name, body = match.group(1), match.group(2)
         if name in axes:
             raise GridError(f"duplicate grid axis {name!r}")
-        values: list[int] = []
+        items = axes[name] = []
         for item in body.split(","):
             item = item.strip()
             rng = _RANGE_RE.match(item)
@@ -396,16 +423,18 @@ def parse_grid(text: str) -> dict[str, list[int]]:
                 a, b = int(rng.group(1)), int(rng.group(2))
                 if b < a:
                     raise GridError(f"empty range {item!r} in axis {name!r}")
-                values.extend(range(a, b + 1))
+                items.append(range(a, b + 1))
             else:
                 try:
-                    values.append(int(item))
+                    items.append((int(item),))
                 except ValueError:
                     raise GridError(f"bad value {item!r} in axis {name!r}") from None
-        axes[name] = values
     if not axes:
         raise GridError("empty grid")
-    return axes
+    size = math.prod(sum(map(len, items)) for items in axes.values())
+    if size > GRID_CAP:
+        raise CapacityError(f"grid has {size} instances, over the cap of {GRID_CAP}")
+    return {name: [v for item in items for v in item] for name, items in axes.items()}
 
 
 _CHECK_AXES = {
@@ -658,11 +687,17 @@ def _eval_instance_task(args):
         blocks = {}  # (p, alpha, h, n) -> {index: (l, m)}; a block shares its tables
         for i, (p, alpha, h, l, m, n) in enumerate(instances):
             blocks.setdefault((p, alpha, h, n), {})[i] = (l, m)
-        outs = {}
-        for key, lms in blocks.items():
-            outs.update(zip(lms, _stirling_diff_block(*key, list(lms.values()))))
-        for i in sorted(outs):
-            agg.fold(outs[i])
+        results = [None] * len(instances)
+        for block, lms in blocks.items():
+            for i, res in zip(lms, _stirling_diff_block(*block, list(lms.values()))):
+                results[i] = res
+        for inst, (order, bound) in zip(instances, results):
+            if order is None:
+                agg.add(None, None, True)
+                continue
+            holds = order >= bound
+            violation = None if holds else _stirling_diff_outcome(inst, order, bound)
+            agg.add(f"p={inst[0]},alpha={inst[1]}", order - bound, holds, violation)
     elif check == "factorial-match":
         for (n,) in instances:
             agg.fold(check_factorial_match(n))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from padicsums import verify
 from padicsums.cli import main
 
 
@@ -72,6 +73,13 @@ def test_capacity_exit(capsys):
     rc, _, err = run_cli(["compute", "stirling", "--k", "100001", "--m", "5"], capsys)
     assert rc == 2
     assert "capacity:" in err and "capped at k <= 10000" in err
+
+
+def test_verify_oversized_grid_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "_run", None)  # a sweep that started would fail on it
+    rc, out, err = run_cli(["verify", "carry-bound", "--grid", "p=2;alpha=0..9;n=1..1000;r=0..1000;l=0..1"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "capacity: grid has 20020000 instances, over the cap of 10000000\n"
 
 
 def test_usage_errors_exit_64(capsys):

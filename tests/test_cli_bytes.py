@@ -34,6 +34,7 @@ CASES = [
     *[["verify", c, "--grid", _SMALL_PLAIN_GRID] for c in ("plain-sum-bound", "totient-bound")],
     ["verify", "equality-conjecture", "--grid", "p=3;alpha=1;n=5..40;r=0..12"],
     *_formats(["verify", "stirling-diff-bound", "--grid", _SMALL_DIFF_GRID], ("md", "json")),
+    *_formats(["verify", "stirling-diff-bound", "--grid", "default"], ("md", "json")),
     ["compute", "ord", "--p", "3", "--x", "162"],
     ["compute", "ord-factorial", "--p", "3", "--m", "100"],
     ["compute", "tau", "--p", "3", "--a", "4", "--b", "8"],
@@ -72,6 +73,9 @@ DIGESTS = {
     'verify equality-conjecture --grid p=3;alpha=1;n=5..40;r=0..12': "5810763f7a6c47cb66a3848b3d4ec330d74b1dbf02d06c0886f0801fb17f89e3",
     'verify stirling-diff-bound --grid p=2,3;alpha=0..1;h=1..2;l=0..3;m=2..12;n=2..3 --format md': "cd4d2ef4426de3a95dd0d446bfd2ace575494394b43136b5b6c193d135b3be2a",
     'verify stirling-diff-bound --grid p=2,3;alpha=0..1;h=1..2;l=0..3;m=2..12;n=2..3 --format json': "d4f11e2fa3500f420564e8d0f76cad4d0abe83fdb00eae106dd4dc56b260db8d",
+    # Recorded before the factorial-tail cut of the stirling-diff-bound kernel.
+    'verify stirling-diff-bound --grid default --format md': "3d683620d72bbc41f0f43bc048fda4452ce32336df269f853e75dab336af0dc9",
+    'verify stirling-diff-bound --grid default --format json': "959eb0158b36bff1e16a3ce135d4c7fc4b4a82e14ae53ad80c1e437b199f9c59",
     'compute ord --p 3 --x 162': "3b1dbe891b9b6bcf901575fa71a2e045ffa3289d1405e1116b63f7a1a5a566ce",
     'compute ord-factorial --p 3 --m 100': "ba45385e8052dff3bbf9da1540de06a0016f60b44b0dc8fab9ac62452c03b15d",
     'compute tau --p 3 --a 4 --b 8': "d6ea1868d5b7a7f089632625413bac304384306c4fc85dea49289e3dcbdc56e5",
@@ -99,3 +103,9 @@ def digest(argv, capsys) -> str:
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_output_bytes_pinned(argv, capsys):
     assert digest(argv, capsys) == DIGESTS[" ".join(argv)]
+
+
+@pytest.mark.parametrize("fmt", ("md", "json"))
+def test_default_stirling_diff_grid_bytes_at_two_jobs(fmt, capsys):
+    argv = ["verify", "stirling-diff-bound", "--grid", "default", "--format", fmt]
+    assert digest(argv + ["--jobs", "2"], capsys) == DIGESTS[" ".join(argv)]

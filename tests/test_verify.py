@@ -2,12 +2,14 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
 
 from padicsums import (
     CHECK_NAMES,
+    CapacityError,
     CheckOutcome,
     GridError,
     IntPolynomial,
@@ -25,8 +27,10 @@ from padicsums import (
     default_grid,
     identity_sweep,
     ord_factorial,
+    ord_int,
     parse_grid,
     parse_poly,
+    stirling_rows,
     sweep,
 )
 from padicsums import verify
@@ -137,6 +141,36 @@ def test_stirling_diff_bound_examples():
     assert oc3.bound == 0 and oc3.holds is True
 
 
+def test_stirling_diff_factorial_cut_matches_exact_sums():
+    # Instances with ord_p(m!) at bound+1, bound+2 and bound+3, on both sides
+    # of the cut that reads no table once ord_p(m!) >= bound+2, against
+    # sum C(l,k)(-1)^k m! S(e_k, m) computed exactly from stirling_rows.
+    cases = []
+    for p, alpha, h, l, n, m in itertools.product((2, 3), range(3), (1, 2), range(4), range(1, 5), range(12)):
+        bound = min(l * (alpha + 1), n - 1 + ord_factorial(p, m // p))
+        if ord_factorial(p, m) - bound in (1, 2, 3):
+            cases.append((p, alpha, h, l, m, n))
+    exps = {c: [k * c[2] * (c[0] - 1) * c[0] ** c[1] + c[5] - 1 for k in range(c[3] + 1)] for c in cases}
+    need = {e for es in exps.values() for e in es}
+    rows = {e: row for e, row in stirling_rows(max(need), 11) if e in need}
+    offsets, tight = set(), 0
+    for (p, alpha, h, l, m, n), es in exps.items():
+        s = sum(math.comb(l, k) * (-1) ** k * math.factorial(m) * (rows[e][m] if m <= e else 0)
+                for k, e in enumerate(es))
+        v = None if s == 0 else ord_int(p, s).value
+        oc = check_stirling_diff_bound(p, alpha, h, l, m, n)
+        E = oc.bound + 2
+        offsets.add((p, alpha, ord_factorial(p, m) - oc.bound))
+        tight += v == oc.bound + 1 == ord_factorial(p, m)
+        if v is None or v >= E:
+            want = (E, False, None, True)
+        else:
+            want = (v, True, v - oc.bound, v >= oc.bound)
+        assert (oc.lhs_ord, oc.lhs_exact, oc.slack, oc.holds) == want, (p, alpha, h, l, m, n)
+    assert offsets == set(itertools.product((2, 3), range(3), (1, 2, 3)))
+    assert tight > 0  # some sum has order exactly ord_p(m!) = bound + 1, one below the cut
+
+
 def test_factorial_match_examples():
     oc = check_factorial_match(4)
     assert (oc.lhs_ord, oc.bound, oc.holds) == (1, 1, True)
@@ -201,6 +235,27 @@ def test_parse_grid():
         parse_grid("")
     with pytest.raises(GridError, match="bad value"):
         parse_grid("p=two")
+
+
+def test_parse_grid_refuses_oversized_grid_before_expanding(monkeypatch):
+    # The instance count is the product of the axis lengths, checked against
+    # GRID_CAP before any axis is expanded or any sweep work starts.
+    assert verify.GRID_CAP == 10**7
+    g = parse_grid("a=1..10;b=1..1000;c=1..1000")
+    assert [len(v) for v in g.values()] == [10, 1000, 1000]
+    with pytest.raises(CapacityError, match="grid has 10000001 instances, over the cap of 10000000"):
+        parse_grid("a=1..11;b=1..909091")
+    with pytest.raises(CapacityError, match="grid has 1000000000 instances"):
+        parse_grid("p=2;alpha=0;n=1..1000000000;r=0;l=0")
+
+    def no_work(*args):
+        raise AssertionError("sweep work started for an oversized grid")
+
+    monkeypatch.setattr(verify, "_run", no_work)
+    with pytest.raises(CapacityError):
+        sweep("carry-bound", grid="p=2;alpha=0..9;n=1..1000;r=0..1000;l=0..1")
+    with pytest.raises(CapacityError):
+        sweep("stirling-diff-bound", grid="p=2;alpha=0..9;h=1..10;l=0..100;m=1..1000;n=1..10")
 
 
 def test_sweep_rejects_incomplete_grids():
