@@ -7,7 +7,6 @@ from .padic import (
     Valuation,
     carries,
     euler_phi_prime_power,
-    least_residue,
     ord_factorial,
     ord_int,
     trunc_val,
@@ -15,7 +14,6 @@ from .padic import (
 from .exponents import (
     StructuredExponent,
     carmichael_prime_power,
-    exponent_mod,
     parse_exponent,
     pow_mod,
 )

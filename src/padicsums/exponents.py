@@ -120,11 +120,6 @@ def as_exponent(k) -> StructuredExponent:
     raise TypeError(f"cannot use {type(k).__name__} as an exponent")
 
 
-def exponent_mod(k, M: int) -> int:
-    """Residue of the denoted exponent mod M."""
-    return as_exponent(k).mod(M)
-
-
 def carmichael_prime_power(p: int, E: int) -> int:
     """Carmichael function of p**E: the exponent of the unit group (Z/p**E)*.
 

@@ -252,13 +252,6 @@ def ord_factorial(p: int, m: int) -> int:
     return total
 
 
-def least_residue(a: int, m: int) -> int:
-    """The representative of a mod m lying in [0, m)."""
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got m={m}")
-    return a % m
-
-
 def carries(p: int, a: int, b: int) -> int:
     """Number of carries when a and b are added in base p.
 

@@ -9,6 +9,7 @@ byte-identical at any parallelism level.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -43,9 +44,9 @@ from .stirling import mstirling_scan, stable_min_ord
 
 IDENTITY_CHECKS = ("floor-identity", "split-identity")
 
-# Instances per worker task; fixed so reports never depend on the pool size.
+# Cells per worker task: points of a grid sub-block's cut axes, or identity
+# samples.  Fixed, so tasks depend on the grid alone, never on the pool size.
 _CELL_CHUNK = 64
-_INSTANCE_CHUNK = 256
 _RENDER_CAP = 50
 # Instances one parsed grid may hold: about three times a default bound grid.
 GRID_CAP = 10**7
@@ -351,13 +352,16 @@ def conjecture_modulus(p: int, alpha: int, n: int) -> tuple[int, int]:
     return (p - 1) * p**e, e
 
 
+def _admissible_l(m, n, r, mod):
+    """(floor(n/m), the residue l must have modulo mod, the smallest admissible l)."""
+    lo = n // m
+    target = (r // m + (n - r) // m) % mod
+    return lo, target, lo + (target - lo) % mod
+
+
 def conjecture_l(p: int, alpha: int, n: int, r: int) -> int:
     """Smallest admissible exponent l for the equality conjecture at (p, alpha, n, r)."""
-    m = p**alpha
-    mod, _ = conjecture_modulus(p, alpha, n)
-    lo = n // m
-    target = r // m + (n - r) // m
-    return lo + (target - lo) % mod
+    return _admissible_l(p**alpha, n, r, conjecture_modulus(p, alpha, n)[0])[2]
 
 
 def check_equality_conjecture(p: int, alpha: int, n: int, r: int, l: int | None = None) -> CheckOutcome:
@@ -376,10 +380,9 @@ def check_equality_conjecture(p: int, alpha: int, n: int, r: int, l: int | None 
         inst = (("p", p), ("alpha", alpha), ("n", n), ("r", r), ("l", l))
         return _skipped("equality-conjecture", inst, f"precondition: n >= {2 * m - 1}")
     mod, e = conjecture_modulus(p, alpha, n)
-    lo = n // m
-    target = (r // m + (n - r) // m) % mod
+    lo, target, smallest = _admissible_l(m, n, r, mod)
     if l is None:
-        l = lo + (target - lo) % mod
+        l = smallest
     inst = (("p", p), ("alpha", alpha), ("n", n), ("r", r), ("l", l))
     if l < lo:
         return _skipped("equality-conjecture", inst, f"precondition: l >= {lo}")
@@ -499,20 +502,20 @@ def _resolve_grid(check, grid):
     return list(grid), "custom"
 
 
-def _check_block_axes(check, blocks, need_l):
-    axes = _CHECK_AXES[check]
-    for block in blocks:
+def _check_block_axes(checks, blocks):
+    need_l = any(c in _BOUNDS and _BOUNDS[c].uses_l for c in checks)
+    for check in checks:
+        axes = _CHECK_AXES[check]
         wanted = set(axes) | ({"l"} if need_l else set())
-        missing = [a for a in axes if a not in block]
-        if missing:
-            raise GridError(f"grid is missing axes {missing} for check {check!r}")
-        extra = [a for a in block if a not in wanted]
-        if extra:
-            raise GridError(f"grid has unknown axes {extra} for check {check!r}")
-
-
-def _slice_key(inst):
-    return ",".join(f"{k}={v}" for k, v in inst if k in ("p", "alpha")) or "all"
+        for block in blocks:
+            missing = [a for a in axes if a not in block]
+            if missing:
+                raise GridError(f"grid is missing axes {missing} for check {check!r}")
+            extra = [a for a in block if a not in wanted]
+            if extra:
+                raise GridError(f"grid has unknown axes {extra} for check {check!r}")
+    if need_l and not all(block["l"] for block in blocks):
+        raise GridError("grid is missing axes ['l'] for this check")
 
 
 @dataclass
@@ -527,46 +530,23 @@ class _Agg:
     violations: list = field(default_factory=list)
     slack: dict = field(default_factory=dict)
 
-    def add(self, key, slack, holds, violation=None):
-        """Count one checked instance of slice key; violation is its outcome when holds is False."""
-        self.checked += 1
-        if holds:
-            self.held += 1
-        elif holds is None:
-            self.undetermined += 1
-        else:
-            self.violations.append(violation)
-        if slack is not None:
-            rec = self.slack.get(key)
-            if rec is None:
-                self.slack[key] = [slack, slack]
-            elif slack < rec[0]:
-                rec[0] = slack
-            elif slack > rec[1]:
-                rec[1] = slack
-
-    def fold(self, out: CheckOutcome):
-        if out.skipped:
-            self.skipped += 1
-            return
-        if out.note.startswith("boundary"):
-            self.flagged += 1
-        self.add(_slice_key(out.instance) if out.slack is not None else None, out.slack, out.holds, out)
+    def add(self, key, slacks, held, undetermined=0, violations=()):
+        """Count checked instances of slice key (held, undetermined or violated) and their known slacks."""
+        self.checked += held + undetermined + len(violations)
+        self.held += held
+        self.undetermined += undetermined
+        self.violations.extend(violations)
+        if slacks:
+            lo, hi = min(slacks), max(slacks)
+            rec = self.slack.setdefault(key, [lo, hi])
+            rec[0], rec[1] = min(rec[0], lo), max(rec[1], hi)
 
     def merge(self, other: "_Agg"):
-        self.checked += other.checked
-        self.held += other.held
-        self.undetermined += other.undetermined
         self.skipped += other.skipped
         self.flagged += other.flagged
-        self.violations.extend(other.violations)
-        for key, (lo, hi) in other.slack.items():
-            rec = self.slack.get(key)
-            if rec is None:
-                self.slack[key] = [lo, hi]
-            else:
-                rec[0] = min(rec[0], lo)
-                rec[1] = max(rec[1], hi)
+        self.add(None, (), other.held, other.undetermined, other.violations)
+        for key, rec in other.slack.items():
+            self.add(key, rec, 0)
 
 
 @dataclass
@@ -646,16 +626,16 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _eval_bound_task(args):
-    """Evaluate a chunk of (p, alpha, n, r, l-tuple) cells for several bound checks."""
-    checks, cells = args
-    plan = [(c, _BOUNDS[c], _Agg()) for c in checks]
+def _eval_bounds(checks, block, aggs):
+    """Count bound checks over the (p, alpha, n, r) cells of a sub-block, each cell summed for every l at once."""
+    plan = [(c, _BOUNDS[c], aggs[c]) for c in checks]
     weights = {d.weight for _, d, _ in plan}
-    for p, alpha, n, r, ls in cells:
+    ls = tuple(block.get("l", ()))
+    for p, alpha, n, r in itertools.product(block["p"], block["alpha"], block["n"], block["r"]):
         _check_args(p, alpha, n, min(ls, default=0))
         m = p**alpha
         base = ord_factorial(p, n // m)
-        key = _slice_key((("p", p), ("alpha", alpha)))
+        key = f"p={p},alpha={alpha}"
         pows, ffs = alt_sums_upto(n, r, m, max(ls, default=0), bool(weights - {"C(x,l)"}), "C(x,l)" in weights)
         orders = {}  # weight -> order of each sum it reads, shared by the checks that read it
         for check, d, agg in plan:
@@ -670,69 +650,120 @@ def _eval_bound_task(args):
                 ords = orders[d.weight] = [
                     _order(p, _class_sum(d, sums[l], l, lambda: _bound_inst(p, alpha, n, r, l, d))) for l in lv
                 ]
-            for l, s_ord, bound in zip(lv, ords, bounds):
-                slack, holds = _verdict(s_ord, True, bound, sound)
-                if holds:
-                    agg.add(key, slack, holds)
-                else:
-                    inst = _bound_inst(p, alpha, n, r, l, d)
-                    agg.add(key, slack, holds, _outcome(check, inst, s_ord, True, bound, note, sound))
-    return {c: agg for c, _, agg in plan}
+            verdicts = [_verdict(s_ord, True, bound, sound) for s_ord, bound in zip(ords, bounds)]
+            bad = [
+                _outcome(check, _bound_inst(p, alpha, n, r, l, d), s_ord, True, bound, note, sound)
+                for l, s_ord, bound, (_, holds) in zip(lv, ords, bounds, verdicts)
+                if not holds
+            ]
+            agg.add(key, [s for s, _ in verdicts if s is not None], len(verdicts) - len(bad), 0, bad)
 
 
-def _eval_instance_task(args):
-    check, instances = args
-    agg = _Agg()
-    if check == "stirling-diff-bound":
-        blocks = {}  # (p, alpha, h, n) -> {index: (l, m)}; a block shares its tables
-        for i, (p, alpha, h, l, m, n) in enumerate(instances):
-            blocks.setdefault((p, alpha, h, n), {})[i] = (l, m)
-        results = [None] * len(instances)
-        for block, lms in blocks.items():
-            for i, res in zip(lms, _stirling_diff_block(*block, list(lms.values()))):
-                results[i] = res
-        for inst, (order, bound) in zip(instances, results):
-            if order is None:
-                agg.add(None, None, True)
-                continue
-            holds = order >= bound
-            violation = None if holds else _stirling_diff_outcome(inst, order, bound)
-            agg.add(f"p={inst[0]},alpha={inst[1]}", order - bound, holds, violation)
-    elif check == "factorial-match":
-        for (n,) in instances:
-            agg.fold(check_factorial_match(n))
+def _eval_stirling_diff(block, agg):
+    """Count stirling-diff-bound over a sub-block, one (p, alpha, h, n) table block at a time.
+
+    Each block's counts are added at once; violations wait, to be added in grid order (p, alpha, h, l, m, n).
+    """
+    lms, ns = list(itertools.product(block["l"], block["m"])), block["n"]
+    for p, alpha, h in itertools.product(block["p"], block["alpha"], block["h"]):
+        key, bad = f"p={p},alpha={alpha}", []  # bad: (index in lms, index in ns, order, bound)
+        for j, n in enumerate(ns if lms else ()):
+            res = _stirling_diff_block(p, alpha, h, n, lms)
+            low = [(i, j, o, b) for i, (o, b) in enumerate(res) if o is not None and o < b]
+            agg.add(key, [o - b for o, b in res if o is not None], len(res) - len(low))
+            bad += low
+        bad.sort()
+        agg.add(key, (), 0, 0, [_stirling_diff_outcome((p, alpha, h, *lms[i], ns[j]), o, b) for i, j, o, b in bad])
+
+
+def _outcomes(check, block):
+    """(slice key, outcome) of each instance of a sub-block, for checks evaluated one instance at a time."""
+    if check == "factorial-match":
+        for n in block["n"]:
+            yield "all", check_factorial_match(n)
     elif check == "equality-conjecture":
-        for p, alpha, n, r in instances:
-            agg.fold(check_equality_conjecture(p, alpha, n, r))
+        for p, alpha, n, r in itertools.product(block["p"], block["alpha"], block["n"], block["r"]):
+            yield f"p={p},alpha={alpha}", check_equality_conjecture(p, alpha, n, r)
     else:
-        raise GridError(f"unknown check {check!r}")
-    return {check: agg}
+        fn = check_floor_identity if check == "floor-identity" else check_split_identity
+        for n, m, r, coeffs in block["instance"]:
+            f = IntPolynomial(coeffs)
+            inst = (("n", n), ("m", m), ("r", r), ("f", str(f)))
+            yield None, CheckOutcome(check, inst, None, True, None, None, fn(n, m, r, f))
 
 
-def _eval_identity_task(args):
-    check, instances = args
-    fn = check_floor_identity if check == "floor-identity" else check_split_identity
-    agg = _Agg()
-    for n, m, r, coeffs in instances:
-        f = IntPolynomial(coeffs)
-        inst = (("n", n), ("m", m), ("r", r), ("f", str(f)))
-        agg.fold(CheckOutcome(check, inst, None, True, None, None, fn(n, m, r, f)))
-    return {check: agg}
+def _eval_task(task):
+    """{check: _Agg} of one task: its checks over one grid sub-block, or over one chunk of identity samples."""
+    checks, block = task
+    aggs = {c: _Agg() for c in checks}
+    if checks[0] in _BOUNDS:
+        _eval_bounds(checks, block, aggs)
+    elif checks[0] == "stirling-diff-bound":
+        _eval_stirling_diff(block, aggs[checks[0]])
+    else:
+        agg = aggs[checks[0]]
+        for key, o in _outcomes(checks[0], block):
+            if o.skipped:
+                agg.skipped += 1
+                continue
+            agg.flagged += o.note.startswith("boundary")
+            slacks = () if o.slack is None else (o.slack,)
+            agg.add(key, slacks, o.holds is True, o.holds is None, (o,) if o.holds is False else ())
+    return aggs
 
 
-def _chunks(seq, size):
-    it = iter(seq)
-    while chunk := list(itertools.islice(it, size)):
-        yield chunk
+def _split(block, axes):
+    """Cut a grid block, in grid order, into sub-blocks of at most _CELL_CHUNK cells over axes.
+
+    Leading axes are narrowed to single values until the axes after them
+    hold at most _CELL_CHUNK cells; the next axis is then cut into runs.
+    """
+    head, rest = axes[0], axes[1:]
+    inner = math.prod(len(block[a]) for a in rest)
+    if inner > _CELL_CHUNK:
+        for v in block[head]:
+            yield from _split(block | {head: [v]}, rest)
+        return
+    step = _CELL_CHUNK // max(inner, 1)
+    for i in range(0, len(block[head]), step):
+        yield block | {head: block[head][i : i + step]}
+
+
+def _tasks(checks, blocks):
+    """Worker tasks (checks, sub-block) of a grid, cut by the grid alone, never by the pool size.
+
+    Tasks are cut along the axes before l; l and every axis after it stay
+    whole, so a bound cell sums every l at once and a stirling-diff-bound
+    (p, alpha, h, n) block shares its difference tables.
+    """
+    cut = tuple(itertools.takewhile(lambda a: a != "l", _CHECK_AXES[checks[0]]))
+    return ((checks, sub) for block in blocks for sub in _split(block, cut))
+
+
+def _identity_tasks(check, samples, seed):
+    """Worker tasks of an identity sweep, each drawing its samples from one seeded stream as it is built."""
+    rng = random.Random(seed)
+    for start in range(0, samples, _CELL_CHUNK):
+        chunk = []
+        for _ in range(min(_CELL_CHUNK, samples - start)):
+            n, m, r, deg = rng.randint(1, 60), rng.randint(1, 9), rng.randint(-12, 12), rng.randint(0, 5)
+            chunk.append((n, m, r, tuple(rng.randint(-9, 9) for _ in range(deg + 1))))
+        yield (check,), {"instance": chunk}
 
 
 def _run(worker, tasks, jobs):
+    """worker(task) for each task, in order; a pool is sent at most 2 * jobs tasks ahead of the results read."""
     if jobs <= 1:
-        for task in tasks:
-            yield worker(task)
+        yield from map(worker, tasks)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(worker, tasks)
+        pending = collections.deque()
+        for task in tasks:
+            pending.append(pool.submit(worker, task))
+            if len(pending) > 2 * jobs:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _merge_reports(check_list, agg_streams, grid_desc, started):
@@ -750,79 +781,45 @@ def _merge_reports(check_list, agg_streams, grid_desc, started):
     }
 
 
+def _grid_sweep(checks, grid, jobs):
+    started = time.monotonic()
+    blocks, desc = _resolve_grid(checks[0], grid)
+    _check_block_axes(checks, blocks)
+    return _merge_reports(checks, _run(_eval_task, _tasks(checks, blocks), jobs), desc, started)
+
+
 def bound_sweep(checks, grid=None, jobs: int = 1) -> dict[str, SweepReport]:
     """Sweep several residue-class-sum bound checks over one grid in a single pass."""
     checks = tuple(checks)
+    if not checks:
+        raise GridError("no bound checks to sweep: the check list is empty")
     for check in checks:
         if check not in BOUND_CHECKS:
             raise GridError(f"{check!r} is not a bound check")
-    started = time.monotonic()
-    blocks, desc = _resolve_grid(checks[0], grid)
-    need_l = any(_BOUNDS[c].uses_l for c in checks)
-    for check in checks:
-        _check_block_axes(check, blocks, need_l)
-
-    def cells():
-        for block in blocks:
-            ls = tuple(block.get("l", ()))
-            if need_l and not ls:
-                raise GridError("grid is missing axes ['l'] for this check")
-            for p, alpha, n, r in itertools.product(block["p"], block["alpha"], block["n"], block["r"]):
-                yield (p, alpha, n, r, ls)
-
-    tasks = ((checks, chunk) for chunk in _chunks(cells(), _CELL_CHUNK))
-    return _merge_reports(checks, _run(_eval_bound_task, tasks, jobs), desc, started)
+    return _grid_sweep(checks, grid, jobs)
 
 
 def sweep(check: str, grid=None, jobs: int = 1, samples: int = 10**4, seed: int = 0) -> SweepReport:
     """Run one named check over a grid (or its default), returning the report."""
-    if check in BOUND_CHECKS:
-        return bound_sweep([check], grid, jobs)[check]
     if check in IDENTITY_CHECKS:
         return identity_sweep(check, samples=samples, seed=seed, jobs=jobs)
     if check not in CHECK_NAMES:
         raise GridError(f"unknown check {check!r}")
-    started = time.monotonic()
-    blocks, desc = _resolve_grid(check, grid)
-    _check_block_axes(check, blocks, need_l=False)
-    tasks = _instance_tasks(check, blocks)
-    return _merge_reports([check], _run(_eval_instance_task, tasks, jobs), desc, started)[check]
-
-
-def _instance_tasks(check, blocks):
-    """Worker tasks of a grid, cut by the grid alone, never by the pool size.
-
-    A stirling-diff-bound task is one (p, alpha, h) of a block, so that every
-    (p, alpha, h, n) block, which shares its difference tables, stays whole.
-    Other checks are cut every _INSTANCE_CHUNK instances.
-    """
-    axes = _CHECK_AXES[check]
-    if check == "stirling-diff-bound":
-        for block in blocks:
-            for head in itertools.product(block["p"], block["alpha"], block["h"]):
-                yield check, [head + tail for tail in itertools.product(block["l"], block["m"], block["n"])]
-        return
-    instances = itertools.chain.from_iterable(itertools.product(*(b[a] for a in axes)) for b in blocks)
-    for chunk in _chunks(instances, _INSTANCE_CHUNK):
-        yield check, chunk
+    return _grid_sweep((check,), grid, jobs)[check]
 
 
 def identity_sweep(check: str, samples: int = 10**4, seed: int = 0, jobs: int = 1) -> SweepReport:
-    """Check an exact identity on randomized instances drawn from a fixed seed."""
+    """Check an exact identity on randomized instances drawn from a fixed seed.
+
+    More than GRID_CAP samples raise CapacityError before any is drawn.
+    """
     if check not in IDENTITY_CHECKS:
         raise GridError(f"{check!r} is not an identity check")
     if samples < 1:
         raise GridError(f"samples must be >= 1, got {samples}")
+    if samples > GRID_CAP:
+        raise CapacityError(f"{samples} samples requested, over the cap of {GRID_CAP}")
     started = time.monotonic()
-    rng = random.Random(seed)
-    instances = []
-    for _ in range(samples):
-        n = rng.randint(1, 60)
-        m = rng.randint(1, 9)
-        r = rng.randint(-12, 12)
-        deg = rng.randint(0, 5)
-        coeffs = tuple(rng.randint(-9, 9) for _ in range(deg + 1))
-        instances.append((n, m, r, coeffs))
     desc = f"random(samples={samples}, seed={seed}, n<=60, m<=9, |r|<=12, deg<=5, |coeff|<=9)"
-    tasks = ((check, chunk) for chunk in _chunks(instances, _INSTANCE_CHUNK))
-    return _merge_reports([check], _run(_eval_identity_task, tasks, jobs), desc, started)[check]
+    tasks = _identity_tasks(check, samples, seed)
+    return _merge_reports([check], _run(_eval_task, tasks, jobs), desc, started)[check]

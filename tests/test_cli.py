@@ -82,6 +82,13 @@ def test_verify_oversized_grid_exits_2(capsys, monkeypatch):
     assert err == "capacity: grid has 20020000 instances, over the cap of 10000000\n"
 
 
+def test_verify_oversized_samples_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "_run", None)  # a sweep that started would fail on it
+    rc, out, err = run_cli(["verify", "split-identity", "--samples", "100000000"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "capacity: 100000000 samples requested, over the cap of 10000000\n"
+
+
 def test_usage_errors_exit_64(capsys):
     assert run_cli(["compute", "ord", "--p", "4", "--x", "8"], capsys)[0] == 64
     assert run_cli(["compute", "ep", "--p", "3", "--n", "29", "--k", "junk"], capsys)[0] == 64

@@ -11,7 +11,6 @@ from padicsums import (
     Valuation,
     carries,
     euler_phi_prime_power,
-    least_residue,
     ord_factorial,
     ord_int,
     trunc_val,
@@ -182,17 +181,6 @@ def test_carries_match_binomial_order():
         a, b = rng.randint(0, 2000), rng.randint(0, 2000)
         assert carries(p, a, b) == ord_int(p, math.comb(a + b, a)).value
         assert carries(p, a, b) == carries(p, b, a)
-
-
-def test_least_residue():
-    assert least_residue(7, 3) == 1
-    assert least_residue(-1, 9) == 8
-    assert least_residue(0, 1) == 0
-    rng = random.Random(67)
-    for _ in range(200):
-        a, m = rng.randint(-500, 500), rng.randint(1, 60)
-        r = least_residue(a, m)
-        assert 0 <= r < m and (a - r) % m == 0
 
 
 def test_euler_phi_prime_power():

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -309,13 +310,16 @@ def test_sweep_determinism_across_jobs():
     assert seq.to_markdown() == par.to_markdown()
 
 
-def test_stirling_diff_sweep_shares_blocks_deterministically():
-    # 704 instances in 8 tasks, one per (p, alpha, h); each (p, alpha, h, n)
+def test_stirling_diff_sweep_shares_blocks_deterministically(monkeypatch):
+    # 704 instances in 8 tasks of one (p, alpha, h) cell each; each (p, alpha, h, n)
     # block shares its difference tables, and with n innermost its instances
     # are interleaved with another block's, yet no block spans two tasks.
     grid = parse_grid("p=2,3;alpha=0..1;h=1..2;l=0..3;m=2..12;n=2..3")
-    insts = list(itertools.product(*(grid[a] for a in ("p", "alpha", "h", "l", "m", "n"))))
-    tasks = [chunk for _, chunk in verify._instance_tasks("stirling-diff-bound", [grid])]
+    axes = ("p", "alpha", "h", "l", "m", "n")
+    insts = list(itertools.product(*(grid[a] for a in axes)))
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_CELL_CHUNK", 1)
+        tasks = [list(itertools.product(*(sub[a] for a in axes))) for _, sub in verify._tasks(("stirling-diff-bound",), [grid])]
     sides = {}
     for t, chunk in enumerate(tasks):
         for p, alpha, h, _, _, n in chunk:
@@ -337,6 +341,61 @@ def test_stirling_diff_sweep_shares_blocks_deterministically():
             slack[f"p={p},alpha={alpha}"] = (min(lo, oc.slack), max(hi, oc.slack))
     assert (seq.checked, seq.held, seq.undetermined, seq.violations) == (len(insts), held, undetermined, [])
     assert seq.slack == slack
+
+
+def test_stirling_diff_violations_in_grid_order(monkeypatch):
+    # The worker reads one (p, alpha, h, n) block at a time; violations found
+    # across several n must still be reported in (p, alpha, h, l, m, n) order.
+    chosen = [(1, 4, 2), (2, 3, 2), (0, 5, 3), (1, 3, 4)]  # (l, m, n), in block order
+    real = verify._stirling_diff_block
+
+    def fake(p, alpha, h, n, lms):
+        res = real(p, alpha, h, n, lms)
+        return [(b - 1, b) if (l, m, n) in chosen else (o, b) for (l, m), (o, b) in zip(lms, res)]
+
+    monkeypatch.setattr(verify, "_stirling_diff_block", fake)
+    rep = sweep("stirling-diff-bound", grid="p=2;alpha=0;h=1..2;l=0..2;m=3..5;n=2..4", jobs=1)
+    assert (rep.checked, rep.held) == (54, 46)
+    assert [o.instance_str() for o in rep.violations] == [
+        f"p=2 alpha=0 h={h} l={l} m={m} n={n}" for h in (1, 2) for l, m, n in sorted(chosen)
+    ]
+    assert all(o.slack == -1 for o in rep.violations)
+
+
+def test_sweep_memory_is_bounded_by_the_task():
+    # No task holds an instance list: a 100,000-instance stirling-diff-bound
+    # sweep walks its blocks lazily, and the tasks of a 10^7-instance grid are
+    # sub-blocks of axis lists.
+    tracemalloc.start()
+    try:
+        sweep("stirling-diff-bound", grid="p=2;alpha=0;h=1;l=0..9;m=1..100;n=1..100", jobs=1)
+        sweep_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        grid = parse_grid("p=2;alpha=0;h=1;l=0..9;m=1..1000;n=1..1000")
+        tasks = sum(1 for _ in verify._tasks(("stirling-diff-bound",), [grid]))
+        tasks_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sweep_peak < 2 * 10**6
+    assert tasks == 1 and tasks_peak < 10**6
+
+
+def test_run_sends_a_pool_a_bounded_window_of_tasks():
+    pulled = []
+
+    def tasks():
+        for i in range(40):
+            pulled.append(i)
+            yield -i
+
+    results = verify._run(abs, tasks(), 2)
+    assert next(results) == 0 and len(pulled) <= 5
+    assert list(results) == list(range(1, 40))
+
+
+def test_bound_sweep_rejects_empty_check_list():
+    with pytest.raises(GridError, match="the check list is empty"):
+        bound_sweep([])
 
 
 def test_bound_sweep_agrees_with_single_sweeps():
@@ -412,6 +471,15 @@ def test_identity_sweep_reproducible():
     c = identity_sweep("split-identity", samples=200, seed=7)
     assert c.checked == c.held == 200
     assert "seed=7" in c.grid
+
+
+def test_identity_sweep_refuses_oversized_samples(monkeypatch):
+    # samples are capped like grids, before any instance is drawn; each task
+    # draws its own instances from the seeded stream as it is built
+    assert len(next(verify._identity_tasks("split-identity", verify.GRID_CAP, 0))[1]["instance"]) == verify._CELL_CHUNK
+    monkeypatch.setattr(verify, "_run", None)  # a sweep that started would fail on it
+    with pytest.raises(CapacityError, match="100000000 samples requested, over the cap of 10000000"):
+        identity_sweep("split-identity", samples=10**8)
 
 
 def test_exit_codes():
