@@ -15,6 +15,9 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
+
+from .padic import CapacityError
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,17 @@ def binom_poly(l: int) -> IntPolynomial:
     return out
 
 
-_ROW_CAP = 4096
+# Largest n of a residue-class sum; it also bounds each cached binomial row.
+SUM_CAP = 4096
+
+
+def _check_sum_args(n: int, m: int):
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got n={n}")
+    if n > SUM_CAP:
+        raise CapacityError(f"residue-class sums capped at n <= {SUM_CAP}, got n={n}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got m={m}")
 
 
 @lru_cache(maxsize=64)
@@ -211,73 +224,98 @@ def _evaluator(f: IntPolynomial):
 
 
 def alt_sum(n: int, r: int, m: int, f: IntPolynomial) -> int:
-    """Exact value of sum(C(n,k)(-1)**k f((k-r)/m)) over k = r (mod m), 0<=k<=n."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got n={n}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got m={m}")
+    """Exact value of sum(C(n,k)(-1)**k f((k-r)/m)) over k = r (mod m), 0<=k<=n.
+
+    n above SUM_CAP raises CapacityError.
+    """
+    _check_sum_args(n, m)
     start = r % m
     if start > n:
         return 0
     ev = _evaluator(f)
-    row = _comb_row(n) if n <= _ROW_CAP else None
+    row = _comb_row(n)
     x = (start - r) // m
     total = 0
     for k in range(start, n + 1, m):
-        term = (row[k] if row is not None else math.comb(n, k)) * ev(x)
+        term = row[k] * ev(x)
         total = total - term if k & 1 else total + term
         x += 1
     return total
 
 
-def alt_sums_upto(n: int, r: int, m: int, maxl: int, powers: bool = True, falling: bool = False):
-    """alt_sum of x^l and of the falling factorial x(x-1)...(x-l+1), for every l <= maxl.
+def alt_sums_upto(n: int, rs, m: int, maxl: int, powers: bool = True, falling: bool = False):
+    """alt_sum of x^l and of the falling factorial x(x-1)...(x-l+1), for every l <= maxl and r in rs.
 
-    One pass over the residue class; returns the two lists indexed by l,
-    with None for a family not asked for.
+    Returns one (powers, falling) pair of lists indexed by l for each r, with
+    None for a family not asked for; n above SUM_CAP raises CapacityError.
+    Each residue class is summed directly at its first r in rs.  A later r of
+    the class has x' = x - t with t = (r - r0)/m, so its sums follow exactly
+    from those at r0: P'_l = sum C(l,j) (-t)^(l-j) P_j by the binomial theorem,
+    and F'_l = sum C(l,j) (-t)_(l-j) F_j by Vandermonde's identity.  The shift
+    costs about maxl**2/2 products and a direct pass maxl per term, so a class
+    is shifted only when it has more than maxl/2 terms.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got n={n}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got m={m}")
-    pows = [0] * (maxl + 1) if powers else None
-    ffs = [0] * (maxl + 1) if falling else None
-    start = r % m
-    if start > n:
-        return pows, ffs
-    row = _comb_row(n) if n <= _ROW_CAP else None
-    x = (start - r) // m
-    for k in range(start, n + 1, m):
-        c = row[k] if row is not None else math.comb(n, k)
-        if k & 1:
-            c = -c
-        if powers:
-            acc = c
-            pows[0] += c
-            for l in range(1, maxl + 1):
-                acc *= x
-                pows[l] += acc
-        if falling:
-            acc = c
-            ffs[0] += c
-            for l in range(1, maxl + 1):
-                acc *= x - l + 1
-                ffs[l] += acc
-        x += 1
-    return pows, ffs
+    _check_sum_args(n, m)
+    row = _comb_row(n)
+    first = {}  # class start -> (r0, its sums)
+    out = []
+    for r in rs:
+        start = r % m
+        if start > n:
+            out.append(([0] * (maxl + 1) if powers else None, [0] * (maxl + 1) if falling else None))
+            continue
+        ks = range(start, n + 1, m)
+        if start in first and 2 * len(ks) > maxl:
+            r0, (pows, ffs) = first[start]
+            t = (r - r0) // m
+            out.append((_shifted(pows, t, False) if powers else None, _shifted(ffs, t, True) if falling else None))
+            continue
+        cs = [-row[k] if k & 1 else row[k] for k in ks]
+        x0 = (start - r) // m
+        sums = (
+            _moments(cs, x0, maxl, False) if powers else None,
+            _moments(cs, x0, maxl, True) if falling else None,
+        )
+        first.setdefault(start, (r, sums))
+        out.append(sums)
+    return out
+
+
+def _moments(cs, x0, maxl, falling):
+    """sum(cs[i] * w(x0 + i)) for w = x^l, or the falling factorial (x)_l if falling, and each l <= maxl."""
+    acc, sums = cs, [sum(cs)]
+    for l in range(1, maxl + 1):
+        lo = x0 - (l - 1) * falling
+        acc = list(map(mul, acc, range(lo, lo + len(cs))))
+        sums.append(sum(acc))
+    return sums
+
+
+@lru_cache(maxsize=256)
+def _shift_rows(t: int, maxl: int, falling: bool) -> tuple[tuple[int, ...], ...]:
+    """Row l <= maxl: C(l,j) (-t)^(l-j), or C(l,j) (-t)_(l-j) if falling, for j <= l."""
+    steps = [1]
+    for i in range(maxl):
+        steps.append(steps[-1] * (-t - i if falling else -t))
+    return tuple(tuple(math.comb(l, j) * steps[l - j] for j in range(l + 1)) for l in range(maxl + 1))
+
+
+def _shifted(sums, t, falling):
+    """Class sums at x - t from the class sums at x, l <= len(sums) - 1."""
+    return [sum(map(mul, row, sums)) for row in _shift_rows(t, len(sums) - 1, falling)]
 
 
 def alt_floor_sum(n: int, r: int, m: int, f: IntPolynomial) -> int:
-    """Exact value of sum(C(n,k)(-1)**k f(floor((k-r)/m))) over all 0<=k<=n."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got n={n}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got m={m}")
+    """Exact value of sum(C(n,k)(-1)**k f(floor((k-r)/m))) over all 0<=k<=n.
+
+    n above SUM_CAP raises CapacityError.
+    """
+    _check_sum_args(n, m)
     ev = _evaluator(f)
-    row = _comb_row(n) if n <= _ROW_CAP else None
+    row = _comb_row(n)
     total = 0
     for k in range(n + 1):
-        term = (row[k] if row is not None else math.comb(n, k)) * ev((k - r) // m)
+        term = row[k] * ev((k - r) // m)
         total = total - term if k & 1 else total + term
     return total
 
@@ -310,7 +348,7 @@ def check_split_identity(n: int, m: int, r: int, f: IntPolynomial) -> bool:
         raise ValueError(f"n must be >= 1, got n={n}")
     df = poly_delta(f)
     lhs = alt_sum(n, r, m, f) - f((n - r) // m) * alt_sum(n, r, m, ONE)
-    row = _comb_row(n) if n <= _ROW_CAP else None
+    row = _comb_row(n)
     rhs = 0
     for j in range(n):
         a = alt_sum(j, r, m, ONE)
@@ -319,5 +357,5 @@ def check_split_identity(n: int, m: int, r: int, f: IntPolynomial) -> bool:
         b = alt_sum(n - j - 1, r - j + m - 1, m, df)
         if b == 0:
             continue
-        rhs += (row[j] if row is not None else math.comb(n, j)) * a * b
+        rhs += row[j] * a * b
     return lhs == -rhs

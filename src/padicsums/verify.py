@@ -10,6 +10,7 @@ byte-identical at any parallelism level.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import json
 import math
@@ -27,10 +28,10 @@ from .padic import (
     check_prime,
     euler_phi_prime_power,
     ord_factorial,
-    ord_int,
     ord_nonzero,
 )
 from .polysum import (
+    SUM_CAP,
     IntPolynomial,
     ONE,
     alt_sum,
@@ -123,10 +124,6 @@ def _skipped(check, inst, note):
     return CheckOutcome(check, inst, None, True, None, None, None, skipped=True, note=note)
 
 
-def _order(p, s):
-    return None if s == 0 else ord_int(p, s).value
-
-
 def _carry_bound(p, alpha, n, r, base, ls):
     m = p**alpha
     tau = carries(p, r % m, (n - r) % m)
@@ -152,6 +149,12 @@ def _totient_precondition(p, alpha, n):
 
 def _totient_bound(p, alpha, n, r, base, ls):
     return [(n - p ** (alpha - 1)) // euler_phi_prime_power(p, alpha)], "", True
+
+
+@functools.lru_cache(maxsize=64)
+def _ord_factorials(p, ls):
+    """ord_p(l!) for each l of the tuple ls, computed once per (p, l axis), not per cell."""
+    return tuple(ord_factorial(p, l) for l in ls)
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,7 @@ _BOUNDS = {
     "polysum-bound": _Bound("x^l", lambda p, alpha, n, r, base, ls: ([base] * len(ls), "", True)),
     "carry-bound": _Bound("x^l", _carry_bound),
     "binom-weight-bound": _Bound(
-        "C(x,l)", lambda p, alpha, n, r, base, ls: ([base - ord_factorial(p, l) for l in ls], "", True)
+        "C(x,l)", lambda p, alpha, n, r, base, ls: ([base - o for o in _ord_factorials(p, ls)], "", True)
     ),
     "plain-sum-bound": _Bound("1", _plain_sum_bound),
     "totient-bound": _Bound("1", _totient_bound, _totient_precondition),
@@ -211,14 +214,21 @@ def _bound_inst(p, alpha, n, r, l, d, f=None):
     return inst + (("l", l),) if d.uses_l else inst
 
 
-def _class_sum(d, s, l, make_inst):
-    """The residue-class sum the bound reads, from the sum of its weight's numerator."""
+def _class_sums(d, sums, ls, facts, cell):
+    """The residue-class sums bound d reads for each l of ls, from the sums of its weight's numerator.
+
+    sums is indexed by l, and facts[i] = ls[i]!.  A binomial-weighted sum not
+    divisible by l! raises AssertionError naming its instance in cell (p, alpha, n, r).
+    """
     if d.weight != "C(x,l)":
-        return s
-    q, rem = divmod(s, math.factorial(l))
-    if rem:
-        raise AssertionError(f"binomial-weighted sum not divisible by {l}! at {make_inst()}")
-    return q
+        return [sums[l] for l in ls]
+    out = []
+    for l, f in zip(ls, facts):
+        q, rem = divmod(sums[l], f)
+        if rem:
+            raise AssertionError(f"binomial-weighted sum not divisible by {l}! at {_bound_inst(*cell, l, d)}")
+        out.append(q)
+    return out
 
 
 def _check_bound(check, p, alpha, n, r, l=0, f=None):
@@ -233,7 +243,8 @@ def _check_bound(check, p, alpha, n, r, l=0, f=None):
     inst = _bound_inst(p, alpha, n, r, l, d, f)
     (bound,), note, sound = d.bound(p, alpha, n, r, ord_factorial(p, n // m), (l,))
     s = alt_sum(n, r, m, f if f is not None else _WEIGHTS[d.weight](l))
-    return _outcome(check, inst, _order(p, _class_sum(d, s, l, lambda: inst)), True, bound, note, sound)
+    (q,) = _class_sums(d, {l: s}, (l,), (math.factorial(l),), (p, alpha, n, r))
+    return _outcome(check, inst, ord_nonzero(p, q) if q else None, True, bound, note, sound)
 
 
 def check_polysum_bound(p: int, alpha: int, n: int, r: int, f: IntPolynomial) -> CheckOutcome:
@@ -393,7 +404,7 @@ def check_equality_conjecture(p: int, alpha: int, n: int, r: int, l: int | None 
     note = "boundary modulus (e=0)" if e == 0 else ""
     if s == 0:
         return CheckOutcome("equality-conjecture", inst, None, True, bound, None, False, note=note)
-    v = ord_int(p, s).value
+    v = ord_nonzero(p, s)
     return CheckOutcome("equality-conjecture", inst, v, True, bound, v - bound, v == bound, note=note)
 
 
@@ -516,6 +527,10 @@ def _check_block_axes(checks, blocks):
                 raise GridError(f"grid has unknown axes {extra} for check {check!r}")
     if need_l and not all(block["l"] for block in blocks):
         raise GridError("grid is missing axes ['l'] for this check")
+    if checks[0] in _BOUNDS or checks[0] == "equality-conjecture":
+        top = max((n for block in blocks for n in block["n"]), default=0)
+        if top > SUM_CAP:
+            raise CapacityError(f"grid axis n reaches {top}, over the residue-class sum cap of {SUM_CAP}")
 
 
 @dataclass
@@ -627,36 +642,49 @@ class SweepReport:
 
 
 def _eval_bounds(checks, block, aggs):
-    """Count bound checks over the (p, alpha, n, r) cells of a sub-block, each cell summed for every l at once."""
+    """Count bound checks over a sub-block, one (p, alpha, n) row of r cells at a time.
+
+    One alt_sums_upto call sums every residue class of a row for every l at
+    once.  Each (row, check) pair is added to its aggregate in one call, and
+    only a violated instance becomes a CheckOutcome, added in grid order.
+    """
     plan = [(c, _BOUNDS[c], aggs[c]) for c in checks]
     weights = {d.weight for _, d, _ in plan}
-    ls = tuple(block.get("l", ()))
-    for p, alpha, n, r in itertools.product(block["p"], block["alpha"], block["n"], block["r"]):
+    ls, rs = tuple(block.get("l", ())), block["r"]
+    facts = [math.factorial(l) for l in ls]
+    for p, alpha, n in itertools.product(block["p"], block["alpha"], block["n"]):
         _check_args(p, alpha, n, min(ls, default=0))
         m = p**alpha
         base = ord_factorial(p, n // m)
         key = f"p={p},alpha={alpha}"
-        pows, ffs = alt_sums_upto(n, r, m, max(ls, default=0), bool(weights - {"C(x,l)"}), "C(x,l)" in weights)
-        orders = {}  # weight -> order of each sum it reads, shared by the checks that read it
+        cells = alt_sums_upto(n, rs, m, max(ls, default=0), bool(weights - {"C(x,l)"}), "C(x,l)" in weights)
+        orders = {}  # weight -> per r, the order of each sum it reads (None: the sum vanished)
         for check, d, agg in plan:
             lv = ls if d.uses_l else (0,)
             if d.precondition(p, alpha, n):
-                agg.skipped += len(lv)
+                agg.skipped += len(lv) * len(rs)
                 continue
-            bounds, note, sound = d.bound(p, alpha, n, r, base, lv)
             ords = orders.get(d.weight)
             if ords is None:
-                sums = ffs if d.weight == "C(x,l)" else pows
+                fam = d.weight == "C(x,l)"  # the index of its family in each (powers, falling) pair
                 ords = orders[d.weight] = [
-                    _order(p, _class_sum(d, sums[l], l, lambda: _bound_inst(p, alpha, n, r, l, d))) for l in lv
+                    [ord_nonzero(p, s) if s else None for s in _class_sums(d, c[fam], lv, facts, (p, alpha, n, r))]
+                    for r, c in zip(rs, cells)
                 ]
-            verdicts = [_verdict(s_ord, True, bound, sound) for s_ord, bound in zip(ords, bounds)]
-            bad = [
-                _outcome(check, _bound_inst(p, alpha, n, r, l, d), s_ord, True, bound, note, sound)
-                for l, s_ord, bound, (_, holds) in zip(lv, ords, bounds, verdicts)
-                if not holds
-            ]
-            agg.add(key, [s for s, _ in verdicts if s is not None], len(verdicts) - len(bad), 0, bad)
+            slacks, bad = [], []
+            for r, cell_ords in zip(rs, ords):
+                bounds, note, sound = d.bound(p, alpha, n, r, base, lv)
+                if sound:
+                    cell_slacks = [o - b for o, b in zip(cell_ords, bounds) if o is not None]
+                    slacks += cell_slacks
+                    if min(cell_slacks, default=0) >= 0:
+                        continue
+                bad += [
+                    _outcome(check, _bound_inst(p, alpha, n, r, l, d), o, True, b, note, sound)
+                    for l, o, b in zip(lv, cell_ords, bounds)
+                    if not sound or (o is not None and o < b)
+                ]
+            agg.add(key, slacks, len(lv) * len(rs) - len(bad), 0, bad)
 
 
 def _eval_stirling_diff(block, agg):

@@ -5,6 +5,7 @@ captured output on failure, and mirrored by the pytest -v status line)
 and then asserts. Runtime limits are part of the criteria.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -175,6 +176,39 @@ def test_criterion_07_remaining_bound_sweeps(bound_reports):
                     details.append(f"chain broken at p={p} alpha={alpha} n={n}")
     _criterion(7, "plain, totient, and binomial-weight bounds hold on the default grids",
                ok, "; ".join(details))
+
+
+# sha256 of (to_json(), to_markdown()) of each default-grid bound report
+_BOUND_REPORT_DIGESTS = {
+    "polysum-bound": (
+        "4b185f2b689204c071b2882c64546f4ff1bb0889cf8d29faf9a8aeaec4b12688",
+        "a0d220cbf1f272d5a32161383684e8625da56e9ef4573109b494039bf8e5cf34",
+    ),
+    "carry-bound": (
+        "09360aeeada2db23085f3f33f5968617bdf5e7ae5aa5137039a364ec110933d5",
+        "684777b1276387e0be54706ecf6acb52fa6fabb7dbabaf9986faaca25490b179",
+    ),
+    "binom-weight-bound": (
+        "cf62e5a839b7903d771fc33251008fdbb79f3a8dceda6777fe7b37241d8b570a",
+        "793d31ce5f5b67b884fdba8c2ece8c851d195021c4748190a529e08d5ca01be4",
+    ),
+    "plain-sum-bound": (
+        "1d03175b65df8d25bc9259a06cee3f47c56c3943d3b06cbf8d1d408b4d1ee272",
+        "c20753b5f4157077d4b784f3872a2cd7aa514388fc2f7f1990809a6e9ee7c0bf",
+    ),
+    "totient-bound": (
+        "b130469733adb7f527bb1517ef270dc588d14d5b68ed496eb72a99f88acf3eb5",
+        "b3302bd50da3064b501e12ee8771e897a401049d519ef9791b27a8d455fb6c56",
+    ),
+}
+
+
+def test_bound_report_bytes_are_pinned(bound_reports):
+    """Criteria 5-7 read counts only; the pins also hold every order, slack and slice row."""
+    for name, want in _BOUND_REPORT_DIGESTS.items():
+        rep = bound_reports[name]
+        got = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (rep.to_json(), rep.to_markdown()))
+        assert got == want, name
 
 
 def test_criterion_08_stirling_diff_sweep():

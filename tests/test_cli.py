@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from padicsums import verify
+from padicsums import polysum, verify
 from padicsums.cli import main
 
 
@@ -87,6 +87,24 @@ def test_verify_oversized_samples_exits_2(capsys, monkeypatch):
     rc, out, err = run_cli(["verify", "split-identity", "--samples", "100000000"], capsys)
     assert (rc, out) == (2, "")
     assert err == "capacity: 100000000 samples requested, over the cap of 10000000\n"
+
+
+@pytest.mark.parametrize(
+    "check, grid",
+    [("carry-bound", "p=2;alpha=0;n=1000000;r=0;l=0"), ("equality-conjecture", "p=2;alpha=1;n=3,1000000;r=0")],
+)
+def test_verify_n_over_sum_cap_exits_2(capsys, monkeypatch, check, grid):
+    monkeypatch.setattr(verify, "_run", None)  # a sweep that started would fail on it
+    rc, out, err = run_cli(["verify", check, "--grid", grid], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "capacity: grid axis n reaches 1000000, over the residue-class sum cap of 4096\n"
+
+
+def test_compute_delta_n_over_sum_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(polysum, "_comb_row", None)  # a sum that started would fail on it
+    rc, out, err = run_cli(["compute", "delta", "--n", "3000000", "--l", "1"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "capacity: residue-class sums capped at n <= 4096, got n=3000000\n"
 
 
 def test_usage_errors_exit_64(capsys):

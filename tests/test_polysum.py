@@ -6,6 +6,7 @@ import random
 import pytest
 
 from padicsums import (
+    CapacityError,
     IntPolynomial,
     alt_floor_sum,
     alt_sum,
@@ -16,7 +17,7 @@ from padicsums import (
     parse_poly,
     poly_delta,
 )
-from padicsums.polysum import ONE, X, ZERO
+from padicsums.polysum import ONE, SUM_CAP, X, ZERO, alt_sums_upto
 
 
 def brute_alt_sum(n, r, m, f):
@@ -175,3 +176,55 @@ def test_alt_sum_small_closed_forms():
         for l in range(0, n):
             assert alt_sum(n, 0, 1, IntPolynomial.monomial(l)) == 0
         assert alt_sum(n, 0, 1, IntPolynomial.monomial(n)) == (-1) ** n * math.factorial(n)
+
+
+def test_alt_sums_upto_shared_classes_match_direct_sums():
+    """Every r of a cell equals a one-r pass and alt_sum, whether its class is shifted or summed again."""
+    rng = random.Random(137)
+    polys = {l: (IntPolynomial.monomial(l), binom_poly(l)) for l in range(13)}
+    seen = {"shifted": 0, "summed again": 0, "above n": 0}
+    for _ in range(250):
+        p, alpha = rng.choice((2, 3, 5, 7)), rng.randint(0, 3)
+        m, n, maxl = p**alpha, rng.randint(0, 80), rng.randint(0, 12)
+        # a few classes, each met at several r (t of both signs), in no order
+        rs = [rng.randrange(m) + m * rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+        rs += [r + m * rng.randint(-4, 4) for r in rs for _ in range(rng.randint(0, 3))]
+        rng.shuffle(rs)
+        cells = alt_sums_upto(n, rs, m, maxl, True, True)
+        assert len(cells) == len(rs)
+        firsts = set()
+        for r, cell in zip(rs, cells):
+            start = r % m
+            terms = len(range(start, n + 1, m))
+            if start > n:
+                seen["above n"] += 1
+            elif start in firsts:
+                seen["shifted" if 2 * terms > maxl else "summed again"] += 1
+            firsts.add(start)
+            assert cell == alt_sums_upto(n, [r], m, maxl, True, True)[0], (p, alpha, n, r, maxl)
+            pows, ffs = cell
+            for l in range(maxl + 1):
+                assert pows[l] == alt_sum(n, r, m, polys[l][0]), (p, alpha, n, r, l)
+                assert ffs[l] == alt_sum(n, r, m, polys[l][1]), (p, alpha, n, r, l)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_alt_sums_upto_families_asked_for():
+    assert alt_sums_upto(6, [0, 3], 3, 2, powers=False, falling=True)[1][0] is None
+    assert alt_sums_upto(6, [0, 3], 3, 2)[1][1] is None
+    assert alt_sums_upto(6, [], 3, 2) == []
+
+
+def test_residue_class_sums_refuse_n_over_the_cap():
+    n = SUM_CAP + 1
+    for call in (
+        lambda: alt_sum(n, 0, 2, ONE),
+        lambda: alt_floor_sum(n, 0, 2, ONE),
+        lambda: alt_sums_upto(n, [0], 2, 3),
+        lambda: check_split_identity(n, 2, 0, X),
+        lambda: check_floor_identity(n, 2, 0, X),
+    ):
+        with pytest.raises(CapacityError, match=f"capped at n <= {SUM_CAP}, got n={n}"):
+            call()
+    # the cap itself is allowed: the class of r = 0 modulo SUM_CAP is k = 0 and k = SUM_CAP
+    assert alt_sum(SUM_CAP, 0, SUM_CAP, ONE) == 2
