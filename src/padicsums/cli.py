@@ -11,31 +11,27 @@ import os
 import sys
 
 from . import golden
-from .exponents import _TOWER_RE, parse_exponent
+from .exponents import parse_exponent, symbolic_tower
 from .padic import CapacityError, carries, ord_factorial, ord_int
 from .polysum import binom_exact
 from .stirling import (
     DEFAULT_RETRIES,
     DEFAULT_WINDOW,
     PrecisionError,
+    stable_min_ord,
     stable_params,
     stirling_exact,
 )
 from .su_bounds import (
     bound_report,
-    delta_csv,
-    delta_json,
-    delta_markdown,
     emit_delta,
     emit_table1,
     emit_table2,
     ep_auto,
-    table1_csv,
-    table1_json,
-    table1_markdown,
-    table2_csv,
-    table2_json,
-    table2_markdown,
+    render,
+    table_delta,
+    table_one,
+    table_two,
 )
 from .stirling import mstirling_mod
 from .verify import CHECK_NAMES, IDENTITY_CHECKS, GridError, sweep
@@ -91,35 +87,30 @@ def _cmd_compute_mstirling(args) -> int:
     return 0
 
 
-def _resolve_L(args) -> int | None:
-    """Resolve --L: a literal height, or 'auto' = max(N, N0) of the family in --k."""
-    if args.L is None:
-        return None
-    if args.L != "auto":
+def _cmd_compute_ep(args) -> int:
+    """--L auto needs the family form (p-1)*p^L+d and takes stable_min_ord's own height max(N, N0)."""
+    precision = args.precision if args.precision is not None else _env_int("PADICSUMS_PRECISION")
+    opts = {"window": args.window, "precision": precision, "retries": args.retries}
+    if args.L == "auto":
+        tower = symbolic_tower(args.k)
+        if tower is None:
+            raise ValueError("--L auto needs a symbolic exponent of the form 'c*base^L+d'")
+        if tower[:2] != (args.p - 1, args.p):
+            raise ValueError(f"--L auto requires the stable family form {args.p - 1}*{args.p}^L+d")
+        res = stable_min_ord(args.p, args.n, d=tower[2], **opts)
+        L = max(res.stable.N, res.stable.N0)
+    else:
         try:
-            return int(args.L)
+            height = None if args.L is None else int(args.L)
         except ValueError:
             raise ValueError(f"--L must be an integer or 'auto', got {args.L!r}") from None
-    match = _TOWER_RE.match(args.k)
-    if not match or match.group(3) != "L":
-        raise ValueError("--L auto needs a symbolic exponent of the form 'c*base^L+d'")
-    c, base, d = int(match.group(1)), int(match.group(2)), int(match.group(4) or 0)
-    if base != args.p or c != args.p - 1:
-        raise ValueError(f"--L auto requires the stable family form {args.p - 1}*{args.p}^L+d")
-    params = stable_params(args.p, args.n, d=d)
-    return max(params.N, params.N0)
-
-
-def _cmd_compute_ep(args) -> int:
-    precision = args.precision if args.precision is not None else _env_int("PADICSUMS_PRECISION")
-    L = _resolve_L(args)
-    k = parse_exponent(args.k, L=L)
-    res = ep_auto(args.p, args.n, k, window=args.window, precision=precision, retries=args.retries)
+        k = parse_exponent(args.k, L=height)
+        res, L = ep_auto(args.p, args.n, k, **opts), k.L
     lo, hi = res.m_scanned
     if res.certified:
         detail = f"certified: {res.certificate}"
         if res.certificate == "stable-family":
-            detail += f", L={k.L}"
+            detail += f", L={L}"
         print(f"{res.value} ({detail}, m in [{lo}, {hi}], precision={res.precision})")
         return 0
     print(
@@ -167,8 +158,7 @@ def _cmd_table_one(args) -> int:
             f"got [{args.lo}, {args.hi}]"
         )
     rows = emit_table1(args.lo, args.hi, with_max=args.with_max, k_budget=args.k_budget)
-    render = {"md": table1_markdown, "csv": table1_csv, "json": table1_json}[args.format]
-    sys.stdout.write(render(rows))
+    sys.stdout.write(render(table_one(rows), args.format))
     if not args.golden:
         return 0
     return _golden_compare(
@@ -183,8 +173,7 @@ def _cmd_table_one(args) -> int:
 
 def _cmd_table_two(args) -> int:
     matrix = emit_table2()
-    render = {"md": table2_markdown, "csv": table2_csv, "json": table2_json}[args.format]
-    sys.stdout.write(render(matrix))
+    sys.stdout.write(render(table_two(matrix), args.format))
     if not args.golden:
         return 0
     return _golden_compare((f"({n},{r})", matrix[n][r], golden.TABLE2[n][r]) for n in range(9) for r in range(9))
@@ -200,8 +189,7 @@ def _cmd_table_delta(args) -> int:
                 f"l in [{golden.DELTA_L_FROM}, {golden.DELTA_L_TO}]"
             )
     values = emit_delta(args.p, args.alpha, args.n, args.baseline, args.lo, args.hi)
-    render = {"md": delta_markdown, "csv": delta_csv, "json": delta_json}[args.format]
-    sys.stdout.write(render(values, args.lo))
+    sys.stdout.write(render(table_delta(values, args.lo), args.format))
     if not args.golden:
         return 0
     return _golden_compare(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .padic import CapacityError, ModPE, check_prime, ord_int
+from .padic import CapacityError, ModPE, check_prime
 
 # Largest L for which c * base**L + d is materialized as a plain integer.
 MATERIALIZE_CAP = 64
@@ -139,35 +139,28 @@ def carmichael_prime_power(p: int, E: int) -> int:
     return (p - 1) * p ** (E - 1)
 
 
-def pow_mod(j: int, k, p: int, E: int) -> ModPE:
-    """j**k in Z/p**E for a possibly huge structured exponent k.
+def power_rule(k, p: int, E: int):
+    """The map j -> j**k mod p**E, 0**0 = 1, that pow_mod and the Stirling scan read powers through.
 
-    Units are reduced with the Carmichael function; multiples of p are
-    short-circuited to zero once ord_p(j) * k reaches the precision.
-    0**0 is rejected as undefined.
+    Units take k modulo the Carmichael number of p**E; a multiple of p takes
+    min(k, E), as its E-th power is already 0 mod p**E.
     """
-    check_prime(p)
-    if E < 1:
-        raise ValueError(f"precision E must be >= 1, got E={E}")
+    k = as_exponent(k)
+    M = p**E
+    k_unit = k.mod(carmichael_prime_power(p, E))
+    k_mult = min(k.value(), E) if k.materializable else E
+    return lambda j: pow(j, k_unit if j % p else k_mult, M)
+
+
+def pow_mod(j: int, k, p: int, E: int) -> ModPE:
+    """j**k in Z/p**E for a possibly huge structured exponent k, by power_rule; 0**0 is rejected."""
     if j < 0:
         raise ValueError(f"base must be >= 0, got j={j}")
     k = as_exponent(k)
-    M = p**E
-    if j == 0:
-        if k.materializable and k.value() == 0:
-            raise ValueError("0**0 is undefined")
-        return ModPE(0, p, E)
-    if j % p != 0:
-        lam = carmichael_prime_power(p, E)
-        return ModPE(pow(j, k.mod(lam), M), p, E)
-    # p divides j: the order of j**k is ord_p(j) * k.
-    if not k.materializable:
-        return ModPE(0, p, E)
-    kv = k.value()
-    v = ord_int(p, j).value
-    if v * kv >= E:
-        return ModPE(0, p, E)
-    return ModPE(pow(j, kv, M), p, E)
+    power = power_rule(k, p, E)
+    if j == 0 and k.materializable and k.value() == 0:
+        raise ValueError("0**0 is undefined")
+    return ModPE(power(j), p, E)
 
 
 _PLAIN_RE = re.compile(r"^\d+$")
@@ -201,3 +194,11 @@ def parse_exponent(text: str, L: int | None = None) -> StructuredExponent:
             raise ValueError(f"L must be >= 0, got L={L}")
         height = L
     return StructuredExponent.tower(int(c), int(base), int(height), int(d or 0))
+
+
+def symbolic_tower(text: str) -> tuple[int, int, int] | None:
+    """(c, base, d) when text spells 'c*base^L+d' with the letter L as its height, else None."""
+    match = _TOWER_RE.match(text)
+    if not match or match.group(3) != "L":
+        return None
+    return int(match.group(1)), int(match.group(2)), int(match.group(4) or 0)

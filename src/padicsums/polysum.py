@@ -204,7 +204,11 @@ def _check_sum_args(n: int, m: int):
 
 @lru_cache(maxsize=64)
 def _comb_row(n: int) -> tuple[int, ...]:
-    return tuple(math.comb(n, k) for k in range(n + 1))
+    """C(n, k) for k = 0..n, each from the one before: C(n, k+1) = C(n, k) (n-k) / (k+1)."""
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return tuple(row)
 
 
 def _evaluator(f: IntPolynomial):

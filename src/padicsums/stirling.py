@@ -18,13 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exponents import StructuredExponent, as_exponent, carmichael_prime_power
+from .exponents import StructuredExponent, as_exponent, power_rule
 from .padic import (
     CapacityError,
     ModPE,
     TruncatedValuation,
     check_prime,
-    ord_int,
     ord_nonzero,
 )
 
@@ -71,23 +70,6 @@ def stirling_rows(k_max: int, m_max: int):
         yield i, row[:]
 
 
-def _powers(k: StructuredExponent, p: int, E: int):
-    """Yield j**k mod p**E for j = 0, 1, 2, ..., with 0**0 = 1.
-
-    Units take k modulo the Carmichael number of p**E; a multiple of p
-    gives 0 once k >= E, as ord_p(j**k) >= k.  Invalid p or E raise on
-    first use.
-    """
-    M = p**E
-    k_unit = k.mod(carmichael_prime_power(p, E))
-    k_small = k.value() if k.materializable else None
-    for j in itertools.count():
-        if j % p:
-            yield pow(j, k_unit, M)
-        else:
-            yield 0 if k_small is None or k_small >= E else pow(j, k_small, M)
-
-
 def _diagonal(values):
     """Yield the forward differences D^m a(0), m = 0, 1, ..., of a_0, a_1, ...
 
@@ -110,7 +92,7 @@ def mstirling_scan(k, p: int, E: int):
     consecutive m needs each power once and O(m) additions per new m.
     """
     M = p**E
-    return (x % M for x in _diagonal(_powers(as_exponent(k), p, E)))
+    return (x % M for x in _diagonal(map(power_rule(k, p, E), itertools.count())))
 
 
 def mstirling_mod(k, m: int, p: int, E: int) -> ModPE:
@@ -131,7 +113,7 @@ def mstirling_mod(k, m: int, p: int, E: int) -> ModPE:
     u, w, t = 1, 1, 0  # C(m, j) = u / w * p**t; the sum so far is total / w
     total = 0
     sign = 1 if m % 2 == 0 else -1  # (-1)**(m-j) at j = 0
-    for j, pw in zip(range(m + 1), _powers(as_exponent(k), p, E)):
+    for j, pw in enumerate(map(power_rule(k, p, E), range(m + 1))):
         if j:
             num = m - j + 1
             while num % p == 0:
@@ -190,24 +172,28 @@ class EpResult:
     stable: StableParams | None = None
 
 
-def _scan_min(p, n, k, E, m_hi, adaptive):
-    """Scan trunc orders of m! S(k,m) for m from n; returns (best, witness, hi)."""
-    best = None
-    witness = None
+def _scan_min(p, n, values, m_hi, adaptive):
+    """Scan the orders of values[m], m >= n, skipping zeros; returns (best, witness, first nonzero order, hi).
+
+    hi is the last m read: m_hi, or later when adaptive and best moved within STABLE_RUN terms.
+    """
+    best = witness = first = None
     last_change = n
     hi = m_hi
-    for m, r in enumerate(mstirling_scan(k, p, E)):
+    for m, r in enumerate(values):
         if m < n:
             continue
         if r:
             v = ord_nonzero(p, r)
+            if first is None:
+                first = v
             if best is None or v < best:
                 best, witness, last_change = v, m, m
         if m >= hi:
             if not (adaptive and last_change > hi - STABLE_RUN):
                 break
             hi += WINDOW_STEP
-    return best, witness, hi
+    return best, witness, first, hi
 
 
 def min_stirling_ord(
@@ -245,7 +231,7 @@ def min_stirling_ord(
     E = E0
     for attempt in range(retries + 1):
         m_hi = k.value() if exact_path else n + window
-        best, witness, hi = _scan_min(p, n, k, E, m_hi, adaptive=not exact_path)
+        best, witness, _, hi = _scan_min(p, n, mstirling_scan(k, p, E), m_hi, adaptive=not exact_path)
         if best is not None:
             return EpResult(
                 value=TruncatedValuation.exact_at(best),
@@ -294,23 +280,8 @@ def stable_params(
     if d < 0:
         raise ValueError(f"d must be >= 0, got d={d}")
     N = n - 1 + n // (p * (p - 1))
-    N0 = L0 = m0 = None
-    hi = n + m_window
-    last_change = n
     family = (j**d if j % p else 0 for j in itertools.count())
-    for m, s in enumerate(_diagonal(family)):
-        if m < n:
-            continue
-        if s:
-            v = ord_int(p, s).value
-            if N0 is None:
-                N0 = v
-            if L0 is None or v < L0:
-                L0, m0, last_change = v, m, m
-        if m >= hi:
-            if last_change <= hi - STABLE_RUN:
-                break
-            hi += WINDOW_STEP
+    L0, m0, N0, hi = _scan_min(p, n, _diagonal(family), n + m_window, adaptive=True)
     if N0 is None:
         raise ValueError(f"every family sum for m in [{n}, {hi}] vanished (p={p}, d={d})")
     return StableParams(N=N, N0=N0, L0=L0, m0=m0, m_scanned=(n, hi))
@@ -331,6 +302,8 @@ def stable_min_ord(
     stabilization and the bound threshold are guaranteed.  The engine scan
     is cross-checked against the exact family value and must agree.
     """
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     params = stable_params(p, n, m_window=window, d=d)
     floor_L = max(params.N, params.N0)
     if L is None:

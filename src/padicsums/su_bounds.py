@@ -209,32 +209,38 @@ def emit_delta(
     return out
 
 
-def table1_markdown(rows: list[Table1Row]) -> str:
-    with_max = any(r.max_observed is not None for r in rows)
-    lines = ["# exponent comparison at p=3", ""]
-    if with_max:
-        k_hi = max(r.k_searched for r in rows if r.k_searched is not None)
-        lines.append(f"max column: observed over k <= {k_hi} plus the stable family; observed, not proven maximal")
-        lines += ["", "| n | max observed | stable | bound |", "|---|---|---|---|"]
-        lines += [f"| {r.n} | {r.max_observed} | {r.stable} | {r.bound} |" for r in rows]
+@dataclass(frozen=True)
+class Table:
+    """One emitted table: markdown prints title, note, header and rows; json prints data after the schema.
+
+    csv, when given, holds (header, row cell index) per csv column; else csv has the markdown columns.
+    """
+
+    title: str
+    header: tuple[str, ...]
+    rows: list[tuple]
+    data: dict
+    note: str = ""
+    csv: tuple[tuple[str, int], ...] | None = None
+
+
+def render(table: Table, fmt: str) -> str:
+    """The table as "md", "csv" or "json" text, ending in a newline."""
+    if fmt == "json":
+        return json.dumps({"schema": 1, **table.data}, indent=2) + "\n"
+    if fmt == "csv":
+        cols = table.csv or tuple((name, i) for i, name in enumerate(table.header))
+        lines = [",".join(name for name, _ in cols)]
+        lines += [",".join(str(row[i]) for _, i in cols) for row in table.rows]
     else:
-        lines += ["| n | stable | bound |", "|---|---|---|"]
-        lines += [f"| {r.n} | {r.stable} | {r.bound} |" for r in rows]
+        lines = [f"# {table.title}", ""] + ([table.note, ""] if table.note else [])
+        lines += ["| " + " | ".join(table.header) + " |", "|---" * len(table.header) + "|"]
+        lines += ["| " + " | ".join(map(str, row)) + " |" for row in table.rows]
     return "\n".join(lines) + "\n"
 
 
-def table1_csv(rows: list[Table1Row]) -> str:
-    with_max = any(r.max_observed is not None for r in rows)
-    if with_max:
-        lines = ["n,stable,bound,max_observed"]
-        lines += [f"{r.n},{r.stable},{r.bound},{r.max_observed}" for r in rows]
-    else:
-        lines = ["n,stable,bound"]
-        lines += [f"{r.n},{r.stable},{r.bound}" for r in rows]
-    return "\n".join(lines) + "\n"
-
-
-def table1_json(rows: list[Table1Row]) -> str:
+def table_one(rows: list[Table1Row]) -> Table:
+    """Table one from emit_table1's rows; an observed-maximum column comes second in markdown, last in csv."""
     recs = []
     for r in rows:
         rec = {"n": r.n, "L": r.L, "stable": r.stable, "bound": r.bound}
@@ -243,46 +249,27 @@ def table1_json(rows: list[Table1Row]) -> str:
             rec["k_searched"] = r.k_searched
             rec["max_label"] = "observed, not proven maximal"
         recs.append(rec)
-    return json.dumps({"schema": 1, "table": "one", "rows": recs}, indent=2) + "\n"
+    title, data = "exponent comparison at p=3", {"table": "one", "rows": recs}
+    if not any(r.max_observed is not None for r in rows):
+        return Table(title, ("n", "stable", "bound"), [(r.n, r.stable, r.bound) for r in rows], data)
+    k_hi = max(r.k_searched for r in rows if r.k_searched is not None)
+    note = f"max column: observed over k <= {k_hi} plus the stable family; observed, not proven maximal"
+    cells = [(r.n, r.max_observed, r.stable, r.bound) for r in rows]
+    csv = (("n", 0), ("stable", 2), ("bound", 3), ("max_observed", 1))
+    return Table(title, ("n", "max observed", "stable", "bound"), cells, data, note, csv)
 
 
-def table2_markdown(matrix) -> str:
-    lines = [
-        "# carry counts tau_3({r}_9, {n-r}_9)",
-        "",
-        "| {n}_9 \\ {r}_9 | " + " | ".join(str(r) for r in range(9)) + " |",
-        "|---" * 10 + "|",
-    ]
-    lines += [f"| {n} | " + " | ".join(str(v) for v in row) + " |" for n, row in enumerate(matrix)]
-    return "\n".join(lines) + "\n"
+def table_two(matrix) -> Table:
+    """Table two from emit_table2's matrix, one row per n mod 9."""
+    header = ("{n}_9 \\ {r}_9", *map(str, range(9)))
+    cells = [(n, *row) for n, row in enumerate(matrix)]
+    data = {"table": "two", "entries": [list(row) for row in matrix]}
+    csv = (("n_mod_9", 0), *((f"r{r}", r + 1) for r in range(9)))
+    return Table("carry counts tau_3({r}_9, {n-r}_9)", header, cells, data, csv=csv)
 
 
-def table2_csv(matrix) -> str:
-    lines = ["n_mod_9," + ",".join(f"r{r}" for r in range(9))]
-    lines += [f"{n}," + ",".join(str(v) for v in row) for n, row in enumerate(matrix)]
-    return "\n".join(lines) + "\n"
-
-
-def table2_json(matrix) -> str:
-    return json.dumps({"schema": 1, "table": "two", "entries": [list(row) for row in matrix]}, indent=2) + "\n"
-
-
-def _delta_str(v) -> str:
-    return "inf" if v is None else str(v)
-
-
-def delta_markdown(values, l_from: int) -> str:
-    lines = ["# excess orders delta(l)", "", "| l | delta |", "|---|---|"]
-    lines += [f"| {l_from + i} | {_delta_str(v)} |" for i, v in enumerate(values)]
-    return "\n".join(lines) + "\n"
-
-
-def delta_csv(values, l_from: int) -> str:
-    lines = ["l,delta"]
-    lines += [f"{l_from + i},{_delta_str(v)}" for i, v in enumerate(values)]
-    return "\n".join(lines) + "\n"
-
-
-def delta_json(values, l_from: int) -> str:
-    recs = [{"l": l_from + i, "delta": v} for i, v in enumerate(values)]
-    return json.dumps({"schema": 1, "table": "delta", "values": recs}, indent=2) + "\n"
+def table_delta(values, l_from: int) -> Table:
+    """The delta table from emit_delta's values, the first at l = l_from; a vanishing sum shows as inf."""
+    cells = [(l, "inf" if v is None else v) for l, v in enumerate(values, l_from)]
+    data = {"table": "delta", "values": [{"l": l, "delta": v} for l, v in enumerate(values, l_from)]}
+    return Table("excess orders delta(l)", ("l", "delta"), cells, data)

@@ -419,6 +419,11 @@ def parse_grid(text: str) -> dict[str, list[int]]:
     against GRID_CAP before any axis is expanded; a larger grid raises
     CapacityError.
     """
+    return {name: list(values) for name, values in _grid_axes(text).items()}
+
+
+def _grid_axes(text):
+    """parse_grid's axes, with an axis of one range or value left unexpanded for the sweep's cap checks."""
     axes: dict[str, list] = {}  # name -> its items, each a range or a one-value tuple
     for part in text.split(";"):
         if not part.strip():
@@ -448,7 +453,7 @@ def parse_grid(text: str) -> dict[str, list[int]]:
     size = math.prod(sum(map(len, items)) for items in axes.values())
     if size > GRID_CAP:
         raise CapacityError(f"grid has {size} instances, over the cap of {GRID_CAP}")
-    return {name: [v for item in items for v in item] for name, items in axes.items()}
+    return {name: items[0] if len(items) == 1 else [v for it in items for v in it] for name, items in axes.items()}
 
 
 _CHECK_AXES = {
@@ -507,7 +512,7 @@ def _resolve_grid(check, grid):
     if grid is None or grid == "default":
         return default_grid(check), _DEFAULT_GRID_DESC[check]
     if isinstance(grid, str):
-        return [parse_grid(grid)], grid
+        return [_grid_axes(grid)], grid
     if isinstance(grid, dict):
         return [grid], "custom"
     return list(grid), "custom"
@@ -528,22 +533,25 @@ def _check_block_axes(checks, blocks):
     if need_l and not all(block["l"] for block in blocks):
         raise GridError("grid is missing axes ['l'] for this check")
     if checks[0] in _BOUNDS or checks[0] == "equality-conjecture":
-        top = max((n for block in blocks for n in block["n"]), default=0)
+        top = max((max(block["n"], default=0) for block in blocks), default=0)
         if top > SUM_CAP:
             raise CapacityError(f"grid axis n reaches {top}, over the residue-class sum cap of {SUM_CAP}")
 
 
 @dataclass
-class _Agg:
-    """Order-preserving partial aggregate of check outcomes."""
+class SweepReport:
+    """Aggregated result of one check swept over a grid; each worker task fills a partial one."""
 
+    check: str
+    grid: str
     checked: int = 0
     held: int = 0
+    violations: list[CheckOutcome] = field(default_factory=list)
     undetermined: int = 0
     skipped: int = 0
     flagged: int = 0
-    violations: list = field(default_factory=list)
-    slack: dict = field(default_factory=dict)
+    slack: dict[str, tuple[int, int]] = field(default_factory=dict)
+    wall_time: float = 0.0
 
     def add(self, key, slacks, held, undetermined=0, violations=()):
         """Count checked instances of slice key (held, undetermined or violated) and their known slacks."""
@@ -553,31 +561,16 @@ class _Agg:
         self.violations.extend(violations)
         if slacks:
             lo, hi = min(slacks), max(slacks)
-            rec = self.slack.setdefault(key, [lo, hi])
-            rec[0], rec[1] = min(rec[0], lo), max(rec[1], hi)
+            old_lo, old_hi = self.slack.get(key, (lo, hi))
+            self.slack[key] = (min(old_lo, lo), max(old_hi, hi))
 
-    def merge(self, other: "_Agg"):
+    def merge(self, other: "SweepReport"):
+        """Count a partial report of the same check that follows this one in grid order."""
         self.skipped += other.skipped
         self.flagged += other.flagged
         self.add(None, (), other.held, other.undetermined, other.violations)
         for key, rec in other.slack.items():
             self.add(key, rec, 0)
-
-
-@dataclass
-class SweepReport:
-    """Aggregated result of one check swept over a grid."""
-
-    check: str
-    grid: str
-    checked: int
-    held: int
-    violations: list[CheckOutcome]
-    undetermined: int
-    skipped: int
-    flagged: int
-    slack: dict[str, tuple[int, int]]
-    wall_time: float = 0.0
 
     @property
     def equality_rate(self) -> float | None:
@@ -641,14 +634,14 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _eval_bounds(checks, block, aggs):
+def _eval_bounds(checks, block, reports):
     """Count bound checks over a sub-block, one (p, alpha, n) row of r cells at a time.
 
     One alt_sums_upto call sums every residue class of a row for every l at
-    once.  Each (row, check) pair is added to its aggregate in one call, and
+    once.  Each (row, check) pair is added to its report in one call, and
     only a violated instance becomes a CheckOutcome, added in grid order.
     """
-    plan = [(c, _BOUNDS[c], aggs[c]) for c in checks]
+    plan = [(c, _BOUNDS[c], reports[c]) for c in checks]
     weights = {d.weight for _, d, _ in plan}
     ls, rs = tuple(block.get("l", ())), block["r"]
     facts = [math.factorial(l) for l in ls]
@@ -659,10 +652,10 @@ def _eval_bounds(checks, block, aggs):
         key = f"p={p},alpha={alpha}"
         cells = alt_sums_upto(n, rs, m, max(ls, default=0), bool(weights - {"C(x,l)"}), "C(x,l)" in weights)
         orders = {}  # weight -> per r, the order of each sum it reads (None: the sum vanished)
-        for check, d, agg in plan:
+        for check, d, rep in plan:
             lv = ls if d.uses_l else (0,)
             if d.precondition(p, alpha, n):
-                agg.skipped += len(lv) * len(rs)
+                rep.skipped += len(lv) * len(rs)
                 continue
             ords = orders.get(d.weight)
             if ords is None:
@@ -684,10 +677,10 @@ def _eval_bounds(checks, block, aggs):
                     for l, o, b in zip(lv, cell_ords, bounds)
                     if not sound or (o is not None and o < b)
                 ]
-            agg.add(key, slacks, len(lv) * len(rs) - len(bad), 0, bad)
+            rep.add(key, slacks, len(lv) * len(rs) - len(bad), 0, bad)
 
 
-def _eval_stirling_diff(block, agg):
+def _eval_stirling_diff(block, rep):
     """Count stirling-diff-bound over a sub-block, one (p, alpha, h, n) table block at a time.
 
     Each block's counts are added at once; violations wait, to be added in grid order (p, alpha, h, l, m, n).
@@ -698,10 +691,10 @@ def _eval_stirling_diff(block, agg):
         for j, n in enumerate(ns if lms else ()):
             res = _stirling_diff_block(p, alpha, h, n, lms)
             low = [(i, j, o, b) for i, (o, b) in enumerate(res) if o is not None and o < b]
-            agg.add(key, [o - b for o, b in res if o is not None], len(res) - len(low))
+            rep.add(key, [o - b for o, b in res if o is not None], len(res) - len(low))
             bad += low
         bad.sort()
-        agg.add(key, (), 0, 0, [_stirling_diff_outcome((p, alpha, h, *lms[i], ns[j]), o, b) for i, j, o, b in bad])
+        rep.add(key, (), 0, 0, [_stirling_diff_outcome((p, alpha, h, *lms[i], ns[j]), o, b) for i, j, o, b in bad])
 
 
 def _outcomes(check, block):
@@ -721,23 +714,23 @@ def _outcomes(check, block):
 
 
 def _eval_task(task):
-    """{check: _Agg} of one task: its checks over one grid sub-block, or over one chunk of identity samples."""
+    """{check: partial SweepReport} of one task: its checks over a sub-block, or a chunk of identity samples."""
     checks, block = task
-    aggs = {c: _Agg() for c in checks}
+    reports = {c: SweepReport(c, "") for c in checks}
     if checks[0] in _BOUNDS:
-        _eval_bounds(checks, block, aggs)
+        _eval_bounds(checks, block, reports)
     elif checks[0] == "stirling-diff-bound":
-        _eval_stirling_diff(block, aggs[checks[0]])
+        _eval_stirling_diff(block, reports[checks[0]])
     else:
-        agg = aggs[checks[0]]
+        rep = reports[checks[0]]
         for key, o in _outcomes(checks[0], block):
             if o.skipped:
-                agg.skipped += 1
+                rep.skipped += 1
                 continue
-            agg.flagged += o.note.startswith("boundary")
+            rep.flagged += o.note.startswith("boundary")
             slacks = () if o.slack is None else (o.slack,)
-            agg.add(key, slacks, o.holds is True, o.holds is None, (o,) if o.holds is False else ())
-    return aggs
+            rep.add(key, slacks, o.holds is True, o.holds is None, (o,) if o.holds is False else ())
+    return reports
 
 
 def _split(block, axes):
@@ -794,19 +787,15 @@ def _run(worker, tasks, jobs):
             yield pending.popleft().result()
 
 
-def _merge_reports(check_list, agg_streams, grid_desc, started):
-    totals = {c: _Agg() for c in check_list}
-    for aggs in agg_streams:
-        for check, agg in aggs.items():
-            totals[check].merge(agg)
+def _merge_reports(check_list, report_streams, grid_desc, started):
+    totals = {c: SweepReport(c, grid_desc) for c in check_list}
+    for reports in report_streams:
+        for check, rep in reports.items():
+            totals[check].merge(rep)
     elapsed = time.monotonic() - started
-    return {
-        c: SweepReport(
-            c, grid_desc, a.checked, a.held, a.violations, a.undetermined, a.skipped, a.flagged,
-            {k: (v[0], v[1]) for k, v in a.slack.items()}, wall_time=elapsed,
-        )
-        for c, a in totals.items()
-    }
+    for rep in totals.values():
+        rep.wall_time = elapsed
+    return totals
 
 
 def _grid_sweep(checks, grid, jobs):

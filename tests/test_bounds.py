@@ -23,17 +23,7 @@ from padicsums import (
     restated_bound,
 )
 from padicsums import golden
-from padicsums.su_bounds import (
-    delta_csv,
-    delta_json,
-    delta_markdown,
-    table1_csv,
-    table1_json,
-    table1_markdown,
-    table2_csv,
-    table2_json,
-    table2_markdown,
-)
+from padicsums.su_bounds import render, table_delta, table_one, table_two
 
 
 def test_lower_bound_values():
@@ -213,25 +203,25 @@ def test_delta_outside_reference_range():
 
 def test_renderers_are_stable_and_labeled():
     rows = emit_table1(19, 21)
-    csv = table1_csv(rows)
+    csv = render(table_one(rows), "csv")
     assert csv.splitlines()[0] == "n,stable,bound"
-    assert csv == table1_csv(rows)
-    data = json.loads(table1_json(rows))
+    assert csv == render(table_one(rows), "csv")
+    data = json.loads(render(table_one(rows), "json"))
     assert data["schema"] == 1
-    md = table1_markdown(rows)
+    md = render(table_one(rows), "md")
     assert "| 19 |" in md and "observed" not in md
 
     rows_max = emit_table1(20, 21, with_max=True, k_budget=5)
-    assert table1_csv(rows_max).splitlines()[0] == "n,stable,bound,max_observed"
-    assert "observed, not proven maximal" in table1_markdown(rows_max)
-    assert "observed, not proven maximal" in table1_json(rows_max)
+    assert render(table_one(rows_max), "csv").splitlines()[0] == "n,stable,bound,max_observed"
+    assert "observed, not proven maximal" in render(table_one(rows_max), "md")
+    assert "observed, not proven maximal" in render(table_one(rows_max), "json")
 
     t2 = emit_table2()
-    assert table2_csv(t2).splitlines()[0].startswith("n_mod_9,")
-    json.loads(table2_json(t2))
-    assert "|" in table2_markdown(t2)
+    assert render(table_two(t2), "csv").splitlines()[0].startswith("n_mod_9,")
+    json.loads(render(table_two(t2), "json"))
+    assert "|" in render(table_two(t2), "md")
 
     vals = emit_delta()
-    assert delta_csv(vals, 25).splitlines()[0] == "l,delta"
-    json.loads(delta_json(vals, 25))
-    assert "|" in delta_markdown(vals, 25)
+    assert render(table_delta(vals, 25), "csv").splitlines()[0] == "l,delta"
+    json.loads(render(table_delta(vals, 25), "json"))
+    assert "|" in render(table_delta(vals, 25), "md")

@@ -56,6 +56,25 @@ def test_ep_certified_auto_height(capsys):
     assert out.strip() == "32 (certified: stable-family, L=34, m in [29, 89], precision=57)"
 
 
+@pytest.mark.parametrize(
+    "k, extra, want",
+    [
+        ("2*3^5+28", [], "--L auto needs a symbolic exponent of the form 'c*base^L+d'"),
+        ("2*3^L + 28", [], "--L auto needs a symbolic exponent of the form 'c*base^L+d'"),
+        ("6*3^L+2", [], "--L auto requires the stable family form 2*3^L+d"),
+        ("2*3^L+28", ["--L", "foo"], "--L must be an integer or 'auto', got 'foo'"),
+        ("3*4^L+2", ["--p", "4"], "p must be a prime, got p=4"),
+        ("2*3^L+28", ["--n", "0"], "n must be >= 1, got n=0"),
+        ("2*3^L+28", ["--window", "-1"], "window must be >= 0, got -1"),
+        ("2*3^L+28", ["--precision", "0"], "precision must be >= 1, got 0"),
+        ("2*3^L+28", ["--retries", "-1"], "retries must be >= 0, got -1"),
+    ],
+)
+def test_ep_auto_height_errors(k, extra, want, capsys):
+    argv = ["compute", "ep", "--p", "3", "--n", "29", "--k", k, "--L", "auto", *extra]
+    assert run_cli(argv, capsys) == (64, "", f"error: {want}\n")
+
+
 def test_ep_certified_exact(capsys):
     rc, out, _ = run_cli(["compute", "ep", "--p", "3", "--n", "29", "--k", "35"], capsys)
     assert rc == 0

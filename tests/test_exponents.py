@@ -1,5 +1,7 @@
 """Structured exponents c*base^L+d and modular powers with huge towers."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -8,9 +10,11 @@ from padicsums import (
     CapacityError,
     StructuredExponent,
     carmichael_prime_power,
+    mstirling_scan,
     parse_exponent,
     pow_mod,
 )
+from padicsums.exponents import MATERIALIZE_CAP
 
 
 def test_tower_normalization():
@@ -121,6 +125,31 @@ def test_pow_mod_edge_cases():
         pow_mod(-2, StructuredExponent.plain(3), 5, 4)
     assert pow_mod(0, StructuredExponent.plain(5), 3, 4).residue == 0
     assert pow_mod(9, StructuredExponent.plain(0), 3, 4).residue == 1
+
+
+def test_pow_mod_agrees_with_the_stirling_scan_powers():
+    # The scan differences j**k, j = 0, 1, ...; sum over m of C(j, m) times
+    # its m-th term gives back the power it read for j.
+    for p in (2, 3, 5):
+        for k in (
+            StructuredExponent.plain(0),
+            StructuredExponent.plain(1),
+            StructuredExponent.plain(7),
+            StructuredExponent.tower(p - 1, p, 3, 2),
+            StructuredExponent.tower(2, 3, 40, 5),
+            StructuredExponent.tower(1, 2, MATERIALIZE_CAP + 1, 3),
+            StructuredExponent.tower(p - 1, p, 500, 0),
+        ):
+            for E in (1, 4, 9):
+                diffs = list(itertools.islice(mstirling_scan(k, p, E), 3 * p + 1))
+                for j in range(1, 3 * p + 1):
+                    scanned = sum(math.comb(j, m) * diffs[m] for m in range(j + 1)) % p**E
+                    assert pow_mod(j, k, p, E).residue == scanned, (p, str(k), E, j)
+                # the one difference: the scan reads 0**0 = 1, pow_mod refuses it
+                assert diffs[0] == (1 if k == StructuredExponent.plain(0) else 0)
+                if k == StructuredExponent.plain(0):
+                    with pytest.raises(ValueError, match="0\\*\\*0 is undefined"):
+                        pow_mod(0, k, p, E)
 
 
 def test_parse_exponent_round_trip():

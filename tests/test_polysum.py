@@ -17,7 +17,7 @@ from padicsums import (
     parse_poly,
     poly_delta,
 )
-from padicsums.polysum import ONE, SUM_CAP, X, ZERO, alt_sums_upto
+from padicsums.polysum import ONE, SUM_CAP, X, ZERO, _comb_row, alt_sums_upto
 
 
 def brute_alt_sum(n, r, m, f):
@@ -88,6 +88,9 @@ def test_binom_exact():
         for k in range(-2, n + 3):
             want = math.comb(n, k) if 0 <= k <= n else 0
             assert binom_exact(n, k) == want
+    # the residue-class sums read each binomial row built multiplicatively
+    for n in (0, 1, 2, 200, SUM_CAP):
+        assert _comb_row(n) == tuple(math.comb(n, k) for k in range(n + 1))
 
 
 def test_parse_poly_errors():

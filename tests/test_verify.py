@@ -380,6 +380,19 @@ def test_sweep_memory_is_bounded_by_the_task():
     assert tasks == 1 and tasks_peak < 10**6
 
 
+def test_oversized_n_axis_is_refused_before_it_is_expanded():
+    # The residue-class sum cap reads a one-range n axis as a range: refusing
+    # a million-value axis allocates no list of its values.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="grid axis n reaches 1000000, over the residue-class sum cap of 4096"):
+            sweep("carry-bound", grid="p=2;alpha=0;n=1..1000000;r=0;l=0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 def test_run_sends_a_pool_a_bounded_window_of_tasks():
     pulled = []
 
