@@ -25,7 +25,6 @@ from .polysum import (
     binom_poly,
     check_floor_identity,
     check_split_identity,
-    parse_poly,
     poly_delta,
 )
 from .stirling import (

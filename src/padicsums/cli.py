@@ -18,6 +18,7 @@ from .stirling import (
     DEFAULT_RETRIES,
     DEFAULT_WINDOW,
     PrecisionError,
+    mstirling_mod,
     stable_min_ord,
     stable_params,
     stirling_exact,
@@ -33,7 +34,6 @@ from .su_bounds import (
     table_one,
     table_two,
 )
-from .stirling import mstirling_mod
 from .verify import CHECK_NAMES, IDENTITY_CHECKS, GridError, sweep
 
 
@@ -88,7 +88,7 @@ def _cmd_compute_mstirling(args) -> int:
 
 
 def _cmd_compute_ep(args) -> int:
-    """--L auto needs the family form (p-1)*p^L+d and takes stable_min_ord's own height max(N, N0)."""
+    """--L auto needs the family form (p-1)*p^L+d and takes stable_min_ord's own height."""
     precision = args.precision if args.precision is not None else _env_int("PADICSUMS_PRECISION")
     opts = {"window": args.window, "precision": precision, "retries": args.retries}
     if args.L == "auto":
@@ -98,7 +98,7 @@ def _cmd_compute_ep(args) -> int:
         if tower[:2] != (args.p - 1, args.p):
             raise ValueError(f"--L auto requires the stable family form {args.p - 1}*{args.p}^L+d")
         res = stable_min_ord(args.p, args.n, d=tower[2], **opts)
-        L = max(res.stable.N, res.stable.N0)
+        L = res.stable.height
     else:
         try:
             height = None if args.L is None else int(args.L)
@@ -198,13 +198,14 @@ def _cmd_table_delta(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    jobs = args.jobs if args.jobs is not None else (_env_int("PADICSUMS_JOBS") or 1)
-    if jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    source = "--jobs" if args.jobs is not None else "environment variable PADICSUMS_JOBS"
+    jobs = args.jobs if args.jobs is not None else _env_int("PADICSUMS_JOBS")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"{source} must be >= 1, got {jobs}")
     grid = None if args.grid in (None, "default") else args.grid
     if args.check in IDENTITY_CHECKS and grid is not None:
         raise GridError(f"{args.check} is randomized; use --samples and --seed instead of --grid")
-    report = sweep(args.check, grid=grid, jobs=jobs, samples=args.samples, seed=args.seed)
+    report = sweep(args.check, grid=grid, jobs=jobs or 1, samples=args.samples, seed=args.seed)
     sys.stdout.write(report.to_markdown() if args.format == "md" else report.to_json() + "\n")
     print(f"wall time: {report.wall_time:.1f}s", file=sys.stderr)
     return report.exit_code(strict=args.strict)

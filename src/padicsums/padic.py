@@ -56,10 +56,6 @@ class Valuation:
     value: int | None = None
 
     @classmethod
-    def finite(cls, v: int) -> "Valuation":
-        return cls(v)
-
-    @classmethod
     def infinite(cls) -> "Valuation":
         return cls(None)
 
@@ -67,43 +63,8 @@ class Valuation:
     def is_infinite(self) -> bool:
         return self.value is None
 
-    def _key(self):
-        return float("inf") if self.value is None else self.value
-
-    def __lt__(self, other) -> bool:
-        return self._key() < _val_key(other)
-
-    def __le__(self, other) -> bool:
-        return self._key() <= _val_key(other)
-
-    def __gt__(self, other) -> bool:
-        return self._key() > _val_key(other)
-
-    def __ge__(self, other) -> bool:
-        return self._key() >= _val_key(other)
-
-    def __add__(self, shift) -> "Valuation":
-        if isinstance(shift, Valuation):
-            if self.value is None or shift.value is None:
-                return Valuation(None)
-            return Valuation(self.value + shift.value)
-        if self.value is None:
-            return self
-        return Valuation(self.value + shift)
-
-    __radd__ = __add__
-
-    def __sub__(self, shift: int) -> "Valuation":
-        return self.__add__(-shift)
-
     def __str__(self) -> str:
         return "inf" if self.value is None else str(self.value)
-
-
-def _val_key(x):
-    if isinstance(x, Valuation):
-        return x._key()
-    return x
 
 
 @dataclass(frozen=True)
@@ -111,9 +72,8 @@ class TruncatedValuation:
     """A p-adic order measured through a residue modulo p**E.
 
     Either exact (the order was visible below the precision) or a floor:
-    ``floor(E)`` means only "order >= E" is known.  Comparisons against
-    integer bounds are three-valued and return None when the truncated
-    information cannot decide.
+    ``floor(E)`` means only "order >= E" is known.  Callers compare
+    ``value`` themselves and read ``exact`` to know whether it is a floor.
     """
 
     value: int
@@ -127,20 +87,6 @@ class TruncatedValuation:
     def floor(cls, E: int) -> "TruncatedValuation":
         return cls(E, False)
 
-    def at_least(self, bound: int) -> bool | None:
-        if self.exact:
-            return self.value >= bound
-        return True if self.value >= bound else None
-
-    def less_than(self, bound: int) -> bool | None:
-        ge = self.at_least(bound)
-        return None if ge is None else not ge
-
-    def equals(self, v: int) -> bool | None:
-        if self.exact:
-            return self.value == v
-        return False if v < self.value else None
-
     def __str__(self) -> str:
         return str(self.value) if self.exact else f">={self.value}"
 
@@ -149,8 +95,8 @@ class TruncatedValuation:
 class ModPE:
     """A residue in Z/p**E that remembers which ring it lives in.
 
-    Arithmetic with a ModPE at a different (p, E) is rejected; plain ints
-    are coerced.
+    Construction checks that p is prime and E >= 1 and reduces the
+    residue into [0, p**E); callers read ``residue``.
     """
 
     residue: int
@@ -164,45 +110,6 @@ class ModPE:
         m = self.p**self.E
         if not 0 <= self.residue < m:
             object.__setattr__(self, "residue", self.residue % m)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.E
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, int):
-            return other
-        if isinstance(other, ModPE):
-            if (other.p, other.E) != (self.p, self.E):
-                raise ValueError(
-                    f"mixed residue rings: {self.p}**{self.E} vs {other.p}**{other.E}"
-                )
-            return other.residue
-        raise TypeError(f"cannot combine ModPE with {type(other).__name__}")
-
-    def __add__(self, other) -> "ModPE":
-        return ModPE(self.residue + self._coerce(other), self.p, self.E)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ModPE":
-        return ModPE(self.residue - self._coerce(other), self.p, self.E)
-
-    def __rsub__(self, other) -> "ModPE":
-        return ModPE(self._coerce(other) - self.residue, self.p, self.E)
-
-    def __mul__(self, other) -> "ModPE":
-        return ModPE(self.residue * self._coerce(other), self.p, self.E)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ModPE":
-        return ModPE(-self.residue, self.p, self.E)
-
-    def __pow__(self, k: int) -> "ModPE":
-        if k < 0:
-            raise ValueError("negative powers are not defined in Z/p**E")
-        return ModPE(pow(self.residue, k, self.modulus), self.p, self.E)
 
 
 def trunc_val(x: ModPE) -> TruncatedValuation:

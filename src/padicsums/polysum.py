@@ -12,7 +12,6 @@ term by term; the order bounds themselves live in the verifier module.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -37,18 +36,10 @@ class IntPolynomial:
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
-    def of(cls, coeffs) -> "IntPolynomial":
-        return cls(tuple(coeffs))
-
-    @classmethod
     def monomial(cls, degree: int, c: int = 1) -> "IntPolynomial":
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
         return cls((0,) * degree + (c,))
-
-    @classmethod
-    def constant(cls, c: int) -> "IntPolynomial":
-        return cls((c,))
 
     @property
     def degree(self) -> int:
@@ -121,48 +112,6 @@ class IntPolynomial:
 ZERO = IntPolynomial(())
 ONE = IntPolynomial((1,))
 X = IntPolynomial((0, 1))
-
-
-_TERM_RE = re.compile(r"^(?:(\d+)\*?)?x(?:\^(\d+))?$|^(\d+)$")
-
-
-def parse_poly(text: str) -> IntPolynomial:
-    """Parse "x^25", "3*x^2 - 1", "1" and similar."""
-    if not isinstance(text, str):
-        raise ValueError("empty polynomial")
-    text = "".join(text.split())
-    if not text:
-        raise ValueError("empty polynomial")
-    coeffs: dict[int, int] = {}
-    pos = 0
-    sign = 1
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        pos = 1
-    while pos <= len(text) - 1:
-        nxt = pos
-        while nxt < len(text) and text[nxt] not in "+-":
-            nxt += 1
-        tok = text[pos:nxt]
-        m = _TERM_RE.match(tok)
-        if m is None:
-            raise ValueError(f"bad polynomial term {tok!r} in {text!r}")
-        if m.group(3) is not None:
-            deg, c = 0, int(m.group(3))
-        else:
-            deg = int(m.group(2)) if m.group(2) is not None else 1
-            c = int(m.group(1)) if m.group(1) is not None else 1
-        coeffs[deg] = coeffs.get(deg, 0) + sign * c
-        if nxt == len(text):
-            break
-        sign = -1 if text[nxt] == "-" else 1
-        pos = nxt + 1
-        if pos == len(text):
-            raise ValueError(f"dangling {text[nxt]!r} at end of {text!r}")
-    out = [0] * (max(coeffs) + 1 if coeffs else 0)
-    for d, c in coeffs.items():
-        out[d] = c
-    return IntPolynomial(tuple(out))
 
 
 def binom_exact(n: int, k: int) -> int:

@@ -149,7 +149,7 @@ class StableParams:
 
     N is the guaranteed-bound threshold, N0 the order of the first nonzero
     family sum, L0 the minimum order over the scan, m0 the smallest m
-    attaining it.  The family value L0 applies to every L >= max(N, N0).
+    attaining it.  The family value L0 applies to every L >= height.
     """
 
     N: int
@@ -157,6 +157,11 @@ class StableParams:
     L0: int
     m0: int
     m_scanned: tuple[int, int]
+
+    @property
+    def height(self) -> int:
+        """max(N, N0), the smallest family height L at which L0 applies."""
+        return max(self.N, self.N0)
 
 
 @dataclass(frozen=True)
@@ -305,7 +310,7 @@ def stable_min_ord(
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
     params = stable_params(p, n, m_window=window, d=d)
-    floor_L = max(params.N, params.N0)
+    floor_L = params.height
     if L is None:
         L = floor_L
     elif L < floor_L:

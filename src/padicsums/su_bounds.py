@@ -159,7 +159,7 @@ def emit_table1(
     for n in range(n_from, n_to + 1):
         res = stable_min_ord(3, n)
         stable = res.value.value
-        L = max(res.stable.N, res.stable.N0)
+        L = res.stable.height
         bound = lower_bound(3, n)
         max_observed = k_hi = None
         if with_max:

@@ -1,10 +1,11 @@
 """Grid verification of valuation bounds and exact integer identities.
 
-Every check evaluates one inequality or equality on exact integers (or on
-residues with a truncated valuation) and returns a CheckOutcome.  sweep()
-runs a check over a parameter grid in a fixed lexicographic order and
-aggregates the outcomes into a SweepReport whose rendered form is
-byte-identical at any parallelism level.
+Every check_* function evaluates one inequality or equality on exact
+integers (or on residues with a truncated valuation) for one instance and
+returns a CheckOutcome.  sweep() runs a check over a parameter grid in a
+fixed lexicographic order and counts held and undetermined instances in
+bulk into a SweepReport, building a CheckOutcome only for a violation; the
+report's rendered form is byte-identical at any parallelism level.
 """
 
 from __future__ import annotations
@@ -342,7 +343,7 @@ def check_factorial_match(n: int, L: int | None = None) -> CheckOutcome:
     if n <= 2 or n % 2:
         raise ValueError(f"n must be even and > 2, got n={n}")
     res = stable_min_ord(2, n - 1, L=L, d=n - 1)
-    used = L if L is not None else max(res.stable.N, res.stable.N0)
+    used = L if L is not None else res.stable.height
     inst = (("n", n), ("L", used))
     got = res.value.value
     want = ord_factorial(2, n - 1)
@@ -422,8 +423,11 @@ def parse_grid(text: str) -> dict[str, list[int]]:
     return {name: list(values) for name, values in _grid_axes(text).items()}
 
 
-def _grid_axes(text):
-    """parse_grid's axes, with an axis of one range or value left unexpanded for the sweep's cap checks."""
+def _grid_axes(text, n_capped=False):
+    """parse_grid's axes, with an axis of one range or value left unexpanded for the sweep's cap checks.
+
+    With n_capped, an n axis reaching past SUM_CAP is refused before any axis is expanded.
+    """
     axes: dict[str, list] = {}  # name -> its items, each a range or a one-value tuple
     for part in text.split(";"):
         if not part.strip():
@@ -453,6 +457,8 @@ def _grid_axes(text):
     size = math.prod(sum(map(len, items)) for items in axes.values())
     if size > GRID_CAP:
         raise CapacityError(f"grid has {size} instances, over the cap of {GRID_CAP}")
+    if n_capped:
+        _check_n_axis(max((it[-1] for it in axes.get("n", ())), default=0))
     return {name: items[0] if len(items) == 1 else [v for it in items for v in it] for name, items in axes.items()}
 
 
@@ -462,6 +468,8 @@ _CHECK_AXES = {
     "factorial-match": ("n",),
     "equality-conjecture": ("p", "alpha", "n", "r"),
 }
+
+_SUM_CHECKS = (*_BOUNDS, "equality-conjecture")  # checks whose n axis SUM_CAP bounds
 
 _DEFAULT_GRID_DESC = {
     **{
@@ -512,7 +520,7 @@ def _resolve_grid(check, grid):
     if grid is None or grid == "default":
         return default_grid(check), _DEFAULT_GRID_DESC[check]
     if isinstance(grid, str):
-        return [_grid_axes(grid)], grid
+        return [_grid_axes(grid, check in _SUM_CHECKS)], grid
     if isinstance(grid, dict):
         return [grid], "custom"
     return list(grid), "custom"
@@ -532,10 +540,13 @@ def _check_block_axes(checks, blocks):
                 raise GridError(f"grid has unknown axes {extra} for check {check!r}")
     if need_l and not all(block["l"] for block in blocks):
         raise GridError("grid is missing axes ['l'] for this check")
-    if checks[0] in _BOUNDS or checks[0] == "equality-conjecture":
-        top = max((max(block["n"], default=0) for block in blocks), default=0)
-        if top > SUM_CAP:
-            raise CapacityError(f"grid axis n reaches {top}, over the residue-class sum cap of {SUM_CAP}")
+    if checks[0] in _SUM_CHECKS:
+        _check_n_axis(max((max(block["n"], default=0) for block in blocks), default=0))
+
+
+def _check_n_axis(top):
+    if top > SUM_CAP:
+        raise CapacityError(f"grid axis n reaches {top}, over the residue-class sum cap of {SUM_CAP}")
 
 
 @dataclass

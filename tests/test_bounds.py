@@ -19,10 +19,9 @@ from padicsums import (
     lower_bound,
     old_bound,
     ord_factorial,
-    parse_poly,
     restated_bound,
 )
-from padicsums import golden
+from padicsums import IntPolynomial, TruncatedValuation, golden
 from padicsums.su_bounds import render, table_delta, table_one, table_two
 
 
@@ -74,10 +73,10 @@ def test_bound_report():
 def test_ep_auto_routes_by_exponent_shape():
     res = ep_auto(3, 29, StructuredExponent.tower(2, 3, 40, 28))
     assert res.certificate == "stable-family"
-    assert res.value.equals(32) is True
+    assert res.value == TruncatedValuation.exact_at(32)
     res2 = ep_auto(3, 29, StructuredExponent.plain(35))
     assert res2.certificate == "exact-finite-k"
-    assert res2.value.equals(13) is True
+    assert res2.value == TruncatedValuation.exact_at(13)
 
 
 def test_exponent_to_homotopy():
@@ -90,7 +89,7 @@ def test_homotopy_exponent_bound_requires_certificate():
     bound, res = homotopy_exponent_bound(3, 29, StructuredExponent.tower(2, 3, 40, 28))
     assert bound == 32 and res.certified
     bound2, res2 = homotopy_exponent_bound(2, 10, StructuredExponent.plain(10))
-    assert bound2 == 7 and res2.value.equals(8) is True
+    assert bound2 == 7 and res2.value == TruncatedValuation.exact_at(8)
     with pytest.raises(ValueError, match="not certified"):
         homotopy_exponent_bound(3, 29, StructuredExponent.plain(4401))
 
@@ -186,7 +185,7 @@ def test_delta_matches_reference():
 
 def test_delta_recomputed_from_scratch():
     for l, want in zip(range(25, 46), golden.DELTA):
-        s = alt_sum(100, 0, 4, parse_poly(f"x^{l}"))
+        s = alt_sum(100, 0, 4, IntPolynomial.monomial(l))
         v = 0
         while s % 2 == 0:
             s //= 2
@@ -198,7 +197,7 @@ def test_delta_outside_reference_range():
     # the constant-weight column: sum over k = 0 (mod 4) of C(100,k)
     # equals 2^98 - 2^49, so the offset order is 49 - 22 = 27
     assert emit_delta(l_from=0, l_to=0) == [27]
-    assert alt_sum(100, 0, 4, parse_poly("1")) == 2**98 - 2**49
+    assert alt_sum(100, 0, 4, IntPolynomial.monomial(0)) == 2**98 - 2**49
 
 
 def test_renderers_are_stable_and_labeled():

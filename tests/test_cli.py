@@ -110,7 +110,11 @@ def test_verify_oversized_samples_exits_2(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "check, grid",
-    [("carry-bound", "p=2;alpha=0;n=1000000;r=0;l=0"), ("equality-conjecture", "p=2;alpha=1;n=3,1000000;r=0")],
+    [
+        ("carry-bound", "p=2;alpha=0;n=1000000;r=0;l=0"),
+        ("carry-bound", "p=2;alpha=0;n=1..999999,1000000;r=0;l=0"),
+        ("equality-conjecture", "p=2;alpha=1;n=3,1000000;r=0"),
+    ],
 )
 def test_verify_n_over_sum_cap_exits_2(capsys, monkeypatch, check, grid):
     monkeypatch.setattr(verify, "_run", None)  # a sweep that started would fail on it
@@ -236,6 +240,17 @@ def test_verify_jobs_env_override(capsys, monkeypatch):
         capsys,
     )
     assert rc == 0 and json.loads(out)["checked"] == 40
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_verify_jobs_below_one_is_refused_from_either_source(value, capsys, monkeypatch):
+    monkeypatch.setattr(verify, "_run", None)  # a sweep that started would fail on it
+    argv = ["verify", "carry-bound", "--grid", "p=2;alpha=1;n=1..10;r=0..1;l=0..1"]
+    rc, out, err = run_cli(argv + ["--jobs", value], capsys)
+    assert (rc, out, err) == (64, "", f"error: --jobs must be >= 1, got {value}\n")
+    monkeypatch.setenv("PADICSUMS_JOBS", value)
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out, err) == (64, "", f"error: environment variable PADICSUMS_JOBS must be >= 1, got {value}\n")
 
 
 def test_verify_strict_flag_accepted(capsys):

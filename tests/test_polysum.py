@@ -14,7 +14,6 @@ from padicsums import (
     binom_poly,
     check_floor_identity,
     check_split_identity,
-    parse_poly,
     poly_delta,
 )
 from padicsums.polysum import ONE, SUM_CAP, X, ZERO, _comb_row, alt_sums_upto
@@ -35,18 +34,18 @@ def brute_alt_floor_sum(n, r, m, f):
 def random_poly(rng, max_deg=5):
     deg = rng.randint(0, max_deg)
     coeffs = [rng.randint(-9, 9) for _ in range(deg + 1)]
-    return IntPolynomial.of(coeffs)
+    return IntPolynomial(tuple(coeffs))
 
 
 def test_polynomial_evaluation_and_accessors():
-    f = parse_poly("x^3 - 2*x + 1")
+    f = IntPolynomial((1, -2, 0, 1))
     assert f.coeffs == (1, -2, 0, 1)
     assert f.degree == 3
     assert [f(x) for x in (-2, 0, 3)] == [-3, 1, 22]
     assert str(f) == "x^3-2*x+1"
-    assert IntPolynomial.of([1, 2, 3])(10) == 321
+    assert IntPolynomial((1, 2, 3))(10) == 321
     assert IntPolynomial.monomial(2)(7) == 49
-    assert IntPolynomial.constant(5)(-100) == 5
+    assert IntPolynomial((5,))(-100) == 5
     assert ZERO(3) == 0 and ONE(3) == 1 and X(3) == 3
 
 
@@ -61,8 +60,8 @@ def test_shift_property():
 
 
 def test_poly_delta_is_forward_difference():
-    assert str(poly_delta(parse_poly("x^3-2*x+1"))) == "3*x^2+3*x-1"
-    assert poly_delta(IntPolynomial.constant(7)) == ZERO
+    assert str(poly_delta(IntPolynomial((1, -2, 0, 1)))) == "3*x^2+3*x-1"
+    assert poly_delta(IntPolynomial((7,))) == ZERO
     rng = random.Random(103)
     for _ in range(100):
         f = random_poly(rng)
@@ -91,12 +90,6 @@ def test_binom_exact():
     # the residue-class sums read each binomial row built multiplicatively
     for n in (0, 1, 2, 200, SUM_CAP):
         assert _comb_row(n) == tuple(math.comb(n, k) for k in range(n + 1))
-
-
-def test_parse_poly_errors():
-    for bad in ("x^", "x**2", "", "2x+", "y"):
-        with pytest.raises(ValueError):
-            parse_poly(bad)
 
 
 def test_alt_sum_matches_brute_force():
@@ -164,7 +157,7 @@ def test_split_identity_random():
 
 def test_identities_edge_cases():
     # constants, m = 1, and extreme residues
-    for f in (ZERO, ONE, IntPolynomial.constant(-4), binom_poly(5)):
+    for f in (ZERO, ONE, IntPolynomial((-4,)), binom_poly(5)):
         for n in (1, 2, 7):
             for m in (1, 2, 9):
                 for r in (-12, 0, m - 1, 12):

@@ -9,6 +9,7 @@ from padicsums import (
     CapacityError,
     PrecisionError,
     StructuredExponent,
+    TruncatedValuation,
     default_precision,
     min_stirling_ord,
     mstirling_mod,
@@ -73,7 +74,7 @@ def test_mstirling_mod_matches_exact():
             want = (math.factorial(m) * stirling_exact(k, m)) % p**E
             got = mstirling_mod(StructuredExponent.plain(k), m, p, E)
             assert got.residue == want, (k, m, p, E)
-            assert got.modulus == p**E
+            assert got.p**got.E == p**E
 
 
 def test_mstirling_mod_tower_vs_plain():
@@ -97,7 +98,7 @@ def test_min_stirling_ord_exact_route_brute_force():
             for m in range(n, k + 1)
         ]
         best = min(v.value for v in vals if not v.is_infinite)
-        assert res.value.equals(best) is True, (p, n, k)
+        assert res.value == TruncatedValuation.exact_at(best), (p, n, k)
         assert res.m_scanned[0] == n
 
 
@@ -106,7 +107,7 @@ def test_min_at_k_equal_n_is_factorial_order():
     for p in (2, 3, 5):
         for n in (1, 2, 7, 20, 40):
             res = min_stirling_ord(p, n, StructuredExponent.plain(n))
-            assert res.value.equals(ord_factorial(p, n)) is True
+            assert res.value == TruncatedValuation.exact_at(ord_factorial(p, n))
             assert res.witness_m == n
 
 
@@ -121,7 +122,7 @@ def test_heuristic_window_is_uncertified():
     res = min_stirling_ord(3, 29, StructuredExponent.plain(4401))
     assert not res.certified
     assert res.certificate == "heuristic-window"
-    assert res.value.equals(18) is True
+    assert res.value == TruncatedValuation.exact_at(18)
     assert res.m_scanned == (29, 89)
 
 
@@ -139,7 +140,7 @@ def test_stable_min_ord_frozen_values():
     for n, want in ((19, 20), (21, 22), (28, 31), (29, 32), (41, 45)):
         res = stable_min_ord(3, n)
         assert res.certified and res.certificate == "stable-family"
-        assert res.value.equals(want) is True, (n, str(res.value))
+        assert res.value == TruncatedValuation.exact_at(want), (n, str(res.value))
     res = stable_min_ord(3, 29)
     assert res.witness_m == 30
     assert res.precision == 57
@@ -152,7 +153,7 @@ def test_stable_min_ord_explicit_height():
     threshold = max(base.stable.N, base.stable.N0)
     for L in (threshold, threshold + 1, threshold + 5):
         res = stable_min_ord(3, 21, L=L)
-        assert res.value.equals(22) is True
+        assert res.value == TruncatedValuation.exact_at(22)
     with pytest.raises(ValueError, match="below the stabilization threshold"):
         stable_min_ord(3, 21, L=threshold - 1)
 
@@ -170,7 +171,7 @@ def test_precision_error_carries_partial():
 def test_precision_retries_recover():
     k = StructuredExponent.tower(1, 2, 70, 3)
     res = min_stirling_ord(2, 4, k, precision=1, retries=4)
-    assert res.value.equals(4) is True
+    assert res.value == TruncatedValuation.exact_at(4)
     assert res.precision > 1
 
 
@@ -178,7 +179,7 @@ def test_raising_precision_never_changes_exact_answers():
     k = StructuredExponent.tower(2, 3, 30, 28)
     low = min_stirling_ord(3, 29, k, precision=40)
     high = min_stirling_ord(3, 29, k, precision=80)
-    assert low.value.equals(high.value.value) is True
+    assert low.value == TruncatedValuation.exact_at(high.value.value)
     assert low.value.exact and high.value.exact
 
 
@@ -195,7 +196,7 @@ def test_stable_family_lower_bound_invariant():
         for n in range(2, 41):
             res = stable_min_ord(p, n)
             floor_bound = n - 1 + ord_factorial(p, n // p)
-            assert res.value.at_least(floor_bound) is True, (p, n)
+            assert res.value.value >= floor_bound, (p, n)
 
 
 # (value, exact, m_scanned, witness_m, precision, certificate), recorded

@@ -30,16 +30,16 @@ from padicsums import (
     ord_factorial,
     ord_int,
     parse_grid,
-    parse_poly,
     stirling_rows,
     sweep,
 )
 from padicsums import verify
+from padicsums.polysum import ONE
 from padicsums.verify import BOUND_CHECKS, conjecture_l, conjecture_modulus
 
 
 def test_polysum_bound_tight_instance():
-    oc = check_polysum_bound(2, 2, 100, 0, parse_poly("x^25"))
+    oc = check_polysum_bound(2, 2, 100, 0, IntPolynomial.monomial(25))
     assert oc.lhs_ord == 22 and oc.lhs_exact
     assert oc.bound == 22
     assert oc.slack == 0 and oc.holds is True
@@ -49,7 +49,7 @@ def test_polysum_bound_tight_instance():
 
 def test_polysum_bound_infinite_sum_holds():
     # the class is empty above n, so the sum vanishes identically
-    oc = check_polysum_bound(3, 2, 5, 7, parse_poly("x"))
+    oc = check_polysum_bound(3, 2, 5, 7, IntPolynomial.monomial(1))
     assert oc.lhs_ord is None and oc.holds is True
     assert oc.lhs_str() == "inf"
 
@@ -70,7 +70,7 @@ def test_carry_bound_exceeds_plain_bound_by_tau():
         r = rng.randint(-10, 2 * m)
         l = rng.randint(0, 6)
         a = check_carry_bound(p, alpha, n, r, l)
-        b = check_polysum_bound(p, alpha, n, r, parse_poly(f"x^{l}") if l else parse_poly("1"))
+        b = check_polysum_bound(p, alpha, n, r, IntPolynomial.monomial(l))
         tau = carries(p, r % m, (n - r) % m)
         assert a.bound - b.bound == tau
         assert 0 <= tau <= alpha
@@ -86,7 +86,7 @@ def test_binom_weight_bound_examples():
 
 def test_binom_weight_bound_degenerates_to_polysum_at_weight_zero():
     a = check_binom_weight_bound(2, 2, 40, -3, 0)
-    b = check_polysum_bound(2, 2, 40, -3, parse_poly("1"))
+    b = check_polysum_bound(2, 2, 40, -3, ONE)
     assert (a.lhs_ord, a.bound) == (b.lhs_ord, b.bound)
 
 
@@ -213,7 +213,7 @@ def test_equality_conjecture_skip_markers():
 
 
 def test_outcome_serialization():
-    oc = check_polysum_bound(2, 1, 10, 0, parse_poly("x"))
+    oc = check_polysum_bound(2, 1, 10, 0, IntPolynomial.monomial(1))
     d = oc.to_dict()
     assert set(d) == {
         "check", "instance", "lhs_ord", "lhs_exact", "bound",
@@ -381,16 +381,18 @@ def test_sweep_memory_is_bounded_by_the_task():
 
 
 def test_oversized_n_axis_is_refused_before_it_is_expanded():
-    # The residue-class sum cap reads a one-range n axis as a range: refusing
-    # a million-value axis allocates no list of its values.
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError, match="grid axis n reaches 1000000, over the residue-class sum cap of 4096"):
-            sweep("carry-bound", grid="p=2;alpha=0;n=1..1000000;r=0;l=0")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10**6
+    # The residue-class sum cap reads the n axis's items, a range or a value
+    # each: refusing a million-value axis allocates no list of its values,
+    # whether the axis is written as one range or in two pieces.
+    for n_axis in ("1..1000000", "1..999999,1000000"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="grid axis n reaches 1000000, over the residue-class sum cap of 4096"):
+                sweep("carry-bound", grid=f"p=2;alpha=0;n={n_axis};r=0;l=0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6, n_axis
 
 
 def test_run_sends_a_pool_a_bounded_window_of_tasks():
