@@ -15,7 +15,6 @@ from .exponents import parse_exponent, symbolic_tower
 from .padic import CapacityError, carries, ord_factorial, ord_int
 from .polysum import binom_exact
 from .stirling import (
-    DEFAULT_RETRIES,
     DEFAULT_WINDOW,
     PrecisionError,
     mstirling_mod,
@@ -89,8 +88,7 @@ def _cmd_compute_mstirling(args) -> int:
 
 def _cmd_compute_ep(args) -> int:
     """--L auto needs the family form (p-1)*p^L+d and takes stable_min_ord's own height."""
-    precision = args.precision if args.precision is not None else _env_int("PADICSUMS_PRECISION")
-    opts = {"window": args.window, "precision": precision, "retries": args.retries}
+    opts = {"window": args.window, "precision": args.precision}
     if args.L == "auto":
         tower = symbolic_tower(args.k)
         if tower is None:
@@ -259,7 +257,6 @@ def build_parser() -> _Parser:
     c.add_argument("--L", default=None, help="height for a symbolic L, or 'auto'")
     c.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     c.add_argument("--precision", type=int, default=None)
-    c.add_argument("--retries", type=int, default=DEFAULT_RETRIES)
     c.set_defaults(func=_cmd_compute_ep)
 
     c = csub.add_parser("stable", help="stable family parameters N, N0, L0, m0")

@@ -23,9 +23,9 @@ class StructuredExponent:
     """A nonnegative integer exponent, possibly in the shape c * base**L + d.
 
     Plain integers are stored with c == 0 (base and L are then irrelevant
-    and normalized away).  Powers of base dividing c are folded into L so
-    that structurally different spellings of the same value compare equal
-    whenever that is decidable without materializing the value.
+    and normalized away), and powers of base dividing c are folded into L.
+    Equality compares these normalized fields, not the denoted values:
+    2*3^4 equals 6*3^3, but 1*3^4+1 does not equal the plain 82.
     """
 
     c: int = 0
@@ -84,23 +84,6 @@ class StructuredExponent:
         if self.c == 0:
             return self.d % M
         return (self.c * pow(self.base, self.L, M) + self.d) % M
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StructuredExponent):
-            return NotImplemented
-        if self.materializable and other.materializable:
-            return self.value() == other.value()
-        return (self.c, self.base, self.L, self.d) == (
-            other.c,
-            other.base,
-            other.L,
-            other.d,
-        )
-
-    def __hash__(self):
-        if self.materializable:
-            return hash(self.value())
-        return hash((self.c, self.base, self.L, self.d))
 
     def __str__(self) -> str:
         if self.c == 0:

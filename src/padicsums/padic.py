@@ -59,10 +59,6 @@ class Valuation:
     def infinite(cls) -> "Valuation":
         return cls(None)
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
     def __str__(self) -> str:
         return "inf" if self.value is None else str(self.value)
 

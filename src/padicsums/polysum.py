@@ -77,17 +77,13 @@ class IntPolynomial:
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
 
-    def __mul__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
+    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPolynomial(tuple(out))
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -109,9 +105,7 @@ class IntPolynomial:
         return "".join(parts)
 
 
-ZERO = IntPolynomial(())
 ONE = IntPolynomial((1,))
-X = IntPolynomial((0, 1))
 
 
 def binom_exact(n: int, k: int) -> int:
@@ -151,13 +145,23 @@ def _check_sum_args(n: int, m: int):
         raise ValueError(f"m must be >= 1, got m={m}")
 
 
-@lru_cache(maxsize=64)
-def _comb_row(n: int) -> tuple[int, ...]:
+def _binomials(n: int) -> tuple[int, ...]:
     """C(n, k) for k = 0..n, each from the one before: C(n, k+1) = C(n, k) (n-k) / (k+1)."""
     row = [1]
     for k in range(n):
         row.append(row[-1] * (n - k) // (k + 1))
     return tuple(row)
+
+
+# 64 rows up to n = 1024 hold about 8 MB (the split identity reads 61); a row
+# near SUM_CAP holds about 1.75 MB and is rebuilt in a few ms, so 4 stay cached.
+_small_rows = lru_cache(maxsize=64)(_binomials)
+_large_rows = lru_cache(maxsize=4)(_binomials)
+
+
+def _comb_row(n: int) -> tuple[int, ...]:
+    """C(n, k) for k = 0..n, from one of two caches bounded in memory."""
+    return _small_rows(n) if n <= 1024 else _large_rows(n)
 
 
 def _evaluator(f: IntPolynomial):

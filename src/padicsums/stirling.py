@@ -207,7 +207,6 @@ def min_stirling_ord(
     k,
     window: int = DEFAULT_WINDOW,
     precision: int | None = None,
-    retries: int = DEFAULT_RETRIES,
 ) -> EpResult:
     """Minimum of ord_p(m! S(k, m)) over m >= n, scanned modulo p**E.
 
@@ -217,7 +216,8 @@ def min_stirling_ord(
     extended while the running minimum keeps moving, and the result is a
     heuristic unless certified through the stable family path.  Whenever
     every scanned term is indistinguishable from zero the precision is
-    doubled, up to ``retries`` times.
+    doubled, up to DEFAULT_RETRIES times; a larger precision gives more
+    headroom.
     """
     check_prime(p)
     if n < 1:
@@ -231,11 +231,8 @@ def min_stirling_ord(
     E0 = default_precision(p, n) if precision is None else precision
     if E0 < 1:
         raise ValueError(f"precision must be >= 1, got {E0}")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    E = E0
-    for attempt in range(retries + 1):
-        m_hi = k.value() if exact_path else n + window
+    m_hi = k.value() if exact_path else n + window
+    for E in (E0 << i for i in range(DEFAULT_RETRIES + 1)):
         best, witness, _, hi = _scan_min(p, n, mstirling_scan(k, p, E), m_hi, adaptive=not exact_path)
         if best is not None:
             return EpResult(
@@ -246,8 +243,6 @@ def min_stirling_ord(
                 witness_m=witness,
                 precision=E,
             )
-        if attempt < retries:
-            E *= 2
     partial = EpResult(
         value=TruncatedValuation.floor(E),
         m_scanned=(n, hi),
@@ -258,7 +253,7 @@ def min_stirling_ord(
     )
     raise PrecisionError(
         f"every term for m in [{n}, {hi}] is divisible by {p}**{E}; "
-        f"precision cap reached after {retries} retries",
+        f"precision cap reached after {DEFAULT_RETRIES} retries",
         partial=partial,
     )
 
@@ -299,7 +294,6 @@ def stable_min_ord(
     d: int | None = None,
     window: int = DEFAULT_WINDOW,
     precision: int | None = None,
-    retries: int = DEFAULT_RETRIES,
 ) -> EpResult:
     """Certified minimum order for the family exponent k = (p-1) p**L + d.
 
@@ -317,7 +311,7 @@ def stable_min_ord(
         raise ValueError(f"L={L} is below the stabilization threshold max(N, N0)={floor_L}")
     k = StructuredExponent.tower(p - 1, p, L, n - 1 if d is None else d)
     eng_window = max(window, params.m0 - n + STABLE_RUN)
-    res = min_stirling_ord(p, n, k, window=eng_window, precision=precision, retries=retries)
+    res = min_stirling_ord(p, n, k, window=eng_window, precision=precision)
     got = res.value.value
     if got != params.L0:
         raise AssertionError(

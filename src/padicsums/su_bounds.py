@@ -16,7 +16,6 @@ from .exponents import as_exponent
 from .padic import carries, check_prime, ord_factorial, ord_int
 from .polysum import IntPolynomial, alt_sum
 from .stirling import (
-    DEFAULT_RETRIES,
     DEFAULT_WINDOW,
     EpResult,
     min_stirling_ord,
@@ -80,7 +79,6 @@ def ep_auto(
     k,
     window: int = DEFAULT_WINDOW,
     precision: int | None = None,
-    retries: int = DEFAULT_RETRIES,
 ) -> EpResult:
     """Route an e_p(n,k) query to the certifying path when one applies.
 
@@ -92,10 +90,10 @@ def ep_auto(
     k = as_exponent(k)
     if not k.is_plain and k.base == p and k.c == p - 1:
         try:
-            return stable_min_ord(p, n, L=k.L, d=k.d, window=window, precision=precision, retries=retries)
+            return stable_min_ord(p, n, L=k.L, d=k.d, window=window, precision=precision)
         except ValueError:
             pass
-    return min_stirling_ord(p, n, k, window=window, precision=precision, retries=retries)
+    return min_stirling_ord(p, n, k, window=window, precision=precision)
 
 
 def exponent_to_homotopy(p: int, n: int, value: int) -> int:
@@ -111,14 +109,13 @@ def homotopy_exponent_bound(
     k,
     window: int = DEFAULT_WINDOW,
     precision: int | None = None,
-    retries: int = DEFAULT_RETRIES,
 ) -> tuple[int, EpResult]:
     """Certified homotopy p-exponent lower bound for SU(n) from one exponent instance.
 
     Returns (bound, engine result).  Uncertified engine results are refused:
     a heuristic window minimum must not be passed off as a proven bound.
     """
-    res = ep_auto(p, n, k, window=window, precision=precision, retries=retries)
+    res = ep_auto(p, n, k, window=window, precision=precision)
     if not res.certified:
         raise ValueError(
             f"minimum order for (p={p}, n={n}, k={as_exponent(k)}) is not certified "

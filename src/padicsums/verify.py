@@ -101,13 +101,8 @@ class CheckOutcome:
         }
 
 
-def _verdict(s_ord, exact, bound, sound=True):
-    """(slack, holds) of a measured order against an integer bound; None order: the sum vanished.
-
-    sound=False marks a bound whose own derivation failed: a violation whatever the order.
-    """
-    if not sound:
-        return None, False
+def _verdict(s_ord, exact, bound):
+    """(slack, holds) of a measured order against an integer bound; None order: the sum vanished."""
     if s_ord is None:
         return None, True
     if exact:
@@ -115,10 +110,9 @@ def _verdict(s_ord, exact, bound, sound=True):
     return None, True if s_ord >= bound else None
 
 
-def _outcome(check, inst, s_ord, exact, bound, note="", sound=True):
-    slack, holds = _verdict(s_ord, exact, bound, sound)
-    lhs = s_ord if sound else None
-    return CheckOutcome(check, inst, lhs, exact or lhs is None, bound, slack, holds, note=note)
+def _outcome(check, inst, s_ord, exact, bound, note=""):
+    slack, holds = _verdict(s_ord, exact, bound)
+    return CheckOutcome(check, inst, s_ord, exact or s_ord is None, bound, slack, holds, note=note)
 
 
 def _skipped(check, inst, note):
@@ -129,15 +123,17 @@ def _carry_bound(p, alpha, n, r, base, ls):
     m = p**alpha
     tau = carries(p, r % m, (n - r) % m)
     assert 0 <= tau <= alpha
-    return [base + tau] * len(ls), f"tau={tau}", True
+    return [base + tau] * len(ls), f"tau={tau}"
 
 
 def _plain_sum_bound(p, alpha, n, r, base, ls):
-    # ord_p(floor(n/p^(alpha-1))!), checked against the order chain; alpha = 0 uses n*p
+    # ord_p(floor(n/p^(alpha-1))!) = floor(n/p^alpha) + base by Legendre's formula; alpha = 0 uses n*p
     prev = n * p if alpha == 0 else n // p ** (alpha - 1)
     bound = ord_factorial(p, prev)
     chain = n // p**alpha + base
-    return [bound], f"order chain broken: {bound} != {chain}" if bound != chain else "", bound == chain
+    if bound != chain:
+        raise AssertionError(f"order chain broken at p={p} alpha={alpha} n={n}: {bound} != {chain}")
+    return [bound], ""
 
 
 def _totient_precondition(p, alpha, n):
@@ -149,7 +145,7 @@ def _totient_precondition(p, alpha, n):
 
 
 def _totient_bound(p, alpha, n, r, base, ls):
-    return [(n - p ** (alpha - 1)) // euler_phi_prime_power(p, alpha)], "", True
+    return [(n - p ** (alpha - 1)) // euler_phi_prime_power(p, alpha)], ""
 
 
 @functools.lru_cache(maxsize=64)
@@ -165,11 +161,10 @@ class _Bound:
     weight names the summand: "x^l", "C(x,l)" (the falling factorial over
     l!, whose exact division is asserted) or "1"; only the first two read
     the l axis.  bound(p, alpha, n, r, base, ls), with base the order of
-    floor(n/p^alpha)!, gives one bound per l, the note, and False when the
-    bound's own derivation fails (each instance is then a violation with no
-    measured order).  precondition(p, alpha, n) names the hypothesis an
-    instance misses: the check_* function raises it as a ValueError and the
-    sweep counts the instance skipped.
+    floor(n/p^alpha)!, gives one bound per l and the note.
+    precondition(p, alpha, n) names the hypothesis an instance misses: the
+    check_* function raises it as a ValueError and the sweep counts the
+    instance skipped.
     """
 
     weight: str
@@ -182,10 +177,10 @@ class _Bound:
 
 
 _BOUNDS = {
-    "polysum-bound": _Bound("x^l", lambda p, alpha, n, r, base, ls: ([base] * len(ls), "", True)),
+    "polysum-bound": _Bound("x^l", lambda p, alpha, n, r, base, ls: ([base] * len(ls), "")),
     "carry-bound": _Bound("x^l", _carry_bound),
     "binom-weight-bound": _Bound(
-        "C(x,l)", lambda p, alpha, n, r, base, ls: ([base - o for o in _ord_factorials(p, ls)], "", True)
+        "C(x,l)", lambda p, alpha, n, r, base, ls: ([base - o for o in _ord_factorials(p, ls)], "")
     ),
     "plain-sum-bound": _Bound("1", _plain_sum_bound),
     "totient-bound": _Bound("1", _totient_bound, _totient_precondition),
@@ -242,10 +237,10 @@ def _check_bound(check, p, alpha, n, r, l=0, f=None):
     _check_args(p, alpha, n, l)
     m = p**alpha
     inst = _bound_inst(p, alpha, n, r, l, d, f)
-    (bound,), note, sound = d.bound(p, alpha, n, r, ord_factorial(p, n // m), (l,))
+    (bound,), note = d.bound(p, alpha, n, r, ord_factorial(p, n // m), (l,))
     s = alt_sum(n, r, m, f if f is not None else _WEIGHTS[d.weight](l))
     (q,) = _class_sums(d, {l: s}, (l,), (math.factorial(l),), (p, alpha, n, r))
-    return _outcome(check, inst, ord_nonzero(p, q) if q else None, True, bound, note, sound)
+    return _outcome(check, inst, ord_nonzero(p, q) if q else None, True, bound, note)
 
 
 def check_polysum_bound(p: int, alpha: int, n: int, r: int, f: IntPolynomial) -> CheckOutcome:
@@ -371,11 +366,6 @@ def _admissible_l(m, n, r, mod):
     return lo, target, lo + (target - lo) % mod
 
 
-def conjecture_l(p: int, alpha: int, n: int, r: int) -> int:
-    """Smallest admissible exponent l for the equality conjecture at (p, alpha, n, r)."""
-    return _admissible_l(p**alpha, n, r, conjecture_modulus(p, alpha, n)[0])[2]
-
-
 def check_equality_conjecture(p: int, alpha: int, n: int, r: int, l: int | None = None) -> CheckOutcome:
     """Conjectured equality in the carry bound for admissible exponents.
 
@@ -400,7 +390,7 @@ def check_equality_conjecture(p: int, alpha: int, n: int, r: int, l: int | None 
         return _skipped("equality-conjecture", inst, f"precondition: l >= {lo}")
     if l % mod != target:
         return _skipped("equality-conjecture", inst, f"precondition: l = {target} (mod {mod})")
-    (bound,), _, _ = _carry_bound(p, alpha, n, r, ord_factorial(p, lo), (l,))
+    (bound,), _ = _carry_bound(p, alpha, n, r, ord_factorial(p, lo), (l,))
     s = alt_sum(n, r, m, IntPolynomial.monomial(l))
     note = "boundary modulus (e=0)" if e == 0 else ""
     if s == 0:
@@ -677,16 +667,15 @@ def _eval_bounds(checks, block, reports):
                 ]
             slacks, bad = [], []
             for r, cell_ords in zip(rs, ords):
-                bounds, note, sound = d.bound(p, alpha, n, r, base, lv)
-                if sound:
-                    cell_slacks = [o - b for o, b in zip(cell_ords, bounds) if o is not None]
-                    slacks += cell_slacks
-                    if min(cell_slacks, default=0) >= 0:
-                        continue
+                bounds, note = d.bound(p, alpha, n, r, base, lv)
+                cell_slacks = [o - b for o, b in zip(cell_ords, bounds) if o is not None]
+                slacks += cell_slacks
+                if min(cell_slacks, default=0) >= 0:
+                    continue
                 bad += [
-                    _outcome(check, _bound_inst(p, alpha, n, r, l, d), o, True, b, note, sound)
+                    _outcome(check, _bound_inst(p, alpha, n, r, l, d), o, True, b, note)
                     for l, o, b in zip(lv, cell_ords, bounds)
-                    if not sound or (o is not None and o < b)
+                    if o is not None and o < b
                 ]
             rep.add(key, slacks, len(lv) * len(rs) - len(bad), 0, bad)
 

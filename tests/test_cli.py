@@ -2,6 +2,8 @@
 
 import importlib
 import json
+import re
+import shlex
 import shutil
 import subprocess
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from padicsums import polysum, verify
-from padicsums.cli import main
+from padicsums.cli import build_parser, main
 
 
 def run_cli(argv, capsys, entry=main):
@@ -67,7 +69,6 @@ def test_ep_certified_auto_height(capsys):
         ("2*3^L+28", ["--n", "0"], "n must be >= 1, got n=0"),
         ("2*3^L+28", ["--window", "-1"], "window must be >= 0, got -1"),
         ("2*3^L+28", ["--precision", "0"], "precision must be >= 1, got 0"),
-        ("2*3^L+28", ["--retries", "-1"], "retries must be >= 0, got -1"),
     ],
 )
 def test_ep_auto_height_errors(k, extra, want, capsys):
@@ -79,6 +80,13 @@ def test_ep_certified_exact(capsys):
     rc, out, _ = run_cli(["compute", "ep", "--p", "3", "--n", "29", "--k", "35"], capsys)
     assert rc == 0
     assert out.strip() == "13 (certified: exact-finite-k, m in [29, 35], precision=57)"
+
+
+def test_ep_ignores_a_precision_environment_variable(capsys, monkeypatch):
+    argv = ["compute", "ep", "--p", "3", "--n", "29", "--k", "35"]
+    plain = run_cli(argv, capsys)
+    monkeypatch.setenv("PADICSUMS_PRECISION", "0")
+    assert run_cli(argv, capsys) == plain == (0, "13 (certified: exact-finite-k, m in [29, 35], precision=57)\n", "")
 
 
 def test_ep_uncertified_goes_to_stderr(capsys):
@@ -132,6 +140,7 @@ def test_compute_delta_n_over_sum_cap_exits_2(capsys, monkeypatch):
 
 def test_usage_errors_exit_64(capsys):
     assert run_cli(["compute", "ord", "--p", "4", "--x", "8"], capsys)[0] == 64
+    assert run_cli(["compute", "ep", "--p", "3", "--n", "29", "--k", "35", "--retries", "4"], capsys)[0] == 64
     assert run_cli(["compute", "ep", "--p", "3", "--n", "29", "--k", "junk"], capsys)[0] == 64
     assert run_cli(["verify", "nonsense"], capsys)[0] == 64
     assert run_cli(["verify", "carry-bound", "--grid", "p=2..1"], capsys)[0] == 64
@@ -259,6 +268,20 @@ def test_verify_strict_flag_accepted(capsys):
         capsys,
     )
     assert rc == 0
+
+
+def test_readme_commands_parse(capsys):
+    # every `padicsums ...` line of README's sh blocks, so a deleted flag cannot linger in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("padicsums ")]
+    assert len(lines) >= 20
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}\n{capsys.readouterr().err}")
 
 
 @pytest.mark.skipif(

@@ -29,14 +29,9 @@ def test_tower_normalization():
     assert StructuredExponent.tower(0, 5, 3, 4).is_plain
     assert StructuredExponent.tower(0, 5, 3, 4).value() == 4
     assert StructuredExponent.tower(3, 7, 0, 2) == StructuredExponent.plain(5)
-
-
-def test_equal_values_compare_equal():
-    a = StructuredExponent.plain(82)
-    b = StructuredExponent.tower(1, 3, 4, 1)
-    assert a == b
-    assert hash(a) == hash(b)
-    assert StructuredExponent.plain(81) != b
+    # equality compares the normalized fields, never the materialized value
+    assert StructuredExponent.tower(6, 3, 3) == StructuredExponent.tower(2, 3, 4)
+    assert StructuredExponent.tower(1, 3, 4, 1) != StructuredExponent.plain(82)
 
 
 def test_materialization_cap():

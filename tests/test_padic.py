@@ -23,7 +23,7 @@ def test_ord_int_basics():
     assert ord_int(2, 40).value == 3
     assert ord_int(5, -250).value == 3
     assert ord_int(7, 1).value == 0
-    assert ord_int(2, 0).is_infinite
+    assert ord_int(2, 0).value is None
 
 
 def test_ord_int_rejects_bad_prime():
@@ -42,7 +42,7 @@ def test_ord_int_divide_out_oracle():
         x = rng.randint(-10**6, 10**6)
         v = ord_int(p, x)
         if x == 0:
-            assert v.is_infinite
+            assert v.value is None
             continue
         y, count = abs(x), 0
         while y % p == 0:
@@ -51,16 +51,16 @@ def test_ord_int_divide_out_oracle():
         assert v.value == count
 
 
-def test_valuation_ordering_and_arithmetic():
+def test_valuation_fields_constructors_and_str():
     fin = Valuation(4)
     inf = Valuation.infinite()
-    assert fin.value == 4 and not fin.is_infinite
-    assert inf.value is None and inf.is_infinite
+    assert fin.value == 4
+    assert inf.value is None
     assert str(fin) == "4"
     assert str(inf) == "inf"
 
 
-def test_truncated_valuation_three_way_logic():
+def test_truncated_valuation_fields_constructors_and_str():
     exact = TruncatedValuation.exact_at(5)
     floor = TruncatedValuation.floor(8)
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,11 @@ from padicsums import (
     check_split_identity,
     poly_delta,
 )
-from padicsums.polysum import ONE, SUM_CAP, X, ZERO, _comb_row, alt_sums_upto
+from padicsums import polysum
+from padicsums.polysum import ONE, SUM_CAP, _comb_row, alt_sums_upto
+
+ZERO = IntPolynomial(())
+X = IntPolynomial((0, 1))
 
 
 def brute_alt_sum(n, r, m, f):
@@ -90,6 +95,21 @@ def test_binom_exact():
     # the residue-class sums read each binomial row built multiplicatively
     for n in (0, 1, 2, 200, SUM_CAP):
         assert _comb_row(n) == tuple(math.comb(n, k) for k in range(n + 1))
+
+
+def test_binomial_rows_near_the_cap_stay_bounded_in_memory():
+    # 64 cached rows at n = 4033..4096 once held 110.7 MB
+    polysum._large_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(SUM_CAP - 63, SUM_CAP + 1):
+            _comb_row(n)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 20 * 2**20
+    assert polysum._large_rows.cache_info().currsize == 4
+    assert polysum._small_rows.cache_info().maxsize == 64
 
 
 def test_alt_sum_matches_brute_force():

@@ -35,7 +35,7 @@ from padicsums import (
 )
 from padicsums import verify
 from padicsums.polysum import ONE
-from padicsums.verify import BOUND_CHECKS, conjecture_l, conjecture_modulus
+from padicsums.verify import BOUND_CHECKS, conjecture_modulus
 
 
 def test_polysum_bound_tight_instance():
@@ -195,8 +195,9 @@ def test_equality_conjecture_modulus_and_target():
     assert conjecture_modulus(3, 1, 8) == (2, 0)
     assert conjecture_modulus(3, 1, 27) == (18, 2)
     assert conjecture_modulus(2, 2, 100) == (16, 4)
-    assert conjecture_l(2, 2, 100, 0) == 25
-    assert conjecture_l(3, 1, 20, 1) == 6
+    # with no l given, the check takes the smallest admissible l
+    assert dict(check_equality_conjecture(2, 2, 100, 0).instance)["l"] == 25
+    assert dict(check_equality_conjecture(3, 1, 20, 1).instance)["l"] == 6
 
 
 def test_equality_conjecture_skip_markers():
@@ -360,6 +361,61 @@ def test_stirling_diff_violations_in_grid_order(monkeypatch):
         f"p=2 alpha=0 h={h} l={l} m={m} n={n}" for h in (1, 2) for l, m, n in sorted(chosen)
     ]
     assert all(o.slack == -1 for o in rep.violations)
+
+
+def test_bound_violations_match_direct_checks_and_render_truncated(monkeypatch):
+    # carry-bound raised one above its true bound: every tight instance of the
+    # grid is violated, 149 of them over two worker tasks
+    true_bound = verify._BOUNDS["carry-bound"]
+
+    def one_above(p, alpha, n, r, base, ls):
+        bounds, note = true_bound.bound(p, alpha, n, r, base, ls)
+        return [b + 1 for b in bounds], note
+
+    monkeypatch.setitem(verify._BOUNDS, "carry-bound", verify._Bound("x^l", one_above))
+    grid = parse_grid("p=2;alpha=1..2;n=1..12;r=0..3;l=0..3")
+    assert len(list(verify._tasks(("carry-bound",), [grid]))) == 2
+    fused = bound_sweep(["polysum-bound", "carry-bound"], grid=grid)
+    assert fused["polysum-bound"].violations == []
+    rep = fused["carry-bound"]
+    direct = [check_carry_bound(*inst) for inst in itertools.product(*grid.values())]
+    want = [oc for oc in direct if oc.holds is False]
+    assert rep.violations == want
+    assert (rep.checked, rep.held, len(want)) == (384, 235, 149)
+    assert rep.exit_code() == 1
+    lines = rep.to_markdown().splitlines()
+    assert lines[2:] == [
+        "- grid: custom",
+        "- checked: 384",
+        "- held: 235",
+        "- violations: 149",
+        "- undetermined: 0",
+        "- skipped: 0",
+        "- flagged: 0",
+        "",
+        "| slice | min slack | max slack |",
+        "|---|---|---|",
+        "| p=2,alpha=1 | -1 | 7 |",
+        "| p=2,alpha=2 | -1 | 6 |",
+        "",
+        "| violation | lhs ord | bound | note |",
+        "|---|---|---|---|",
+        *(f"| {oc.instance_str()} | {oc.lhs_str()} | {oc.bound} | {oc.note} |" for oc in want[: verify._RENDER_CAP]),
+        "| ... 99 more | | | |",
+    ]
+    assert lines[17] == "| p=2 alpha=1 n=1 r=0 l=0 | 0 | 1 | tau=0 |"
+    assert lines[-2] == "| p=2 alpha=1 n=6 r=1 l=2 | 2 | 3 | tau=1 |"
+
+
+def test_broken_order_chain_names_its_instance(monkeypatch):
+    # Legendre's formula makes ord_3(12!) = 12//3 + ord_3(4!); break it at 12
+    real = verify.ord_factorial
+    monkeypatch.setattr(verify, "ord_factorial", lambda p, m: real(p, m) + (p == 3 and m == 12))
+    msg = r"order chain broken at p=3 alpha=1 n=12: 6 != 5"
+    with pytest.raises(AssertionError, match=msg):
+        check_plain_sum_bound(3, 1, 12, 0)
+    with pytest.raises(AssertionError, match=msg):
+        sweep("plain-sum-bound", grid="p=3;alpha=1;n=10..14;r=0..2")
 
 
 def test_sweep_memory_is_bounded_by_the_task():
