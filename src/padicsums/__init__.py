@@ -2,9 +2,6 @@
 
 from .padic import (
     CapacityError,
-    ModPE,
-    TruncatedValuation,
-    Valuation,
     carries,
     euler_phi_prime_power,
     ord_factorial,

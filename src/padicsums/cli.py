@@ -55,7 +55,8 @@ def _env_int(name: str) -> int | None:
 
 
 def _cmd_compute_ord(args) -> int:
-    print(ord_int(args.p, args.x))
+    order = ord_int(args.p, args.x)
+    print("inf" if order is None else order)
     return 0
 
 
@@ -81,8 +82,8 @@ def _cmd_compute_stirling(args) -> int:
 
 def _cmd_compute_mstirling(args) -> int:
     k = parse_exponent(args.k, L=args.L)
-    res = mstirling_mod(k, args.m, args.p, args.E)
-    print(f"{res.residue} (mod {args.p}^{args.E})")
+    residue = mstirling_mod(k, args.m, args.p, args.E)
+    print(f"{residue} (mod {args.p}^{args.E})")
     return 0
 
 
@@ -330,12 +331,11 @@ def main(argv=None) -> int:
         return 64
     except PrecisionError as exc:
         print(f"undetermined: {exc}", file=sys.stderr)
-        if exc.partial is not None:
-            lo, hi = exc.partial.m_scanned
-            print(
-                f"partial: {exc.partial.value} (m in [{lo}, {hi}], precision={exc.partial.precision})",
-                file=sys.stderr,
-            )
+        lo, hi = exc.partial.m_scanned
+        print(
+            f"partial: >={exc.partial.value} (m in [{lo}, {hi}], precision={exc.partial.precision})",
+            file=sys.stderr,
+        )
         return 2
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .padic import CapacityError, ModPE, check_prime
+from .padic import CapacityError, check_prime
 
 # Largest L for which c * base**L + d is materialized as a plain integer.
 MATERIALIZE_CAP = 64
@@ -135,15 +135,15 @@ def power_rule(k, p: int, E: int):
     return lambda j: pow(j, k_unit if j % p else k_mult, M)
 
 
-def pow_mod(j: int, k, p: int, E: int) -> ModPE:
-    """j**k in Z/p**E for a possibly huge structured exponent k, by power_rule; 0**0 is rejected."""
+def pow_mod(j: int, k, p: int, E: int) -> int:
+    """j**k mod p**E, in [0, p**E), for a possibly huge structured exponent k, by power_rule; 0**0 is rejected."""
     if j < 0:
         raise ValueError(f"base must be >= 0, got j={j}")
     k = as_exponent(k)
     power = power_rule(k, p, E)
     if j == 0 and k.materializable and k.value() == 0:
         raise ValueError("0**0 is undefined")
-    return ModPE(power(j), p, E)
+    return power(j)
 
 
 _PLAIN_RE = re.compile(r"^\d+$")

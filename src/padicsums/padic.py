@@ -1,14 +1,12 @@
 """Exact p-adic arithmetic primitives.
 
-Valuations, truncated (finite-precision) valuations, and residues modulo
-p**E.  Everything here is exact integer arithmetic: a quantity computed
-modulo p**E is reported as a floor ("at least E") whenever the residue
+Primality checks, p-adic orders of integers and factorials, and carry
+counts, all as plain ints over exact integer arithmetic.  A quantity known
+only modulo p**E is reported as a floor ("at least E") whenever the residue
 cannot distinguish it from zero, never silently rounded.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class CapacityError(Exception):
@@ -45,74 +43,14 @@ def check_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class Valuation:
-    """A p-adic order: an integer, or infinite (the order of 0).
+def trunc_val(residue: int, p: int, E: int) -> tuple[int, bool]:
+    """(order, exact) of an integer known modulo p**E: (E, False) when the residue is 0.
 
-    ``value`` is None for the infinite valuation.  Orders of rationals may
-    be negative, so no sign constraint is imposed on finite values.
+    Nothing in the package calls it; perfbench/tracer.py names it as a
+    per-layer target, so it stays until the next benchmark change.
     """
-
-    value: int | None = None
-
-    @classmethod
-    def infinite(cls) -> "Valuation":
-        return cls(None)
-
-    def __str__(self) -> str:
-        return "inf" if self.value is None else str(self.value)
-
-
-@dataclass(frozen=True)
-class TruncatedValuation:
-    """A p-adic order measured through a residue modulo p**E.
-
-    Either exact (the order was visible below the precision) or a floor:
-    ``floor(E)`` means only "order >= E" is known.  Callers compare
-    ``value`` themselves and read ``exact`` to know whether it is a floor.
-    """
-
-    value: int
-    exact: bool
-
-    @classmethod
-    def exact_at(cls, v: int) -> "TruncatedValuation":
-        return cls(v, True)
-
-    @classmethod
-    def floor(cls, E: int) -> "TruncatedValuation":
-        return cls(E, False)
-
-    def __str__(self) -> str:
-        return str(self.value) if self.exact else f">={self.value}"
-
-
-@dataclass(frozen=True)
-class ModPE:
-    """A residue in Z/p**E that remembers which ring it lives in.
-
-    Construction checks that p is prime and E >= 1 and reduces the
-    residue into [0, p**E); callers read ``residue``.
-    """
-
-    residue: int
-    p: int
-    E: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.E < 1:
-            raise ValueError(f"precision E must be >= 1, got E={self.E}")
-        m = self.p**self.E
-        if not 0 <= self.residue < m:
-            object.__setattr__(self, "residue", self.residue % m)
-
-
-def trunc_val(x: ModPE) -> TruncatedValuation:
-    """Order of the integer behind x, as far as precision E can see."""
-    if x.residue == 0:
-        return TruncatedValuation.floor(x.E)
-    return TruncatedValuation.exact_at(ord_nonzero(x.p, x.residue))
+    residue %= p**E
+    return (ord_nonzero(p, residue), True) if residue else (E, False)
 
 
 def ord_nonzero(p: int, x: int) -> int:
@@ -131,15 +69,13 @@ def ord_nonzero(p: int, x: int) -> int:
     return v
 
 
-def ord_int(p: int, x: int) -> Valuation:
-    """p-adic order of an integer; the order of 0 is infinite.
+def ord_int(p: int, x: int) -> int | None:
+    """p-adic order of an integer; None stands for the infinite order of 0.
 
     Negative integers have the order of their absolute value.
     """
     check_prime(p)
-    if x == 0:
-        return Valuation.infinite()
-    return Valuation(ord_nonzero(p, x))
+    return None if x == 0 else ord_nonzero(p, x)
 
 
 def ord_factorial(p: int, m: int) -> int:

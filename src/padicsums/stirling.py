@@ -19,13 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .exponents import StructuredExponent, as_exponent, power_rule
-from .padic import (
-    CapacityError,
-    ModPE,
-    TruncatedValuation,
-    check_prime,
-    ord_nonzero,
-)
+from .padic import CapacityError, check_prime, ord_nonzero
 
 STIRLING_CAP = 10**4
 DEFAULT_WINDOW = 60
@@ -37,10 +31,10 @@ DEFAULT_RETRIES = 4
 class PrecisionError(Exception):
     """All scanned terms stayed indistinguishable from zero at the precision cap.
 
-    Carries the best partial result on the ``partial`` attribute.
+    Carries the partial result, whose value is a floor, on the ``partial`` attribute.
     """
 
-    def __init__(self, message: str, partial=None):
+    def __init__(self, message: str, partial: EpResult):
         super().__init__(message)
         self.partial = partial
 
@@ -95,8 +89,8 @@ def mstirling_scan(k, p: int, E: int):
     return (x % M for x in _diagonal(map(power_rule(k, p, E), itertools.count())))
 
 
-def mstirling_mod(k, m: int, p: int, E: int) -> ModPE:
-    """m! * S(k, m) modulo p**E for a possibly huge structured exponent k.
+def mstirling_mod(k, m: int, p: int, E: int) -> int:
+    """m! * S(k, m) modulo p**E, in [0, p**E), for a possibly huge structured exponent k.
 
     Uses the surjection count sum(C(m,j) (-1)**(m-j) j**k) in O(m) terms.
     Binomials are carried incrementally as (u / w) * p**t with units u, w,
@@ -130,7 +124,7 @@ def mstirling_mod(k, m: int, p: int, E: int) -> ModPE:
         if pw and t < E:
             total = (total + sign * (u * ppow[t] % M * pw)) % M
         sign = -sign
-    return ModPE(total * pow(w, -1, M) % M, p, E)
+    return total * pow(w, -1, M) % M
 
 
 def default_precision(p: int, n: int) -> int:
@@ -166,15 +160,23 @@ class StableParams:
 
 @dataclass(frozen=True)
 class EpResult:
-    """Result of a minimum-order scan."""
+    """Result of a minimum-order scan.
 
-    value: TruncatedValuation
+    value is the minimum order found; on a PrecisionError's partial result
+    it is the floor E, the precision at which every term vanished.
+    """
+
+    value: int
     m_scanned: tuple[int, int]
-    certified: bool
     certificate: str  # "exact-finite-k" | "stable-family" | "heuristic-window"
     witness_m: int | None
     precision: int
     stable: StableParams | None = None
+
+    @property
+    def certified(self) -> bool:
+        """Every certificate but the window heuristic proves the minimum."""
+        return self.certificate != "heuristic-window"
 
 
 def _scan_min(p, n, values, m_hi, adaptive):
@@ -236,17 +238,15 @@ def min_stirling_ord(
         best, witness, _, hi = _scan_min(p, n, mstirling_scan(k, p, E), m_hi, adaptive=not exact_path)
         if best is not None:
             return EpResult(
-                value=TruncatedValuation.exact_at(best),
+                value=best,
                 m_scanned=(n, hi),
-                certified=exact_path,
                 certificate="exact-finite-k" if exact_path else "heuristic-window",
                 witness_m=witness,
                 precision=E,
             )
     partial = EpResult(
-        value=TruncatedValuation.floor(E),
+        value=E,
         m_scanned=(n, hi),
-        certified=False,
         certificate="heuristic-window",
         witness_m=None,
         precision=E,
@@ -312,16 +312,14 @@ def stable_min_ord(
     k = StructuredExponent.tower(p - 1, p, L, n - 1 if d is None else d)
     eng_window = max(window, params.m0 - n + STABLE_RUN)
     res = min_stirling_ord(p, n, k, window=eng_window, precision=precision)
-    got = res.value.value
-    if got != params.L0:
+    if res.value != params.L0:
         raise AssertionError(
-            f"engine minimum {got} disagrees with exact family value {params.L0} "
+            f"engine minimum {res.value} disagrees with exact family value {params.L0} "
             f"(p={p}, n={n}, k={k})"
         )
     return EpResult(
         value=res.value,
         m_scanned=res.m_scanned,
-        certified=True,
         certificate="stable-family",
         witness_m=res.witness_m,
         precision=res.precision,

@@ -121,7 +121,7 @@ def homotopy_exponent_bound(
             f"minimum order for (p={p}, n={n}, k={as_exponent(k)}) is not certified "
             f"(certificate: {res.certificate}); no homotopy bound can be asserted"
         )
-    return exponent_to_homotopy(p, n, res.value.value), res
+    return exponent_to_homotopy(p, n, res.value), res
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def emit_table1(
     rows = []
     for n in range(n_from, n_to + 1):
         res = stable_min_ord(3, n)
-        stable = res.value.value
+        stable = res.value
         L = res.stable.height
         bound = lower_bound(3, n)
         max_observed = k_hi = None
@@ -164,7 +164,7 @@ def emit_table1(
             window = max(DEFAULT_WINDOW, k_budget)
             best = stable
             for k in range(n, k_hi + 1):
-                v = min_stirling_ord(3, n, k, window=window).value.value
+                v = min_stirling_ord(3, n, k, window=window).value
                 if v > best:
                     best = v
             max_observed = best
@@ -202,7 +202,7 @@ def emit_delta(
     out: list[int | None] = []
     for l in range(l_from, l_to + 1):
         s = alt_sum(n, 0, m, IntPolynomial.monomial(l))
-        out.append(None if s == 0 else ord_int(p, s).value - baseline)
+        out.append(None if s == 0 else ord_int(p, s) - baseline)
     return out
 
 

@@ -329,18 +329,17 @@ def _stirling_diff_block(p, alpha, h, n, lms):
     return out
 
 
-def check_factorial_match(n: int, L: int | None = None) -> CheckOutcome:
+def check_factorial_match(n: int) -> CheckOutcome:
     """Exact equality of the stable family value at exponent offset n-1 with ord_2((n-1)!).
 
     For even n > 2 the family k = 2^L + n - 1 (scan start n-1) stabilizes at
-    ord_2((n-1)!) once L >= max(N, N0).
+    ord_2((n-1)!) once L >= max(N, N0); the check runs at that height.
     """
     if n <= 2 or n % 2:
         raise ValueError(f"n must be even and > 2, got n={n}")
-    res = stable_min_ord(2, n - 1, L=L, d=n - 1)
-    used = L if L is not None else res.stable.height
-    inst = (("n", n), ("L", used))
-    got = res.value.value
+    res = stable_min_ord(2, n - 1, d=n - 1)
+    inst = (("n", n), ("L", res.stable.height))
+    got = res.value
     want = ord_factorial(2, n - 1)
     return CheckOutcome(
         "factorial-match", inst, got, True, want, got - want, got == want,

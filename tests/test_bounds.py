@@ -21,7 +21,7 @@ from padicsums import (
     ord_factorial,
     restated_bound,
 )
-from padicsums import IntPolynomial, TruncatedValuation, golden
+from padicsums import IntPolynomial, golden
 from padicsums.su_bounds import render, table_delta, table_one, table_two
 
 
@@ -73,10 +73,10 @@ def test_bound_report():
 def test_ep_auto_routes_by_exponent_shape():
     res = ep_auto(3, 29, StructuredExponent.tower(2, 3, 40, 28))
     assert res.certificate == "stable-family"
-    assert res.value == TruncatedValuation.exact_at(32)
+    assert res.value == 32
     res2 = ep_auto(3, 29, StructuredExponent.plain(35))
     assert res2.certificate == "exact-finite-k"
-    assert res2.value == TruncatedValuation.exact_at(13)
+    assert res2.value == 13
 
 
 def test_exponent_to_homotopy():
@@ -89,7 +89,7 @@ def test_homotopy_exponent_bound_requires_certificate():
     bound, res = homotopy_exponent_bound(3, 29, StructuredExponent.tower(2, 3, 40, 28))
     assert bound == 32 and res.certified
     bound2, res2 = homotopy_exponent_bound(2, 10, StructuredExponent.plain(10))
-    assert bound2 == 7 and res2.value == TruncatedValuation.exact_at(8)
+    assert bound2 == 7 and res2.value == 8
     with pytest.raises(ValueError, match="not certified"):
         homotopy_exponent_bound(3, 29, StructuredExponent.plain(4401))
 

@@ -46,6 +46,12 @@ CASES = [
     ["compute", "stable", "--p", "3", "--n", "29"],
     ["compute", "bound", "--p", "3", "--n", "100"],
     ["compute", "delta", "--l", "30"],
+    ["compute", "ord", "--p", "3", "--x", "0"],
+    ["compute", "ep", "--p", "3", "--n", "10", "--k", "40"],
+    ["compute", "ep", "--p", "5", "--n", "12", "--k", "1*7^100+20"],
+    ["compute", "ep", "--p", "3", "--n", "80", "--k", "1*7^70000+90", "--precision", "1"],
+    ["compute", "mstirling", "--k", "10", "--m", "4", "--p", "4", "--E", "3"],
+    ["compute", "mstirling", "--k", "10", "--m", "4", "--p", "3", "--E", "0"],
 ]
 
 # Recorded before the bound-table refactor of verify.py.
@@ -87,6 +93,15 @@ DIGESTS = {
     'compute stable --p 3 --n 29': "d351b0d3a2ff00e31468ffd2afe692f6dde4de217ea641bddf88051a35cca183",
     'compute bound --p 3 --n 100': "57083f74cc055ce38b2659fb4c4eafc54f016a78d46fce77c4e60d0ee99c4fde",
     'compute delta --l 30': "3664dc7cef1188c7bc0ebd9e452a0856d6c63e57239371f5f4dda2f0d1eaaa03",
+    # Recorded while orders, residues and e_p values were still wrapped in
+    # value classes: the infinite order, an exact and an uncertified e_p, a
+    # PrecisionError floor, and the two ring checks of m! S(k, m) mod p^E.
+    'compute ord --p 3 --x 0': "1abdf347a6ade33166f8f94629543925ab8a58217c9eb21602c5a16737740642",
+    'compute ep --p 3 --n 10 --k 40': "4f694ea6e08360b57197d2e80150c17f8ad604b15b56615e1490a04d790d0ab3",
+    'compute ep --p 5 --n 12 --k 1*7^100+20': "cdc10af0e5746698642e9bb534eadea63686f72af3b5dc458036bceb71c04d3d",
+    'compute ep --p 3 --n 80 --k 1*7^70000+90 --precision 1': "e22804f9ded931367fa4a61f83e9861d9693f6e9ed6d78fb48f318de436d8b3d",
+    'compute mstirling --k 10 --m 4 --p 4 --E 3': "f636387ace4d81c6bc897ec1c0b89bfd9bcbafa780be73c797b8a9a4431e246e",
+    'compute mstirling --k 10 --m 4 --p 3 --E 0': "3306bd8d1442780f0bfc255488d6d5bc31cffc1e97ce1a69cc52fdc075760ae3",
 }
 
 

@@ -9,13 +9,13 @@ from padicsums import (
     CapacityError,
     PrecisionError,
     StructuredExponent,
-    TruncatedValuation,
     default_precision,
     min_stirling_ord,
     mstirling_mod,
     ord_factorial,
     ord_int,
     parse_exponent,
+    pow_mod,
     stable_min_ord,
     stable_params,
     stirling_exact,
@@ -65,7 +65,7 @@ def test_stirling_capacity_cap():
 
 
 def test_mstirling_mod_matches_exact():
-    assert mstirling_mod(StructuredExponent.plain(10), 4, 3, 8).residue == 4956
+    assert mstirling_mod(StructuredExponent.plain(10), 4, 3, 8) == 4956
     rng = random.Random(139)
     for k in range(1, 121, 7):
         for m in range(1, 41, 3):
@@ -73,8 +73,28 @@ def test_mstirling_mod_matches_exact():
             E = (k + m) % 20 + 1
             want = (math.factorial(m) * stirling_exact(k, m)) % p**E
             got = mstirling_mod(StructuredExponent.plain(k), m, p, E)
-            assert got.residue == want, (k, m, p, E)
-            assert got.p**got.E == p**E
+            assert got == want, (k, m, p, E)
+
+
+def test_residue_kernels_check_their_ring():
+    # p and E are checked on the way to the Carmichael number, with the messages of those checks
+    ten = StructuredExponent.plain(10)
+    for p, E, msg in ((4, 3, "p must be a prime, got p=4"), (3, 0, "precision E must be >= 1, got E=0")):
+        with pytest.raises(ValueError, match=rf"^{msg}$"):
+            mstirling_mod(ten, 4, p, E)
+        with pytest.raises(ValueError, match=rf"^{msg}$"):
+            pow_mod(4, ten, p, E)
+
+
+def test_residue_kernels_return_reduced_residues():
+    # i is m for mstirling_mod, whose surjection sum starts at a negative sign for odd m, and j for pow_mod
+    tower = StructuredExponent.tower(2, 3, 100, 7)
+    for p in (2, 3, 5):
+        for E in (1, 2, 7):
+            M = p**E
+            for i in range(12):
+                assert 0 <= mstirling_mod(tower, i, p, E) < M, (p, E, i)
+                assert 0 <= pow_mod(i, tower, p, E) < M, (p, E, i)
 
 
 def test_mstirling_mod_tower_vs_plain():
@@ -82,7 +102,7 @@ def test_mstirling_mod_tower_vs_plain():
     k = StructuredExponent.tower(2, 3, 5, 28)
     plain = StructuredExponent.plain(k.value())
     for m, p, E in ((10, 3, 9), (7, 2, 12), (20, 5, 6)):
-        assert mstirling_mod(k, m, p, E).residue == mstirling_mod(plain, m, p, E).residue
+        assert mstirling_mod(k, m, p, E) == mstirling_mod(plain, m, p, E)
 
 
 def test_min_stirling_ord_exact_route_brute_force():
@@ -97,8 +117,8 @@ def test_min_stirling_ord_exact_route_brute_force():
             ord_int(p, math.factorial(m) * stirling_exact(k, m))
             for m in range(n, k + 1)
         ]
-        best = min(v.value for v in vals if v.value is not None)
-        assert res.value == TruncatedValuation.exact_at(best), (p, n, k)
+        best = min(v for v in vals if v is not None)
+        assert res.value == best, (p, n, k)
         assert res.m_scanned[0] == n
 
 
@@ -107,7 +127,7 @@ def test_min_at_k_equal_n_is_factorial_order():
     for p in (2, 3, 5):
         for n in (1, 2, 7, 20, 40):
             res = min_stirling_ord(p, n, StructuredExponent.plain(n))
-            assert res.value == TruncatedValuation.exact_at(ord_factorial(p, n))
+            assert res.value == ord_factorial(p, n)
             assert res.witness_m == n
 
 
@@ -122,7 +142,7 @@ def test_heuristic_window_is_uncertified():
     res = min_stirling_ord(3, 29, StructuredExponent.plain(4401))
     assert not res.certified
     assert res.certificate == "heuristic-window"
-    assert res.value == TruncatedValuation.exact_at(18)
+    assert res.value == 18
     assert res.m_scanned == (29, 89)
 
 
@@ -140,7 +160,7 @@ def test_stable_min_ord_frozen_values():
     for n, want in ((19, 20), (21, 22), (28, 31), (29, 32), (41, 45)):
         res = stable_min_ord(3, n)
         assert res.certified and res.certificate == "stable-family"
-        assert res.value == TruncatedValuation.exact_at(want), (n, str(res.value))
+        assert res.value == want, n
     res = stable_min_ord(3, 29)
     assert res.witness_m == 30
     assert res.precision == 57
@@ -153,7 +173,7 @@ def test_stable_min_ord_explicit_height():
     threshold = max(base.stable.N, base.stable.N0)
     for L in (threshold, threshold + 1, threshold + 5):
         res = stable_min_ord(3, 21, L=L)
-        assert res.value == TruncatedValuation.exact_at(22)
+        assert res.value == 22
     with pytest.raises(ValueError, match="below the stabilization threshold"):
         stable_min_ord(3, 21, L=threshold - 1)
 
@@ -165,14 +185,13 @@ def test_precision_error_carries_partial():
         min_stirling_ord(3, 80, k, precision=1)
     partial = ei.value.partial
     assert not partial.certified
-    assert partial.value.exact is False
-    assert partial.value.value == 16
+    assert partial.value == 16
 
 
 def test_precision_retries_recover():
     k = StructuredExponent.tower(1, 2, 70, 3)
     res = min_stirling_ord(2, 4, k, precision=1)
-    assert res.value == TruncatedValuation.exact_at(4)
+    assert res.value == 4
     assert res.precision > 1
 
 
@@ -180,8 +199,7 @@ def test_raising_precision_never_changes_exact_answers():
     k = StructuredExponent.tower(2, 3, 30, 28)
     low = min_stirling_ord(3, 29, k, precision=40)
     high = min_stirling_ord(3, 29, k, precision=80)
-    assert low.value == TruncatedValuation.exact_at(high.value.value)
-    assert low.value.exact and high.value.exact
+    assert low.value == high.value
 
 
 def test_default_precision_values():
@@ -197,29 +215,29 @@ def test_stable_family_lower_bound_invariant():
         for n in range(2, 41):
             res = stable_min_ord(p, n)
             floor_bound = n - 1 + ord_factorial(p, n // p)
-            assert res.value.value >= floor_bound, (p, n)
+            assert res.value >= floor_bound, (p, n)
 
 
-# (value, exact, m_scanned, witness_m, precision, certificate), recorded
+# (value, m_scanned, witness_m, precision, certificate), recorded
 # before the scans moved to one forward-difference table.  A faster kernel
 # must not move any of them: the scan bounds are printed by ``compute ep``.
 PINNED_SCANS = {
     "exact-finite-k": (
-        lambda: min_stirling_ord(3, 29, 80), (15, True, (29, 80), 29, 57, "exact-finite-k")),
+        lambda: min_stirling_ord(3, 29, 80), (15, (29, 80), 29, 57, "exact-finite-k")),
     "stable p=3 n=19": (
-        lambda: stable_min_ord(3, 19), (20, True, (19, 79), 19, 39, "stable-family")),
+        lambda: stable_min_ord(3, 19), (20, (19, 79), 19, 39, "stable-family")),
     "stable p=3 n=28": (
-        lambda: stable_min_ord(3, 28), (31, True, (28, 88), 28, 55, "stable-family")),
+        lambda: stable_min_ord(3, 28), (31, (28, 88), 28, 55, "stable-family")),
     "stable p=3 n=41": (
-        lambda: stable_min_ord(3, 41), (45, True, (41, 101), 41, 78, "stable-family")),
+        lambda: stable_min_ord(3, 41), (45, (41, 101), 41, 78, "stable-family")),
     "stable p=2 n=7": (
-        lambda: stable_min_ord(2, 7), (8, True, (7, 67), 7, 26, "stable-family")),
+        lambda: stable_min_ord(2, 7), (8, (7, 67), 7, 26, "stable-family")),
     "window extension": (
         lambda: min_stirling_ord(3, 29, 4401, window=3),
-        (18, True, (29, 62), 29, 57, "heuristic-window")),
+        (18, (29, 62), 29, 57, "heuristic-window")),
     "precision doubling": (
         lambda: min_stirling_ord(2, 12, parse_exponent("1*7^70000+30"), precision=2),
-        (11, True, (12, 72), 12, 16, "heuristic-window")),
+        (11, (12, 72), 12, 16, "heuristic-window")),
 }
 
 
@@ -227,7 +245,7 @@ PINNED_SCANS = {
 def test_scan_results_pinned(name):
     query, want = PINNED_SCANS[name]
     res = query()
-    got = (res.value.value, res.value.exact, res.m_scanned, res.witness_m, res.precision, res.certificate)
+    got = (res.value, res.m_scanned, res.witness_m, res.precision, res.certificate)
     assert got == want
 
 
@@ -235,8 +253,8 @@ def test_precision_error_partial_pinned():
     with pytest.raises(PrecisionError) as ei:
         min_stirling_ord(3, 80, parse_exponent("1*7^70000+90"), precision=2)
     part = ei.value.partial
-    got = (part.value.value, part.value.exact, part.m_scanned, part.witness_m, part.precision, part.certificate)
-    assert got == (32, False, (80, 140), None, 32, "heuristic-window")
+    got = (part.value, part.m_scanned, part.witness_m, part.precision, part.certificate)
+    assert got == (32, (80, 140), None, 32, "heuristic-window")
 
 
 def test_stable_params_scans_pinned():
