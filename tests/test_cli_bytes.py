@@ -52,6 +52,8 @@ CASES = [
     ["compute", "ep", "--p", "3", "--n", "80", "--k", "1*7^70000+90", "--precision", "1"],
     ["compute", "mstirling", "--k", "10", "--m", "4", "--p", "4", "--E", "3"],
     ["compute", "mstirling", "--k", "10", "--m", "4", "--p", "3", "--E", "0"],
+    ["compute", "ep", "--p", "3", "--n", "29", "--k", "2*3^40+28"],
+    ["compute", "mstirling", "--k", "2*3^5+28", "--m", "30", "--p", "3", "--E", "12"],
 ]
 
 # Recorded before the bound-table refactor of verify.py.
@@ -102,6 +104,9 @@ DIGESTS = {
     'compute ep --p 3 --n 80 --k 1*7^70000+90 --precision 1': "e22804f9ded931367fa4a61f83e9861d9693f6e9ed6d78fb48f318de436d8b3d",
     'compute mstirling --k 10 --m 4 --p 4 --E 3': "f636387ace4d81c6bc897ec1c0b89bfd9bcbafa780be73c797b8a9a4431e246e",
     'compute mstirling --k 10 --m 4 --p 3 --E 0': "3306bd8d1442780f0bfc255488d6d5bc31cffc1e97ce1a69cc52fdc075760ae3",
+    # Recorded while a tower height could still be passed as --L <int>.
+    'compute ep --p 3 --n 29 --k 2*3^40+28': "69ffac05585617bdf32b14d56dea617d22eb1515095f9ac084a1155bf90e6490",
+    'compute mstirling --k 2*3^5+28 --m 30 --p 3 --E 12': "202b5be84c03ac5c7afcb513d8c5f681b48d4183e68108e883f3ee0dfe5bc160",
 }
 
 
@@ -118,6 +123,19 @@ def digest(argv, capsys) -> str:
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_output_bytes_pinned(argv, capsys):
     assert digest(argv, capsys) == DIGESTS[" ".join(argv)]
+
+
+@pytest.mark.parametrize(
+    "written, symbolic",
+    [
+        (["compute", "ep", "--p", "3", "--n", "29", "--k", "2*3^40+28"], ["--k", "2*3^L+28", "--L", "40"]),
+        (["compute", "mstirling", "--k", "2*3^5+28", "--m", "30", "--p", "3", "--E", "12"], ["--k", "2*3^L+28", "--L", "5"]),
+    ],
+)
+def test_height_in_exponent_matches_symbolic_height(written, symbolic, capsys):
+    i = written.index("--k")
+    argv = written[:i] + symbolic + written[i + 2 :]
+    assert digest(argv, capsys) == digest(written, capsys)
 
 
 @pytest.mark.parametrize("fmt", ("md", "json"))
