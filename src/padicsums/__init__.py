@@ -12,7 +12,6 @@ from .exponents import (
     StructuredExponent,
     carmichael_prime_power,
     parse_exponent,
-    pow_mod,
 )
 from .polysum import (
     IntPolynomial,

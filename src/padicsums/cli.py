@@ -33,7 +33,7 @@ from .su_bounds import (
     table_one,
     table_two,
 )
-from .verify import CHECK_NAMES, IDENTITY_CHECKS, GridError, sweep
+from .verify import CHECK_NAMES, GridError, sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +81,7 @@ def _cmd_compute_stirling(args) -> int:
 
 
 def _cmd_compute_mstirling(args) -> int:
-    k = parse_exponent(args.k, L=args.L)
+    k = parse_exponent(args.k)
     residue = mstirling_mod(k, args.m, args.p, args.E)
     print(f"{residue} (mod {args.p}^{args.E})")
     return 0
@@ -99,11 +99,7 @@ def _cmd_compute_ep(args) -> int:
         res = stable_min_ord(args.p, args.n, d=tower[2], **opts)
         L = res.stable.height
     else:
-        try:
-            height = None if args.L is None else int(args.L)
-        except ValueError:
-            raise ValueError(f"--L must be an integer or 'auto', got {args.L!r}") from None
-        k = parse_exponent(args.k, L=height)
+        k = parse_exponent(args.k)
         res, L = ep_auto(args.p, args.n, k, **opts), k.L
     lo, hi = res.m_scanned
     if res.certified:
@@ -134,7 +130,7 @@ def _cmd_compute_bound(args) -> int:
 
 
 def _cmd_compute_delta(args) -> int:
-    value = emit_delta(args.p, args.alpha, args.n, args.baseline, args.l, args.l)[0]
+    value = emit_delta(args.p, args.alpha, args.n, args.l, args.l)[0]
     print("inf" if value is None else value)
     return 0
 
@@ -180,14 +176,13 @@ def _cmd_table_two(args) -> int:
 
 def _cmd_table_delta(args) -> int:
     if args.golden:
-        defaults = (args.p, args.alpha, args.n, args.baseline) == (2, 2, 100, 22)
+        defaults = (args.p, args.alpha, args.n) == (2, 2, 100)
         in_range = golden.DELTA_L_FROM <= args.lo and args.hi <= golden.DELTA_L_TO
         if not (defaults and in_range):
             raise ValueError(
-                f"--golden covers p=2 alpha=2 n=100 baseline=22, "
-                f"l in [{golden.DELTA_L_FROM}, {golden.DELTA_L_TO}]"
+                f"--golden covers p=2 alpha=2 n=100, l in [{golden.DELTA_L_FROM}, {golden.DELTA_L_TO}]"
             )
-    values = emit_delta(args.p, args.alpha, args.n, args.baseline, args.lo, args.hi)
+    values = emit_delta(args.p, args.alpha, args.n, args.lo, args.hi)
     sys.stdout.write(render(table_delta(values, args.lo), args.format))
     if not args.golden:
         return 0
@@ -201,10 +196,7 @@ def _cmd_verify(args) -> int:
     jobs = args.jobs if args.jobs is not None else _env_int("PADICSUMS_JOBS")
     if jobs is not None and jobs < 1:
         raise ValueError(f"{source} must be >= 1, got {jobs}")
-    grid = None if args.grid in (None, "default") else args.grid
-    if args.check in IDENTITY_CHECKS and grid is not None:
-        raise GridError(f"{args.check} is randomized; use --samples and --seed instead of --grid")
-    report = sweep(args.check, grid=grid, jobs=jobs or 1, samples=args.samples, seed=args.seed)
+    report = sweep(args.check, grid=args.grid, jobs=jobs or 1, samples=args.samples, seed=args.seed)
     sys.stdout.write(report.to_markdown() if args.format == "md" else report.to_json() + "\n")
     print(f"wall time: {report.wall_time:.1f}s", file=sys.stderr)
     return report.exit_code(strict=args.strict)
@@ -248,14 +240,13 @@ def build_parser() -> _Parser:
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--E", type=int, required=True)
-    c.add_argument("--L", type=int, default=None, help="value for a symbolic L in --k")
     c.set_defaults(func=_cmd_compute_mstirling)
 
     c = csub.add_parser("ep", help="minimum of ord_p(m! S(k,m)) over m >= n")
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--k", required=True, help="exponent, e.g. 163 or '2*3^L+28'")
-    c.add_argument("--L", default=None, help="height for a symbolic L, or 'auto'")
+    c.add_argument("--k", required=True, help="exponent, e.g. 163, '2*3^40+28', or '2*3^L+28' with --L auto")
+    c.add_argument("--L", choices=("auto",), default=None, help="take the height the family scan certifies")
     c.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     c.add_argument("--precision", type=int, default=None)
     c.set_defaults(func=_cmd_compute_ep)
@@ -277,7 +268,6 @@ def build_parser() -> _Parser:
     c.add_argument("--p", type=int, default=2)
     c.add_argument("--alpha", type=int, default=2)
     c.add_argument("--n", type=int, default=100)
-    c.add_argument("--baseline", type=int, default=22)
     c.set_defaults(func=_cmd_compute_delta)
 
     table = sub.add_parser("table", help="emit a reference table")
@@ -303,7 +293,6 @@ def build_parser() -> _Parser:
     t.add_argument("--p", type=int, default=2)
     t.add_argument("--alpha", type=int, default=2)
     t.add_argument("--n", type=int, default=100)
-    t.add_argument("--baseline", type=int, default=22)
     t.add_argument("--golden", action="store_true")
     t.add_argument("--format", choices=("md", "csv", "json"), default="md")
     t.set_defaults(func=_cmd_table_delta)

@@ -55,10 +55,6 @@ class StructuredExponent:
     def plain(cls, k: int) -> "StructuredExponent":
         return cls(0, 2, 0, k)
 
-    @classmethod
-    def tower(cls, c: int, base: int, L: int, d: int = 0) -> "StructuredExponent":
-        return cls(c, base, L, d)
-
     @property
     def is_plain(self) -> bool:
         return self.c == 0
@@ -123,7 +119,7 @@ def carmichael_prime_power(p: int, E: int) -> int:
 
 
 def power_rule(k, p: int, E: int):
-    """The map j -> j**k mod p**E, 0**0 = 1, that pow_mod and the Stirling scan read powers through.
+    """The map j -> j**k mod p**E, 0**0 = 1, that the Stirling scans read powers through.
 
     Units take k modulo the Carmichael number of p**E; a multiple of p takes
     min(k, E), as its E-th power is already 0 mod p**E.
@@ -135,27 +131,12 @@ def power_rule(k, p: int, E: int):
     return lambda j: pow(j, k_unit if j % p else k_mult, M)
 
 
-def pow_mod(j: int, k, p: int, E: int) -> int:
-    """j**k mod p**E, in [0, p**E), for a possibly huge structured exponent k, by power_rule; 0**0 is rejected."""
-    if j < 0:
-        raise ValueError(f"base must be >= 0, got j={j}")
-    k = as_exponent(k)
-    power = power_rule(k, p, E)
-    if j == 0 and k.materializable and k.value() == 0:
-        raise ValueError("0**0 is undefined")
-    return power(j)
-
-
 _PLAIN_RE = re.compile(r"^\d+$")
 _TOWER_RE = re.compile(r"^(\d+)\*(\d+)\^(\d+|L)(?:\+(\d+))?$")
 
 
-def parse_exponent(text: str, L: int | None = None) -> StructuredExponent:
-    """Parse "163" or "c*base^L+d" (e.g. "2*3^40+28").
-
-    The letter L may stand in for the tower height, in which case the
-    caller must supply its value.
-    """
+def parse_exponent(text: str) -> StructuredExponent:
+    """Parse "163" or "c*base^L+d" with a decimal height L (e.g. "2*3^40+28")."""
     if not isinstance(text, str):
         raise ValueError("empty exponent")
     text = "".join(text.split())
@@ -171,12 +152,8 @@ def parse_exponent(text: str, L: int | None = None) -> StructuredExponent:
         raise ValueError(f"exponent {text!r} is not 'c*base^L+d' or a decimal literal")
     c, base, height, d = m.group(1), m.group(2), m.group(3), m.group(4)
     if height == "L":
-        if L is None:
-            raise ValueError(f"exponent {text!r} uses symbolic L but no L was given")
-        if L < 0:
-            raise ValueError(f"L must be >= 0, got L={L}")
-        height = L
-    return StructuredExponent.tower(int(c), int(base), int(height), int(d or 0))
+        raise ValueError(f"exponent {text!r} uses symbolic L but no L was given")
+    return StructuredExponent(int(c), int(base), int(height), int(d or 0))
 
 
 def symbolic_tower(text: str) -> tuple[int, int, int] | None:

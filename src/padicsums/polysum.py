@@ -65,26 +65,6 @@ class IntPolynomial:
                 tp *= t
         return IntPolynomial(tuple(out))
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(tuple(x + y for x, y in zip(a, b)) + a[len(b) :])
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -119,17 +99,17 @@ def binom_exact(n: int, k: int) -> int:
 
 def poly_delta(f: IntPolynomial) -> IntPolynomial:
     """Forward difference x -> f(x+1) - f(x); drops the degree by one."""
-    return f.shift(1) - f
+    return IntPolynomial(tuple(a - b for a, b in zip(f.shift(1).coeffs, f.coeffs)))
 
 
 def binom_poly(l: int) -> IntPolynomial:
     """Falling factorial x(x-1)...(x-l+1), the numerator of C(x, l)."""
     if l < 0:
         raise ValueError(f"l must be >= 0, got l={l}")
-    out = ONE
+    out = [1]
     for i in range(l):
-        out = out * IntPolynomial((-i, 1))
-    return out
+        out = [a - i * b for a, b in zip([0] + out, out + [0])]  # times (x - i)
+    return IntPolynomial(tuple(out))
 
 
 # Largest n of a residue-class sum; it also bounds each cached binomial row.

@@ -26,6 +26,10 @@ DEFAULT_WINDOW = 60
 WINDOW_STEP = 30
 STABLE_RUN = 25
 DEFAULT_RETRIES = 4
+# Largest m a minimum-order scan may read.  The stable-family scans up to
+# n = 120 stop by m = 180; a scan to the cap at the default precision takes
+# about 4 s (p=3, n=964), and the cost grows about as m**3.
+SCAN_CAP = 1024
 
 
 class PrecisionError(Exception):
@@ -179,11 +183,19 @@ class EpResult:
         return self.certificate != "heuristic-window"
 
 
+def check_scan_cap(m: int):
+    """Refuse a scan that would read past m = SCAN_CAP."""
+    if m > SCAN_CAP:
+        raise CapacityError(f"Stirling scans capped at m <= {SCAN_CAP}, got m={m}")
+
+
 def _scan_min(p, n, values, m_hi, adaptive):
     """Scan the orders of values[m], m >= n, skipping zeros; returns (best, witness, first nonzero order, hi).
 
     hi is the last m read: m_hi, or later when adaptive and best moved within STABLE_RUN terms.
+    A scan that would start or extend past m = SCAN_CAP raises CapacityError before it reads on.
     """
+    check_scan_cap(m_hi)
     best = witness = first = None
     last_change = n
     hi = m_hi
@@ -200,6 +212,7 @@ def _scan_min(p, n, values, m_hi, adaptive):
             if not (adaptive and last_change > hi - STABLE_RUN):
                 break
             hi += WINDOW_STEP
+            check_scan_cap(hi)
     return best, witness, first, hi
 
 
@@ -219,7 +232,7 @@ def min_stirling_ord(
     heuristic unless certified through the stable family path.  Whenever
     every scanned term is indistinguishable from zero the precision is
     doubled, up to DEFAULT_RETRIES times; a larger precision gives more
-    headroom.
+    headroom, up to the largest the default doublings reach.
     """
     check_prime(p)
     if n < 1:
@@ -233,6 +246,9 @@ def min_stirling_ord(
     E0 = default_precision(p, n) if precision is None else precision
     if E0 < 1:
         raise ValueError(f"precision must be >= 1, got {E0}")
+    E_cap = default_precision(p, n) << DEFAULT_RETRIES
+    if E0 > E_cap:
+        raise CapacityError(f"precision capped at {E_cap} for p={p}, n={n}, got {E0}")
     m_hi = k.value() if exact_path else n + window
     for E in (E0 << i for i in range(DEFAULT_RETRIES + 1)):
         best, witness, _, hi = _scan_min(p, n, mstirling_scan(k, p, E), m_hi, adaptive=not exact_path)
@@ -309,7 +325,7 @@ def stable_min_ord(
         L = floor_L
     elif L < floor_L:
         raise ValueError(f"L={L} is below the stabilization threshold max(N, N0)={floor_L}")
-    k = StructuredExponent.tower(p - 1, p, L, n - 1 if d is None else d)
+    k = StructuredExponent(p - 1, p, L, n - 1 if d is None else d)
     eng_window = max(window, params.m0 - n + STABLE_RUN)
     res = min_stirling_ord(p, n, k, window=eng_window, precision=precision)
     if res.value != params.L0:

@@ -13,14 +13,16 @@ import json
 from dataclasses import dataclass
 
 from .exponents import as_exponent
-from .padic import carries, check_prime, ord_factorial, ord_int
-from .polysum import IntPolynomial, alt_sum
+from .padic import carries, check_prime, ord_factorial
+from .polysum import IntPolynomial
 from .stirling import (
     DEFAULT_WINDOW,
     EpResult,
+    check_scan_cap,
     min_stirling_ord,
     stable_min_ord,
 )
+from .verify import check_polysum_bound
 
 
 def lower_bound(p: int, n: int) -> int:
@@ -152,6 +154,8 @@ def emit_table1(
         raise ValueError(f"need 2 <= n_from <= n_to, got [{n_from}, {n_to}]")
     if k_budget < 0:
         raise ValueError(f"k_budget must be >= 0, got {k_budget}")
+    window = max(DEFAULT_WINDOW, k_budget) if with_max else DEFAULT_WINDOW
+    check_scan_cap(n_to + window)
     rows = []
     for n in range(n_from, n_to + 1):
         res = stable_min_ord(3, n)
@@ -161,7 +165,6 @@ def emit_table1(
         max_observed = k_hi = None
         if with_max:
             k_hi = n + k_budget
-            window = max(DEFAULT_WINDOW, k_budget)
             best = stable
             for k in range(n, k_hi + 1):
                 v = min_stirling_ord(3, n, k, window=window).value
@@ -184,26 +187,17 @@ def emit_delta(
     p: int = 2,
     alpha: int = 2,
     n: int = 100,
-    baseline: int = 22,
     l_from: int = 25,
     l_to: int = 45,
 ) -> list[int | None]:
-    """Excess orders delta(l) of the residue-class monomial sums over a baseline.
+    """Excess orders delta(l) of the residue-class monomial sums over ord_p(floor(n/p^alpha)!).
 
-    delta(l) = ord_p(alt_sum(n, 0, p^alpha, x^l)) - baseline; a vanishing sum
-    yields None (infinite excess).
+    delta(l) is the slack of check_polysum_bound at r = 0 and f = x^l; a
+    vanishing sum yields None (infinite excess).
     """
-    check_prime(p)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
     if l_from < 0 or l_to < l_from:
         raise ValueError(f"need 0 <= l_from <= l_to, got [{l_from}, {l_to}]")
-    m = p**alpha
-    out: list[int | None] = []
-    for l in range(l_from, l_to + 1):
-        s = alt_sum(n, 0, m, IntPolynomial.monomial(l))
-        out.append(None if s == 0 else ord_int(p, s) - baseline)
-    return out
+    return [check_polysum_bound(p, alpha, n, 0, IntPolynomial.monomial(l)).slack for l in range(l_from, l_to + 1)]
 
 
 @dataclass(frozen=True)

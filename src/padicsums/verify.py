@@ -41,7 +41,7 @@ from .polysum import (
     check_floor_identity,
     check_split_identity,
 )
-from .stirling import mstirling_scan, stable_min_ord
+from .stirling import DEFAULT_WINDOW, check_scan_cap, mstirling_scan, stable_min_ord
 
 
 IDENTITY_CHECKS = ("floor-identity", "split-identity")
@@ -319,7 +319,7 @@ def _stirling_diff_block(p, alpha, h, n, lms):
     top_m = max(lms[i][1] for i in live)
     tables = []
     for k in range(max(lms[i][0] for i in live) + 1):
-        exp = StructuredExponent.tower(k * h * (p - 1), p, alpha, n - 1)
+        exp = StructuredExponent(k * h * (p - 1), p, alpha, n - 1)
         tables.append(list(itertools.islice(mstirling_scan(exp, p, top_E), top_m + 1)))
     for i in live:
         (l, m), bound = lms[i], bounds[i]
@@ -529,8 +529,11 @@ def _check_block_axes(checks, blocks):
                 raise GridError(f"grid has unknown axes {extra} for check {check!r}")
     if need_l and not all(block["l"] for block in blocks):
         raise GridError("grid is missing axes ['l'] for this check")
+    top_n = max((max(block["n"], default=0) for block in blocks), default=0)
     if checks[0] in _SUM_CHECKS:
-        _check_n_axis(max((max(block["n"], default=0) for block in blocks), default=0))
+        _check_n_axis(top_n)
+    elif checks[0] == "factorial-match":
+        check_scan_cap(top_n - 1 + DEFAULT_WINDOW)  # the first scan of the last n
 
 
 def _check_n_axis(top):
@@ -816,8 +819,13 @@ def bound_sweep(checks, grid=None, jobs: int = 1) -> dict[str, SweepReport]:
 
 
 def sweep(check: str, grid=None, jobs: int = 1, samples: int = 10**4, seed: int = 0) -> SweepReport:
-    """Run one named check over a grid (or its default), returning the report."""
+    """Run one named check over a grid (or its default), returning the report.
+
+    An identity check is randomized: it draws samples from seed and refuses a grid.
+    """
     if check in IDENTITY_CHECKS:
+        if grid not in (None, "default"):
+            raise GridError(f"{check} is randomized; use --samples and --seed instead of --grid")
         return identity_sweep(check, samples=samples, seed=seed, jobs=jobs)
     if check not in CHECK_NAMES:
         raise GridError(f"unknown check {check!r}")

@@ -71,7 +71,7 @@ def test_bound_report():
 
 
 def test_ep_auto_routes_by_exponent_shape():
-    res = ep_auto(3, 29, StructuredExponent.tower(2, 3, 40, 28))
+    res = ep_auto(3, 29, StructuredExponent(2, 3, 40, 28))
     assert res.certificate == "stable-family"
     assert res.value == 32
     res2 = ep_auto(3, 29, StructuredExponent.plain(35))
@@ -86,7 +86,7 @@ def test_exponent_to_homotopy():
 
 
 def test_homotopy_exponent_bound_requires_certificate():
-    bound, res = homotopy_exponent_bound(3, 29, StructuredExponent.tower(2, 3, 40, 28))
+    bound, res = homotopy_exponent_bound(3, 29, StructuredExponent(2, 3, 40, 28))
     assert bound == 32 and res.certified
     bound2, res2 = homotopy_exponent_bound(2, 10, StructuredExponent.plain(10))
     assert bound2 == 7 and res2.value == 8

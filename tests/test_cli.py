@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from padicsums import polysum, verify
+from padicsums import IntPolynomial, check_polysum_bound, polysum, stirling, verify
 from padicsums.cli import build_parser, main
 
 
@@ -33,7 +33,7 @@ def run_cli(argv, capsys, entry=main):
         (["compute", "binom", "--n", "10", "--k", "4"], "210"),
         (["compute", "stirling", "--k", "10", "--m", "4"], "34105"),
         (
-            ["compute", "mstirling", "--k", "2*3^L+28", "--L", "5", "--m", "30", "--p", "3", "--E", "12"],
+            ["compute", "mstirling", "--k", "2*3^5+28", "--m", "30", "--p", "3", "--E", "12"],
             "0 (mod 3^12)",
         ),
         (
@@ -64,7 +64,7 @@ def test_ep_certified_auto_height(capsys):
         ("2*3^5+28", [], "--L auto needs a symbolic exponent of the form 'c*base^L+d'"),
         ("2*3^L + 28", [], "--L auto needs a symbolic exponent of the form 'c*base^L+d'"),
         ("6*3^L+2", [], "--L auto requires the stable family form 2*3^L+d"),
-        ("2*3^L+28", ["--L", "foo"], "--L must be an integer or 'auto', got 'foo'"),
+        ("2*3^L+28", ["--p", "5"], "--L auto requires the stable family form 4*5^L+d"),
         ("3*4^L+2", ["--p", "4"], "p must be a prime, got p=4"),
         ("2*3^L+28", ["--n", "0"], "n must be >= 1, got n=0"),
         ("2*3^L+28", ["--window", "-1"], "window must be >= 0, got -1"),
@@ -131,6 +131,30 @@ def test_verify_n_over_sum_cap_exits_2(capsys, monkeypatch, check, grid):
     assert err == "capacity: grid axis n reaches 1000000, over the residue-class sum cap of 4096\n"
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["compute", "ep", "--p", "3", "--n", "1600", "--k", "1*7^100+5"], "Stirling scans capped at m <= 1024, got m=1660"),
+        (["compute", "ep", "--p", "3", "--n", "100000", "--k", "1*7^100+5"], "Stirling scans capped at m <= 1024, got m=100060"),
+        (["compute", "stable", "--p", "3", "--n", "100000"], "Stirling scans capped at m <= 1024, got m=100060"),
+        (["verify", "factorial-match", "--grid", "n=100000"], "Stirling scans capped at m <= 1024, got m=100059"),
+        (["verify", "factorial-match", "--grid", "n=4,100000"], "Stirling scans capped at m <= 1024, got m=100059"),
+        (["table", "one", "--to", "100000"], "Stirling scans capped at m <= 1024, got m=100060"),
+        (
+            ["compute", "ep", "--p", "3", "--n", "29", "--k", "1*7^100+5", "--precision", "100000"],
+            "precision capped at 912 for p=3, n=29, got 100000",
+        ),
+    ],
+)
+def test_oversized_stirling_scans_exit_2(argv, want, capsys, monkeypatch):
+    def started(values):
+        raise AssertionError("a scan read a term")
+        yield
+
+    monkeypatch.setattr(stirling, "_diagonal", started)
+    assert run_cli(argv, capsys) == (2, "", f"capacity: {want}\n")
+
+
 def test_compute_delta_n_over_sum_cap_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(polysum, "_comb_row", None)  # a sum that started would fail on it
     rc, out, err = run_cli(["compute", "delta", "--n", "3000000", "--l", "1"], capsys)
@@ -142,6 +166,9 @@ def test_usage_errors_exit_64(capsys):
     assert run_cli(["compute", "ord", "--p", "4", "--x", "8"], capsys)[0] == 64
     assert run_cli(["compute", "ep", "--p", "3", "--n", "29", "--k", "35", "--retries", "4"], capsys)[0] == 64
     assert run_cli(["compute", "ep", "--p", "3", "--n", "29", "--k", "junk"], capsys)[0] == 64
+    assert run_cli(["compute", "ep", "--p", "3", "--n", "29", "--k", "2*3^L+28", "--L", "5"], capsys)[0] == 64
+    assert run_cli(["compute", "mstirling", "--k", "2*3^L+28", "--L", "5", "--m", "3", "--p", "3", "--E", "4"], capsys)[0] == 64
+    assert run_cli(["compute", "delta", "--l", "30", "--baseline", "22"], capsys)[0] == 64
     assert run_cli(["verify", "nonsense"], capsys)[0] == 64
     assert run_cli(["verify", "carry-bound", "--grid", "p=2..1"], capsys)[0] == 64
     assert run_cli(["nope"], capsys)[0] == 64
@@ -187,6 +214,14 @@ def test_table_two_golden(capsys):
     assert out.splitlines()[1] == "0,0,2,2,1,2,2,1,2,2"
 
 
+def test_delta_is_the_polysum_bound_slack(capsys):
+    assert run_cli(["compute", "delta", "--p", "3", "--alpha", "1", "--n", "50", "--l", "3"], capsys) == (0, "15\n", "")
+    argv = ["table", "delta", "--p", "3", "--alpha", "1", "--n", "50", "--from", "0", "--to", "5", "--format", "json"]
+    rc, out, _ = run_cli(argv, capsys)
+    want = [{"l": l, "delta": check_polysum_bound(3, 1, 50, 0, IntPolynomial.monomial(l)).slack} for l in range(6)]
+    assert rc == 0 and json.loads(out)["values"] == want
+
+
 def test_table_delta_golden(capsys):
     rc, _, err = run_cli(["table", "delta", "--golden"], capsys)
     assert rc == 0
@@ -218,8 +253,9 @@ def test_verify_markdown_default(capsys):
 
 
 def test_verify_identity_rejects_grid(capsys):
-    rc, _, err = run_cli(["verify", "floor-identity", "--grid", "p=2"], capsys)
-    assert rc == 64 and "randomized" in err
+    rc, out, err = run_cli(["verify", "floor-identity", "--grid", "p=2"], capsys)
+    assert (rc, out) == (64, "")
+    assert err == "error: floor-identity is randomized; use --samples and --seed instead of --grid\n"
 
 
 def test_verify_identity_samples(capsys):

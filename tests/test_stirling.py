@@ -1,5 +1,6 @@
 """Stirling numbers, modular m!S(k,m) kernels, and minimum-order search."""
 
+import itertools
 import math
 import random
 
@@ -15,12 +16,14 @@ from padicsums import (
     ord_factorial,
     ord_int,
     parse_exponent,
-    pow_mod,
     stable_min_ord,
     stable_params,
     stirling_exact,
     stirling_rows,
 )
+from padicsums import stirling
+from padicsums.exponents import power_rule
+from padicsums.stirling import DEFAULT_RETRIES, SCAN_CAP, WINDOW_STEP
 
 
 def test_stirling_exact_small_values():
@@ -83,23 +86,23 @@ def test_residue_kernels_check_their_ring():
         with pytest.raises(ValueError, match=rf"^{msg}$"):
             mstirling_mod(ten, 4, p, E)
         with pytest.raises(ValueError, match=rf"^{msg}$"):
-            pow_mod(4, ten, p, E)
+            power_rule(ten, p, E)
 
 
 def test_residue_kernels_return_reduced_residues():
-    # i is m for mstirling_mod, whose surjection sum starts at a negative sign for odd m, and j for pow_mod
-    tower = StructuredExponent.tower(2, 3, 100, 7)
+    # i is m for mstirling_mod, whose surjection sum starts at a negative sign for odd m, and j for power_rule
+    tower = StructuredExponent(2, 3, 100, 7)
     for p in (2, 3, 5):
         for E in (1, 2, 7):
             M = p**E
             for i in range(12):
                 assert 0 <= mstirling_mod(tower, i, p, E) < M, (p, E, i)
-                assert 0 <= pow_mod(i, tower, p, E) < M, (p, E, i)
+                assert 0 <= power_rule(tower, p, E)(i) < M, (p, E, i)
 
 
 def test_mstirling_mod_tower_vs_plain():
     # materializable towers agree with the plain route
-    k = StructuredExponent.tower(2, 3, 5, 28)
+    k = StructuredExponent(2, 3, 5, 28)
     plain = StructuredExponent.plain(k.value())
     for m, p, E in ((10, 3, 9), (7, 2, 12), (20, 5, 6)):
         assert mstirling_mod(k, m, p, E) == mstirling_mod(plain, m, p, E)
@@ -189,14 +192,14 @@ def test_precision_error_carries_partial():
 
 
 def test_precision_retries_recover():
-    k = StructuredExponent.tower(1, 2, 70, 3)
+    k = StructuredExponent(1, 2, 70, 3)
     res = min_stirling_ord(2, 4, k, precision=1)
     assert res.value == 4
     assert res.precision > 1
 
 
 def test_raising_precision_never_changes_exact_answers():
-    k = StructuredExponent.tower(2, 3, 30, 28)
+    k = StructuredExponent(2, 3, 30, 28)
     low = min_stirling_ord(3, 29, k, precision=40)
     high = min_stirling_ord(3, 29, k, precision=80)
     assert low.value == high.value
@@ -207,6 +210,20 @@ def test_default_precision_values():
     assert default_precision(2, 40) == 125
     assert default_precision(5, 10) == 19
     assert default_precision(3, 60) > default_precision(3, 30)
+
+
+def test_scans_refuse_past_their_caps():
+    # a scan may read up to m = SCAN_CAP, but not extend its window past it
+    assert stirling._scan_min(2, SCAN_CAP - 4, itertools.repeat(1), SCAN_CAP, adaptive=False)[3] == SCAN_CAP
+    drops = (2 ** (2 * SCAN_CAP - m) for m in itertools.count())  # the minimum moves at every m
+    want = rf"^Stirling scans capped at m <= {SCAN_CAP}, got m={SCAN_CAP - 4 + WINDOW_STEP}$"
+    with pytest.raises(CapacityError, match=want):
+        stirling._scan_min(2, SCAN_CAP - 4, drops, SCAN_CAP - 4, adaptive=True)
+    # the precision may go up to what the default doublings reach
+    cap = default_precision(3, 29) << DEFAULT_RETRIES
+    assert min_stirling_ord(3, 29, 35, precision=cap).value == 13
+    with pytest.raises(CapacityError, match=rf"^precision capped at {cap} for p=3, n=29, got {cap + 1}$"):
+        min_stirling_ord(3, 29, 35, precision=cap + 1)
 
 
 def test_stable_family_lower_bound_invariant():

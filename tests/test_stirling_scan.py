@@ -37,13 +37,13 @@ def _spelled_exponents(draw):
     L = draw(st.integers(1, int(math.log(300, base))))
     c = draw(st.integers(1, 300 // base**L))
     d = draw(st.integers(0, 300 - c * base**L))
-    return c * base**L + d, StructuredExponent.tower(c, base, L, d)
+    return c * base**L + d, StructuredExponent(c, base, L, d)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(spelled=_spelled_exponents(), p=st.sampled_from(PRIMES), E=st.integers(1, 40))
-@example(spelled=(8, StructuredExponent.tower(1, 2, 3)), p=2, E=9)  # k = E - 1: 2**8 survives
-@example(spelled=(9, StructuredExponent.tower(1, 3, 2)), p=3, E=9)  # k = E: every 3j drops out
+@example(spelled=(8, StructuredExponent(1, 2, 3)), p=2, E=9)  # k = E - 1: 2**8 survives
+@example(spelled=(9, StructuredExponent(1, 3, 2)), p=3, E=9)  # k = E: every 3j drops out
 @example(spelled=(0, StructuredExponent.plain(0)), p=5, E=3)  # 0**0 = 1
 @example(spelled=(1, StructuredExponent.plain(1)), p=2, E=1)
 def test_scan_matches_exact_triangle(spelled, p, E):
@@ -71,6 +71,6 @@ def test_huge_tower_scan_matches_euler_reduced_sum(c, base, L, d, p, E):
         sum((-1) ** (m - j) * math.comb(m, j) * powers[j] for j in range(m + 1)) % M
         for m in range(31)
     ]
-    k = StructuredExponent.tower(c, base, L, d)
+    k = StructuredExponent(c, base, L, d)
     assert _scan(k, p, E, 31) == want
     assert [mstirling_mod(k, m, p, E) for m in (0, 7, 30)] == [want[0], want[7], want[30]]

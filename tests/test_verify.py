@@ -544,6 +544,13 @@ def test_identity_sweep_reproducible():
     assert "seed=7" in c.grid
 
 
+def test_identity_sweep_refuses_a_grid(monkeypatch):
+    assert sweep("floor-identity", grid="default", samples=20).checked == 20
+    monkeypatch.setattr(verify, "_run", None)  # a sweep that started would fail on it
+    with pytest.raises(GridError, match=r"^floor-identity is randomized; use --samples and --seed instead of --grid$"):
+        sweep("floor-identity", grid="p=2;alpha=0;n=1..5;r=0", samples=20)
+
+
 def test_identity_sweep_refuses_oversized_samples(monkeypatch):
     # samples are capped like grids, before any instance is drawn; each task
     # draws its own instances from the seeded stream as it is built
