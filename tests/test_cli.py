@@ -155,6 +155,21 @@ def test_oversized_stirling_scans_exit_2(argv, want, capsys, monkeypatch):
     assert run_cli(argv, capsys) == (2, "", f"capacity: {want}\n")
 
 
+@pytest.mark.parametrize("m", [1025, 10**9])
+def test_oversized_mstirling_exits_2(m, capsys, monkeypatch):
+    def built(n):
+        raise AssertionError("a binomial row was built")
+
+    monkeypatch.setattr(stirling, "_comb_row", built)
+    argv = ["compute", "mstirling", "--k", "1*7^100+5", "--m", str(m), "--p", "3", "--E", "12"]
+    assert run_cli(argv, capsys) == (2, "", f"capacity: Stirling scans capped at m <= 1024, got m={m}\n")
+
+
+def test_mstirling_at_the_scan_cap_answers(capsys):
+    argv = ["compute", "mstirling", "--k", "1*7^100+5", "--m", "1024", "--p", "3", "--E", "12"]
+    assert run_cli(argv, capsys) == (0, "0 (mod 3^12)\n", "")
+
+
 def test_compute_delta_n_over_sum_cap_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(polysum, "_comb_row", None)  # a sum that started would fail on it
     rc, out, err = run_cli(["compute", "delta", "--n", "3000000", "--l", "1"], capsys)

@@ -1,5 +1,6 @@
 """Stirling numbers, modular m!S(k,m) kernels, and minimum-order search."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -106,6 +107,16 @@ def test_mstirling_mod_tower_vs_plain():
     plain = StructuredExponent.plain(k.value())
     for m, p, E in ((10, 3, 9), (7, 2, 12), (20, 5, 6)):
         assert mstirling_mod(k, m, p, E) == mstirling_mod(plain, m, p, E)
+
+
+def test_mstirling_mod_residues_pinned():
+    # sha256 of 1800 residues recorded from the unit/p-power surjection route, which the exact binomial row replaced
+    ms = [*range(32), 63, 64, 100, 127, 128, 243, 256, 343, 500, 625, 729, 1000, 1024]
+    ks = (StructuredExponent.plain(123457), StructuredExponent(1, 7, 100, 5))
+    residues = [mstirling_mod(k, m, p, E) for k in ks for p in (2, 3, 5, 7) for E in (1, 2, 5, 12, 40) for m in ms]
+    assert len(residues) == 1800
+    digest = hashlib.sha256(",".join(map(str, residues)).encode()).hexdigest()
+    assert digest == "c4295b2004e863915bdaaa51b2edac98f9fbe999ade0ac2f6301202b636611dd"
 
 
 def test_min_stirling_ord_exact_route_brute_force():
