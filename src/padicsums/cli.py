@@ -116,7 +116,7 @@ def _cmd_compute_ep(args) -> int:
 
 
 def _cmd_compute_stable(args) -> int:
-    params = stable_params(args.p, args.n, m_window=args.window, d=args.d)
+    params = stable_params(args.p, args.n, window=args.window, d=args.d)
     lo, hi = params.m_scanned
     print(f"N={params.N} N0={params.N0} L0={params.L0} m0={params.m0} m_scanned=[{lo}, {hi}]")
     return 0

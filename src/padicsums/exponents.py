@@ -135,11 +135,16 @@ _PLAIN_RE = re.compile(r"^\d+$")
 _TOWER_RE = re.compile(r"^(\d+)\*(\d+)\^(\d+|L)(?:\+(\d+))?$")
 
 
+def _squeeze(text: str) -> str:
+    """text without whitespace: the one spelling both exponent readers match."""
+    return "".join(text.split())
+
+
 def parse_exponent(text: str) -> StructuredExponent:
     """Parse "163" or "c*base^L+d" with a decimal height L (e.g. "2*3^40+28")."""
     if not isinstance(text, str):
         raise ValueError("empty exponent")
-    text = "".join(text.split())
+    text = _squeeze(text)
     if not text:
         raise ValueError("empty exponent")
     if _PLAIN_RE.match(text):
@@ -158,7 +163,7 @@ def parse_exponent(text: str) -> StructuredExponent:
 
 def symbolic_tower(text: str) -> tuple[int, int, int] | None:
     """(c, base, d) when text spells 'c*base^L+d' with the letter L as its height, else None."""
-    match = _TOWER_RE.match(text)
+    match = _TOWER_RE.match(_squeeze(text))
     if not match or match.group(3) != "L":
         return None
     return int(match.group(1)), int(match.group(2)), int(match.group(4) or 0)

@@ -36,10 +36,10 @@ class IntPolynomial:
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
-    def monomial(cls, degree: int, c: int = 1) -> "IntPolynomial":
+    def monomial(cls, degree: int) -> "IntPolynomial":
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
-        return cls((0,) * degree + (c,))
+        return cls((0,) * degree + (1,))
 
     @property
     def degree(self) -> int:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .exponents import StructuredExponent, as_exponent, power_rule
 from .padic import CapacityError, check_prime, ord_nonzero
+from .polysum import _comb_row
 
 STIRLING_CAP = 10**4
 DEFAULT_WINDOW = 60
@@ -63,7 +64,7 @@ def stirling_rows(k_max: int, m_max: int):
         if hi >= len(row):
             row.append(0)
         for j in range(hi, 0, -1):
-            row[j] = j * row[j] + (row[j - 1] if j - 1 < len(row) else 0)
+            row[j] = j * row[j] + row[j - 1]
         row[0] = 0
         yield i, row[:]
 
@@ -96,39 +97,15 @@ def mstirling_scan(k, p: int, E: int):
 def mstirling_mod(k, m: int, p: int, E: int) -> int:
     """m! * S(k, m) modulo p**E, in [0, p**E), for a possibly huge structured exponent k.
 
-    Uses the surjection count sum(C(m,j) (-1)**(m-j) j**k) in O(m) terms.
-    Binomials are carried incrementally as (u / w) * p**t with units u, w,
-    and the sum as a fraction over w, so dividing by j stays legal in
-    Z/p**E and costs one modular inverse in all.
+    The surjection count sum((-1)**(m-j) C(m, j) j**k) over the exact
+    binomial row, reduced once: a route apart from mstirling_scan's
+    difference table.  m is capped at SCAN_CAP like every scan.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got m={m}")
-    M = p**E
-    ppow = [1]
-    for _ in range(E - 1):
-        ppow.append(ppow[-1] * p)
-
-    u, w, t = 1, 1, 0  # C(m, j) = u / w * p**t; the sum so far is total / w
-    total = 0
-    sign = 1 if m % 2 == 0 else -1  # (-1)**(m-j) at j = 0
-    for j, pw in enumerate(map(power_rule(k, p, E), range(m + 1))):
-        if j:
-            num = m - j + 1
-            while num % p == 0:
-                num //= p
-                t += 1
-            den = j
-            while den % p == 0:
-                den //= p
-                t -= 1
-            u = u * num % M
-            if den != 1:
-                w = w * den % M
-                total = total * den % M
-        if pw and t < E:
-            total = (total + sign * (u * ppow[t] % M * pw)) % M
-        sign = -sign
-    return total * pow(w, -1, M) % M
+    power = power_rule(k, p, E)
+    check_scan_cap(m)
+    return sum((-1) ** (m - j) * c * power(j) for j, c in enumerate(_comb_row(m))) % p**E
 
 
 def default_precision(p: int, n: int) -> int:
@@ -277,7 +254,7 @@ def min_stirling_ord(
 def stable_params(
     p: int,
     n: int,
-    m_window: int = DEFAULT_WINDOW,
+    window: int = DEFAULT_WINDOW,
     d: int | None = None,
 ) -> StableParams:
     """Exact scan of the family sums S_m = sum(C(m,j)(-1)**j j**d, p not | j).
@@ -286,18 +263,18 @@ def stable_params(
     the discarded parts are divisible by p**(L+1).  The scan starts at
     m = n and extends adaptively while the running minimum keeps moving.
     """
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     check_prime(p)
     if n < 1:
         raise ValueError(f"n must be >= 1, got n={n}")
-    if m_window < 0:
-        raise ValueError(f"m_window must be >= 0, got {m_window}")
     if d is None:
         d = n - 1
     if d < 0:
         raise ValueError(f"d must be >= 0, got d={d}")
     N = n - 1 + n // (p * (p - 1))
     family = (j**d if j % p else 0 for j in itertools.count())
-    L0, m0, N0, hi = _scan_min(p, n, _diagonal(family), n + m_window, adaptive=True)
+    L0, m0, N0, hi = _scan_min(p, n, _diagonal(family), n + window, adaptive=True)
     if N0 is None:
         raise ValueError(f"every family sum for m in [{n}, {hi}] vanished (p={p}, d={d})")
     return StableParams(N=N, N0=N0, L0=L0, m0=m0, m_scanned=(n, hi))
@@ -317,9 +294,7 @@ def stable_min_ord(
     stabilization and the bound threshold are guaranteed.  The engine scan
     is cross-checked against the exact family value and must agree.
     """
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
-    params = stable_params(p, n, m_window=window, d=d)
+    params = stable_params(p, n, window=window, d=d)
     floor_L = params.height
     if L is None:
         L = floor_L

@@ -300,7 +300,7 @@ def _stirling_diff_block(p, alpha, h, n, lms):
     instance with ord_p(m!) >= bound + 2 is a floor without a table.  The
     others share one difference table per exponent k h (p-1) p^alpha + n - 1,
     k <= their largest l, run up to their largest m and read modulo the
-    largest p**E they need.
+    largest p**E they need.  An m past SCAN_CAP raises CapacityError up front.
     """
     check_prime(p)
     for name, v in (("alpha", alpha), ("h", h), ("l", min(l for l, _ in lms)), ("m", min(m for _, m in lms))):
@@ -308,6 +308,7 @@ def _stirling_diff_block(p, alpha, h, n, lms):
             raise ValueError(f"{name} must be >= 0, got {v}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    check_scan_cap(max(m for _, m in lms))
     q = {m: ord_factorial(p, m // p) for _, m in lms}
     bounds = [min(l * (alpha + 1), n - 1 + q[m]) for l, m in lms]
     out = [(None, bound) for bound in bounds]
@@ -534,6 +535,8 @@ def _check_block_axes(checks, blocks):
         _check_n_axis(top_n)
     elif checks[0] == "factorial-match":
         check_scan_cap(top_n - 1 + DEFAULT_WINDOW)  # the first scan of the last n
+    elif checks[0] == "stirling-diff-bound":
+        check_scan_cap(max((max(block["m"], default=0) for block in blocks), default=0))
 
 
 def _check_n_axis(top):

@@ -43,6 +43,7 @@ def run_cli(argv, capsys, entry=main):
         (["compute", "bound", "--p", "3", "--n", "100"], "new=114 old=113 restated=114"),
         (["compute", "bound", "--p", "2", "--n", "40"], "new=57 old=n/a restated=57"),
         (["compute", "delta", "--l", "30"], "3"),
+        (["compute", "mstirling", "--k", "1*7^100+5", "--m", "1024", "--p", "3", "--E", "12"], "0 (mod 3^12)"),
     ],
 )
 def test_compute_outputs(argv, want, capsys):
@@ -62,7 +63,7 @@ def test_ep_certified_auto_height(capsys):
     "k, extra, want",
     [
         ("2*3^5+28", [], "--L auto needs a symbolic exponent of the form 'c*base^L+d'"),
-        ("2*3^L + 28", [], "--L auto needs a symbolic exponent of the form 'c*base^L+d'"),
+        ("2*3^L - 28", [], "--L auto needs a symbolic exponent of the form 'c*base^L+d'"),
         ("6*3^L+2", [], "--L auto requires the stable family form 2*3^L+d"),
         ("2*3^L+28", ["--p", "5"], "--L auto requires the stable family form 4*5^L+d"),
         ("3*4^L+2", ["--p", "4"], "p must be a prime, got p=4"),
@@ -74,6 +75,19 @@ def test_ep_certified_auto_height(capsys):
 def test_ep_auto_height_errors(k, extra, want, capsys):
     argv = ["compute", "ep", "--p", "3", "--n", "29", "--k", k, "--L", "auto", *extra]
     assert run_cli(argv, capsys) == (64, "", f"error: {want}\n")
+
+
+@pytest.mark.parametrize(
+    "spaced, squeezed",
+    [
+        (["--k", " 2 * 3^L + 28", "--L", "auto"], ["--k", "2*3^L+28", "--L", "auto"]),
+        (["--k", "2*3^40 + 28"], ["--k", "2*3^40+28"]),
+    ],
+)
+def test_spaced_exponents_read_as_squeezed(spaced, squeezed, capsys):
+    head = ["compute", "ep", "--p", "3", "--n", "29"]
+    got = run_cli(head + spaced, capsys)
+    assert got == run_cli(head + squeezed, capsys) and got[0] == 0
 
 
 def test_ep_certified_exact(capsys):
@@ -107,6 +121,12 @@ def test_verify_oversized_grid_exits_2(capsys, monkeypatch):
     rc, out, err = run_cli(["verify", "carry-bound", "--grid", "p=2;alpha=0..9;n=1..1000;r=0..1000;l=0..1"], capsys)
     assert (rc, out) == (2, "")
     assert err == "capacity: grid has 20020000 instances, over the cap of 10000000\n"
+
+
+def test_verify_stirling_diff_m_past_scan_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "_run", None)  # a sweep that started would fail on it
+    argv = ["verify", "stirling-diff-bound", "--grid", "p=2;alpha=3;h=1;l=400;m=1600;n=1600"]
+    assert run_cli(argv, capsys) == (2, "", "capacity: Stirling scans capped at m <= 1024, got m=1600\n")
 
 
 def test_verify_oversized_samples_exits_2(capsys, monkeypatch):
@@ -163,11 +183,6 @@ def test_oversized_mstirling_exits_2(m, capsys, monkeypatch):
     monkeypatch.setattr(stirling, "_comb_row", built)
     argv = ["compute", "mstirling", "--k", "1*7^100+5", "--m", str(m), "--p", "3", "--E", "12"]
     assert run_cli(argv, capsys) == (2, "", f"capacity: Stirling scans capped at m <= 1024, got m={m}\n")
-
-
-def test_mstirling_at_the_scan_cap_answers(capsys):
-    argv = ["compute", "mstirling", "--k", "1*7^100+5", "--m", "1024", "--p", "3", "--E", "12"]
-    assert run_cli(argv, capsys) == (0, "0 (mod 3^12)\n", "")
 
 
 def test_compute_delta_n_over_sum_cap_exits_2(capsys, monkeypatch):

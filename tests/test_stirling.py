@@ -294,5 +294,5 @@ def test_stable_params_scans_pinned():
         (3, 60, 5): (69, 68, 68, 60, (60, 95)),  # one window extension
     }
     for (p, n, window), fields in want.items():
-        sp = stable_params(p, n, m_window=window)
+        sp = stable_params(p, n, window=window)
         assert (sp.N, sp.N0, sp.L0, sp.m0, sp.m_scanned) == fields, (p, n, window)

@@ -260,6 +260,24 @@ def test_parse_grid_refuses_oversized_grid_before_expanding(monkeypatch):
         sweep("stirling-diff-bound", grid="p=2;alpha=0..9;h=1..10;l=0..100;m=1..1000;n=1..10")
 
 
+def test_stirling_diff_bound_refuses_m_past_the_scan_cap(monkeypatch):
+    def built(*args):
+        raise AssertionError("a difference table was built or a sweep task ran")
+
+    monkeypatch.setattr(verify, "mstirling_scan", built)
+    monkeypatch.setattr(verify, "_run", built)
+    want = r"^Stirling scans capped at m <= 1024, got m=1600$"
+    with pytest.raises(CapacityError, match=want):
+        check_stirling_diff_bound(2, 3, 1, 400, 1600, 1600)
+    with pytest.raises(CapacityError, match=want):
+        sweep("stirling-diff-bound", grid="p=2;alpha=3;h=1;l=400;m=1600;n=1600")
+    with pytest.raises(CapacityError, match=r"got m=1025$"):
+        sweep("stirling-diff-bound", grid="p=2;alpha=0;h=1;l=1;m=2,1025;n=2")
+    # m = SCAN_CAP is read; ord_2(1024!) = 1023 makes this instance a floor without a table
+    oc = check_stirling_diff_bound(2, 0, 1, 1, 1024, 2)
+    assert (oc.lhs_ord, oc.lhs_exact, oc.bound) == (3, False, 1)
+
+
 def test_sweep_rejects_incomplete_grids():
     with pytest.raises(GridError, match="missing axes"):
         sweep("polysum-bound", grid={"q": [1]})
