@@ -1,5 +1,6 @@
 """Check functions, grids, and sweep reports."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -147,7 +148,7 @@ def test_stirling_diff_factorial_cut_matches_exact_sums():
     # of the cut that reads no table once ord_p(m!) >= bound+2, against
     # sum C(l,k)(-1)^k m! S(e_k, m) computed exactly from stirling_rows.
     cases = []
-    for p, alpha, h, l, n, m in itertools.product((2, 3), range(3), (1, 2), range(4), range(1, 5), range(12)):
+    for p, alpha, h, l, n, m in itertools.product((2, 3), range(3), (0, 1, 2), range(6), range(1, 5), range(12)):
         bound = min(l * (alpha + 1), n - 1 + ord_factorial(p, m // p))
         if ord_factorial(p, m) - bound in (1, 2, 3):
             cases.append((p, alpha, h, l, m, n))
@@ -170,6 +171,38 @@ def test_stirling_diff_factorial_cut_matches_exact_sums():
         assert (oc.lhs_ord, oc.lhs_exact, oc.slack, oc.holds) == want, (p, alpha, h, l, m, n)
     assert offsets == set(itertools.product((2, 3), range(3), (1, 2, 3)))
     assert tight > 0  # some sum has order exactly ord_p(m!) = bound + 1, one below the cut
+
+
+def _stirling_diff_draws(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield (rng.choice((2, 3, 5, 7)), rng.choice((0, 1, 2, 3, 70)), rng.randint(0, 3),
+               rng.randint(0, 12), rng.randint(0, 80), rng.randint(1, 40))
+
+
+def test_stirling_diff_outcomes_pinned():
+    # 3000 seeded instances, recorded before the l-fold difference was read
+    # off one table per l.  alpha = 70 is a tower that cannot be materialized.
+    ocs = [check_stirling_diff_bound(*c) for c in _stirling_diff_draws(3000, 14)]
+    digest = hashlib.sha256("\n".join(json.dumps(oc.to_dict()) for oc in ocs).encode()).hexdigest()
+    assert digest == "703923d40218cd7653cca819e899290f8f39a21ce13a8f566ce48071515c3d62"
+    insts = [dict(oc.instance) for oc in ocs if oc.lhs_exact]
+    assert len(insts) == 698
+    for covered in (lambda d: d["h"] == 0, lambda d: d["n"] == 1, lambda d: d["m"] < d["n"], lambda d: d["alpha"] == 70):
+        assert any(map(covered, insts))
+
+
+@pytest.mark.parametrize(
+    "inst, want",
+    [
+        ((3, 1, 1, 100, 29, 20), (24, True, 23, 1)),
+        ((2, 70, 3, 200, 29, 20), (31, True, 30, 1)),
+        ((2, 3, 1, 256, 1024, 1024), (1026, False, 1024, None)),
+    ],
+)
+def test_stirling_diff_large_l_pinned(inst, want):
+    oc = check_stirling_diff_bound(*inst)
+    assert (oc.lhs_ord, oc.lhs_exact, oc.bound, oc.slack) == want and oc.holds
 
 
 def test_factorial_match_examples():
