@@ -12,7 +12,7 @@ import sys
 
 from . import golden
 from .exponents import parse_exponent, symbolic_tower
-from .padic import CapacityError, carries, ord_factorial, ord_int
+from .padic import CapacityError, carries, check_prime, ord_factorial, ord_int
 from .polysum import binom_exact
 from .stirling import (
     DEFAULT_WINDOW,
@@ -94,7 +94,7 @@ def _cmd_compute_ep(args) -> int:
         tower = symbolic_tower(args.k)
         if tower is None:
             raise ValueError("--L auto needs a symbolic exponent of the form 'c*base^L+d'")
-        if tower[:2] != (args.p - 1, args.p):
+        if tower[:2] != (check_prime(args.p) - 1, args.p):
             raise ValueError(f"--L auto requires the stable family form {args.p - 1}*{args.p}^L+d")
         res = stable_min_ord(args.p, args.n, d=tower[2], **opts)
         L = res.stable.height

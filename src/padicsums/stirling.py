@@ -208,8 +208,8 @@ def min_stirling_ord(
     extended while the running minimum keeps moving, and the result is a
     heuristic unless certified through the stable family path.  Whenever
     every scanned term is indistinguishable from zero the precision is
-    doubled, up to DEFAULT_RETRIES times; a larger precision gives more
-    headroom, up to the largest the default doublings reach.
+    doubled, at most DEFAULT_RETRIES times and never past the largest
+    precision the default doublings reach, which also caps the start.
     """
     check_prime(p)
     if n < 1:
@@ -227,7 +227,7 @@ def min_stirling_ord(
     if E0 > E_cap:
         raise CapacityError(f"precision capped at {E_cap} for p={p}, n={n}, got {E0}")
     m_hi = k.value() if exact_path else n + window
-    for E in (E0 << i for i in range(DEFAULT_RETRIES + 1)):
+    for retries, E in enumerate(E0 << i for i in range(DEFAULT_RETRIES + 1) if E0 << i <= E_cap):
         best, witness, _, hi = _scan_min(p, n, mstirling_scan(k, p, E), m_hi, adaptive=not exact_path)
         if best is not None:
             return EpResult(
@@ -246,7 +246,7 @@ def min_stirling_ord(
     )
     raise PrecisionError(
         f"every term for m in [{n}, {hi}] is divisible by {p}**{E}; "
-        f"precision cap reached after {DEFAULT_RETRIES} retries",
+        f"precision cap reached after {retries} retries",
         partial=partial,
     )
 

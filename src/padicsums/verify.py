@@ -22,7 +22,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .exponents import StructuredExponent
+from .exponents import StructuredExponent, power_rule
 from .padic import (
     CapacityError,
     carries,
@@ -41,7 +41,7 @@ from .polysum import (
     check_floor_identity,
     check_split_identity,
 )
-from .stirling import DEFAULT_WINDOW, check_scan_cap, mstirling_scan, stable_min_ord
+from .stirling import DEFAULT_WINDOW, _diagonal, check_scan_cap, stable_min_ord
 
 
 IDENTITY_CHECKS = ("floor-identity", "split-identity")
@@ -275,11 +275,11 @@ def check_totient_bound(p: int, alpha: int, n: int, r: int) -> CheckOutcome:
 def check_stirling_diff_bound(p: int, alpha: int, h: int, l: int, m: int, n: int) -> CheckOutcome:
     """Bound on the l-fold difference of scaled Stirling numbers along a tower family.
 
-    The sum binom(l,k)(-1)^k m! S(k h (p-1) p^alpha + n - 1, m) is evaluated
-    modulo p**E with E two above the bound, so the verdict is never left
-    undetermined.  Each S is an integer, so the sum is divisible by m!:
-    when ord_p(m!) >= E it vanishes modulo p**E before any table is read,
-    and the outcome is the floor lhs_ord = E with lhs_exact False.
+    The sum binom(l,k)(-1)^k m! S(k H + n - 1, m), H = h (p-1) p^alpha, is
+    the m-th difference at 0 of j^(n-1) (1 - j^H)^l, read modulo p**E with E
+    two above the bound, so no verdict is left undetermined.  Each S is an
+    integer, so when ord_p(m!) >= E the sum vanishes modulo p**E before any
+    table is read: the outcome is the floor lhs_ord = E with lhs_exact False.
     """
     ((order, bound),) = _stirling_diff_block(p, alpha, h, n, [(l, m)])
     return _stirling_diff_outcome((p, alpha, h, l, m, n), order, bound)
@@ -298,9 +298,9 @@ def _stirling_diff_block(p, alpha, h, n, lms):
 
     order is None for a floor: the sum vanishes modulo p**(bound+2).  An
     instance with ord_p(m!) >= bound + 2 is a floor without a table.  The
-    others share one difference table per exponent k h (p-1) p^alpha + n - 1,
-    k <= their largest l, run up to their largest m and read modulo the
-    largest p**E they need.  An m past SCAN_CAP raises CapacityError up front.
+    others read one difference table per l, of j^(n-1) (1 - j^H)^l with
+    H = h (p-1) p^alpha, run up to their largest m modulo the largest p**E
+    they need.  An m past SCAN_CAP raises CapacityError up front.
     """
     check_prime(p)
     for name, v in (("alpha", alpha), ("h", h), ("l", min(l for l, _ in lms)), ("m", min(m for _, m in lms))):
@@ -313,20 +313,20 @@ def _stirling_diff_block(p, alpha, h, n, lms):
     bounds = [min(l * (alpha + 1), n - 1 + q[m]) for l, m in lms]
     out = [(None, bound) for bound in bounds]
     # ord_p(m!) = floor(m/p) + ord_p(floor(m/p)!) by Legendre's formula
-    live = [i for i, ((_, m), bound) in enumerate(zip(lms, bounds)) if m // p + q[m] < bound + 2]
-    if not live:
-        return out
-    top_E = max(bounds[i] for i in live) + 2
-    top_m = max(lms[i][1] for i in live)
-    tables = []
-    for k in range(max(lms[i][0] for i in live) + 1):
-        exp = StructuredExponent(k * h * (p - 1), p, alpha, n - 1)
-        tables.append(list(itertools.islice(mstirling_scan(exp, p, top_E), top_m + 1)))
-    for i in live:
-        (l, m), bound = lms[i], bounds[i]
-        acc = sum(math.comb(l, k) * (-1) ** k * tables[k][m] for k in range(l + 1)) % p ** (bound + 2)
-        if acc:
-            out[i] = (ord_nonzero(p, acc), bound)
+    live = collections.defaultdict(list)
+    for i, ((l, m), bound) in enumerate(zip(lms, bounds)):
+        if m // p + q[m] < bound + 2:
+            live[l].append(i)
+    for l, group in live.items():
+        E = max(bounds[i] for i in group) + 2
+        jn, jH = power_rule(n - 1, p, E), power_rule(StructuredExponent(h * (p - 1), p, alpha, 0), p, E)
+        values = (jn(j) * pow(1 - jH(j), l, p**E) % p**E for j in itertools.count())
+        table = list(itertools.islice(_diagonal(values), max(lms[i][1] for i in group) + 1))
+        for i in group:
+            acc = table[lms[i][1]] % p ** (bounds[i] + 2)
+            if acc:
+                out[i] = (ord_nonzero(p, acc), bounds[i])
+        del table
     return out
 
 
@@ -760,7 +760,7 @@ def _tasks(checks, blocks):
 
     Tasks are cut along the axes before l; l and every axis after it stay
     whole, so a bound cell sums every l at once and a stirling-diff-bound
-    (p, alpha, h, n) block shares its difference tables.
+    (p, alpha, h, n) block reads one table per l, of j^(n-1) (1 - j^H)^l.
     """
     cut = tuple(itertools.takewhile(lambda a: a != "l", _CHECK_AXES[checks[0]]))
     return ((checks, sub) for block in blocks for sub in _split(block, cut))

@@ -70,6 +70,7 @@ def test_ep_certified_auto_height(capsys):
         ("2*3^L+28", ["--n", "0"], "n must be >= 1, got n=0"),
         ("2*3^L+28", ["--window", "-1"], "window must be >= 0, got -1"),
         ("2*3^L+28", ["--precision", "0"], "precision must be >= 1, got 0"),
+        ("2*3^L+28", ["--p", "1"], "p must be a prime, got p=1"),
     ],
 )
 def test_ep_auto_height_errors(k, extra, want, capsys):

@@ -81,8 +81,7 @@ def test_carmichael_annihilates_units():
         assert pow(j, lam, p**E) == 1
 
 
-# The test_pow_mod_* tests check the modular power j**k mod p**E, which power_rule computes.
-def test_pow_mod_matches_bigint_pow_sampled():
+def test_power_rule_matches_bigint_pow_sampled():
     rng = random.Random(97)
     for _ in range(400):
         j = rng.randint(0, 50)
@@ -96,14 +95,14 @@ def test_pow_mod_matches_bigint_pow_sampled():
         assert power_rule(k, p, E)(j) == pow(j, k.value(), p**E)
 
 
-def test_pow_mod_beyond_materialization():
+def test_power_rule_beyond_materialization():
     # 2^500 is far past the cap for the engine but fine for bigint pow
     k = StructuredExponent(1, 2, 500, 3)
     for j, p, E in ((7, 3, 10), (10, 3, 6), (3, 5, 8)):
         assert power_rule(k, p, E)(j) == pow(j, 2**500 + 3, p**E)
 
 
-def test_pow_mod_divisible_base_short_circuit():
+def test_power_rule_divisible_base_short_circuit():
     # ord of j**k is at least E whenever p | j and k >= E
     assert power_rule(StructuredExponent(1, 2, 65, 0), 3, 5)(6) == 0
     assert power_rule(StructuredExponent(4, 7, 100, 9), 5, 12)(10) == 0
@@ -111,13 +110,13 @@ def test_pow_mod_divisible_base_short_circuit():
     assert power_rule(StructuredExponent.plain(2), 3, 5)(6) == 36 % 3**5
 
 
-def test_pow_mod_edge_cases():
+def test_power_rule_edge_cases():
     assert power_rule(StructuredExponent.plain(0), 3, 4)(0) == 1
     assert power_rule(StructuredExponent.plain(5), 3, 4)(0) == 0
     assert power_rule(StructuredExponent.plain(0), 3, 4)(9) == 1
 
 
-def test_pow_mod_agrees_with_the_stirling_scan_powers():
+def test_power_rule_agrees_with_the_stirling_scan_powers():
     # The scan differences j**k, j = 0, 1, ...; sum over m of C(j, m) times
     # its m-th term gives back the power it read for j.
     for p in (2, 3, 5):

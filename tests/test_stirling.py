@@ -285,6 +285,25 @@ def test_precision_error_partial_pinned():
     assert got == (32, (80, 140), None, 32, "heuristic-window")
 
 
+def test_precision_doublings_stop_at_the_cap(monkeypatch):
+    # Every term faked to 0: each start doubles, at most DEFAULT_RETRIES
+    # times, while it stays within E_cap = default_precision(3, 29) << DEFAULT_RETRIES.
+    passes = []
+
+    def zeros(k, p, E):
+        passes.append(E)
+        return itertools.repeat(0)
+
+    monkeypatch.setattr(stirling, "mstirling_scan", zeros)
+    k = parse_exponent("2*3^70+28")
+    assert default_precision(3, 29) << DEFAULT_RETRIES == 912
+    for start, want in ((None, [57, 114, 228, 456, 912]), (1, [1, 2, 4, 8, 16]), (300, [300, 600]), (912, [912])):
+        passes.clear()
+        with pytest.raises(PrecisionError, match=rf"cap reached after {len(want) - 1} retries$") as ei:
+            min_stirling_ord(3, 29, k, precision=start)
+        assert passes == want and ei.value.partial.value == want[-1], start
+
+
 def test_stable_params_scans_pinned():
     want = {
         (3, 19, 60): (21, 20, 20, 19, (19, 79)),

@@ -205,6 +205,31 @@ def test_stirling_diff_large_l_pinned(inst, want):
     assert (oc.lhs_ord, oc.lhs_exact, oc.bound, oc.slack) == want and oc.holds
 
 
+def test_stirling_diff_l_axis_builds_one_table_per_l(monkeypatch):
+    # The l-fold difference is the m-th difference of j^(n-1) (1 - j^H)^l,
+    # so a block reads one table per live l, however large l is.
+    real, built = verify._diagonal, []
+
+    def counted(values):
+        built.append(1)
+        return real(values)
+
+    monkeypatch.setattr(verify, "_diagonal", counted)
+    oc = check_stirling_diff_bound(2, 3, 1, 256, 1024, 1024)
+    assert (oc.lhs_ord, oc.lhs_exact, oc.bound, oc.holds, len(built)) == (1026, False, 1024, True, 1)
+    rep = sweep("stirling-diff-bound", grid="p=2;alpha=3;h=1;l=256;m=1024;n=1024")
+    assert (rep.checked, rep.held, len(built)) == (1, 1, 2)
+    # six live l, four m each: one table per l, shared by its m
+    built.clear()
+    rep = sweep("stirling-diff-bound", grid="p=3;alpha=1;h=1;l=1..6;m=2,5,8,11;n=10")
+    assert (rep.checked, rep.held, len(built)) == (24, 24, 6)
+    # and each (l, m) of the block reads its own l's table, as a one-instance block does
+    lms = list(itertools.product(range(1, 7), (2, 5, 8, 11)))
+    pairs = verify._stirling_diff_block(3, 1, 1, 10, lms)
+    assert pairs == [verify._stirling_diff_block(3, 1, 1, 10, [lm])[0] for lm in lms]
+    assert {o for o, _ in pairs} == {None, 2, 4, 6, 7, 8, 9, 10}
+
+
 def test_factorial_match_examples():
     oc = check_factorial_match(4)
     assert (oc.lhs_ord, oc.bound, oc.holds) == (1, 1, True)
@@ -297,7 +322,7 @@ def test_stirling_diff_bound_refuses_m_past_the_scan_cap(monkeypatch):
     def built(*args):
         raise AssertionError("a difference table was built or a sweep task ran")
 
-    monkeypatch.setattr(verify, "mstirling_scan", built)
+    monkeypatch.setattr(verify, "_diagonal", built)
     monkeypatch.setattr(verify, "_run", built)
     want = r"^Stirling scans capped at m <= 1024, got m=1600$"
     with pytest.raises(CapacityError, match=want):
