@@ -102,6 +102,24 @@ def test_carries_rejects_bad_input():
         carries(3, -1, 2)
 
 
+def _carries_by_digits(p, a, b):
+    count = carry = 0
+    while a or b or carry:
+        carry = a % p + b % p + carry >= p
+        count += carry
+        a //= p
+        b //= p
+    return count
+
+
+def test_carries_base_2_matches_the_digit_loop():
+    for a in range(1024):
+        for b in range(1024):
+            assert carries(2, a, b) == _carries_by_digits(2, a, b), (a, b)
+    with pytest.raises(ValueError, match="a, b >= 0"):
+        carries(2, 1, -1)
+
+
 def test_carries_match_binomial_order():
     # carry count vs the order of C(a+b, a), sampled; the full grid
     # a, b <= 2000 runs in the acceptance suite

@@ -205,6 +205,23 @@ def test_stirling_diff_large_l_pinned(inst, want):
     assert (oc.lhs_ord, oc.lhs_exact, oc.bound, oc.slack) == want and oc.holds
 
 
+def test_stirling_diff_block_pairs_pinned():
+    # Every (order, bound) of a grid whose blocks have several live l, recorded
+    # before the residue-class sums became dot products.  A kernel that reads a
+    # block's instances from one l's table changes it; the sweep's counts and
+    # slack extremes do not see that.
+    pairs, several = [], 0
+    for p, alpha, h, n in itertools.product((2, 3), range(3), (1, 2), range(2, 13)):
+        lms = list(itertools.product(range(6), range(n, n + 13)))
+        block = verify._stirling_diff_block(p, alpha, h, n, lms)
+        pairs += block
+        several += len({l for (l, _), (o, _) in zip(lms, block) if o is not None}) >= 3
+    assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == (
+        "f6b7efeaf06e247fa9d79d50f07fde6e4a46f60ccb2cbaa14ef982ce19609a2f"
+    )
+    assert (len(pairs), sum(o is not None for o, _ in pairs), several) == (10296, 2185, 82)
+
+
 def test_stirling_diff_l_axis_builds_one_table_per_l(monkeypatch):
     # The l-fold difference is the m-th difference of j^(n-1) (1 - j^H)^l,
     # so a block reads one table per live l, however large l is.
@@ -269,6 +286,45 @@ def test_equality_conjecture_skip_markers():
     for l in (6, 12):
         oc = check_equality_conjecture(3, 1, 20, 1, l=l)
         assert not oc.skipped and oc.slack == 0 and oc.holds is True
+
+
+def _equality_draws(count, seed):
+    """(p, alpha, n, r, l): l mostly admissible and often above the smallest, else any l near it."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p, alpha = rng.choice((2, 3, 5)), rng.choice((1, 2))
+        m = p**alpha
+        n = rng.randint(2 * m - 1, 2 * m + 60)
+        r = rng.randint(-3, n + 3)
+        mod, _ = conjecture_modulus(p, alpha, n)
+        lo, target, smallest = verify._admissible_l(m, n, r, mod)
+        if rng.random() < 0.8:
+            l = smallest + mod * rng.randint(0, 3)
+        else:
+            l = rng.randint(max(0, lo - 3), smallest + 2 * mod)
+        yield p, alpha, n, r, l
+
+
+def test_equality_conjecture_explicit_l_pinned():
+    # 200 outcomes recorded before the sums became dot products: 37 miss a
+    # precondition on l, and 108 are checked at an l above the smallest.
+    draws = list(_equality_draws(200, 15))
+    ocs = [check_equality_conjecture(*d) for d in draws]
+    digest = hashlib.sha256("\n".join(json.dumps(oc.to_dict()) for oc in ocs).encode()).hexdigest()
+    assert digest == "b439b1029e9e4d1a80ec1b409627f8aac88111654519b723352b5f17c8d51f22"
+    above = [d for d, oc in zip(draws, ocs) if not oc.skipped and d[4] != dict(check_equality_conjecture(*d[:4]).instance)["l"]]
+    assert (sum(oc.skipped for oc in ocs), len(above)) == (37, 108)
+
+
+def test_equality_conjecture_grid_pinned():
+    # n from 1 (skipped below 2p^alpha - 1), r from -3 to 43 (past n), recorded
+    # before the sums became dot products.  The conjecture holds on every
+    # checked instance, so no sum vanishes and nothing is violated.
+    rep = sweep("equality-conjecture", "p=2,3,5; alpha=1,2; n=1..40; r=-3..43")
+    assert (rep.checked, rep.held, rep.skipped, rep.flagged) == (7708, 7708, 3572, 1504)
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
+        "59be4042968f621baceffaef41832c2d5fe167b41ae1d63404080bbd61e85f8b"
+    )
 
 
 def test_outcome_serialization():
@@ -618,6 +674,23 @@ def test_identity_sweep_reproducible():
     c = identity_sweep("split-identity", samples=200, seed=7)
     assert c.checked == c.held == 200
     assert "seed=7" in c.grid
+
+
+@pytest.mark.parametrize(
+    "check, seed, digest",
+    [
+        ("floor-identity", 1, "fbe1c209b65894757f949e14e75b67dd82a358ff96babfae143df7112e29b88a"),
+        ("floor-identity", 2, "afcd742c1feb682f6fc6b426ac35cc541f1335c980abbe52ddf5f921efd81338"),
+        ("floor-identity", 3, "0e204bffaff28c63357229b43d2932501d0469710f7cbe5be9b5062a4545146d"),
+        ("split-identity", 1, "f730382cd7bf129f8975849e16c432c65d68ffa3b103006e921db330f005b607"),
+        ("split-identity", 2, "03641c360b63dc4248035ac26ba93f3b5ef58e1b47021166192336ad490cffd7"),
+        ("split-identity", 3, "e7d1b528f3b43225adea13d44c649afc862cbaab17e85fab6cbb9c3659a46e66"),
+    ],
+)
+def test_identity_sweeps_pinned(check, seed, digest):
+    # recorded before the residue-class sums became dot products
+    rep = identity_sweep(check, samples=2000, seed=seed)
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
 
 
 def test_identity_sweep_refuses_a_grid(monkeypatch):
