@@ -95,11 +95,13 @@ def carries(p: int, a: int, b: int) -> int:
     """Number of carries when a and b are added in base p.
 
     By Kummer's theorem this equals the p-adic order of the binomial
-    coefficient C(a+b, a).
+    coefficient C(a+b, a); in base 2, each carry merges two set bits into one.
     """
     check_prime(p)
     if a < 0 or b < 0:
         raise ValueError(f"carry counting needs a, b >= 0, got a={a}, b={b}")
+    if p == 2:
+        return a.bit_count() + b.bit_count() - (a + b).bit_count()
     count = 0
     carry = 0
     while a or b or carry:

@@ -5,8 +5,10 @@ The central object is the exact integer
     sum of C(n, k) * (-1)**k * f((k - r) / m)   over 0 <= k <= n, k = r (mod m)
 
 together with its full-range floor variant, where f has integer
-coefficients.  Two exact rewriting identities for these sums are checked
-term by term; the order bounds themselves live in the verifier module.
+coefficients.  Every sum reads one cached row of signed binomials
+(-1)**k C(n, k): a residue class is the slice row[r % m::m], summed as one
+C-level dot product with a slice of a table of weight values.  Two exact
+rewriting identities are checked; the order bounds live in the verifier.
 """
 
 from __future__ import annotations
@@ -126,10 +128,10 @@ def _check_sum_args(n: int, m: int):
 
 
 def _binomials(n: int) -> tuple[int, ...]:
-    """C(n, k) for k = 0..n, each from the one before: C(n, k+1) = C(n, k) (n-k) / (k+1)."""
+    """(-1)**k C(n, k) for k = 0..n, each from the one before: C(n, k+1) = C(n, k) (n-k) / (k+1)."""
     row = [1]
     for k in range(n):
-        row.append(row[-1] * (n - k) // (k + 1))
+        row.append(-row[-1] * (n - k) // (k + 1))
     return tuple(row)
 
 
@@ -140,7 +142,7 @@ _large_rows = lru_cache(maxsize=4)(_binomials)
 
 
 def _comb_row(n: int) -> tuple[int, ...]:
-    """C(n, k) for k = 0..n, from one of two caches bounded in memory."""
+    """The signed row (-1)**k C(n, k) for k = 0..n, from one of two caches bounded in memory."""
     return _small_rows(n) if n <= 1024 else _large_rows(n)
 
 
@@ -166,18 +168,23 @@ def alt_sum(n: int, r: int, m: int, f: IntPolynomial) -> int:
     n above SUM_CAP raises CapacityError.
     """
     _check_sum_args(n, m)
-    start = r % m
-    if start > n:
-        return 0
-    ev = _evaluator(f)
+    lo = -(r // m)
+    return _class_dot(_comb_row(n), r, m, list(map(_evaluator(f), range(lo, (n - r) // m + 1))), lo)
+
+
+def _class_dot(row, r, m, values, lo):
+    """sum(row[k] * values[(k - r)/m - lo]) over k = r (mod m), one C-level dot product."""
+    return sum(map(mul, row[r % m :: m], values[-(r // m) - lo :]))
+
+
+def class_sums(n: int, rs, m: int, values, lo: int) -> list[int]:
+    """alt_sum(n, r, m, w) for each r in rs, where w(x) = values[x - lo] for x from -(r // m) to (n - r) // m.
+
+    n above SUM_CAP raises CapacityError.
+    """
+    _check_sum_args(n, m)
     row = _comb_row(n)
-    x = (start - r) // m
-    total = 0
-    for k in range(start, n + 1, m):
-        term = row[k] * ev(x)
-        total = total - term if k & 1 else total + term
-        x += 1
-    return total
+    return [_class_dot(row, r, m, values, lo) for r in rs]
 
 
 def alt_sums_upto(n: int, rs, m: int, maxl: int, powers: bool = True, falling: bool = False):
@@ -198,16 +205,12 @@ def alt_sums_upto(n: int, rs, m: int, maxl: int, powers: bool = True, falling: b
     out = []
     for r in rs:
         start = r % m
-        if start > n:
-            out.append(([0] * (maxl + 1) if powers else None, [0] * (maxl + 1) if falling else None))
-            continue
-        ks = range(start, n + 1, m)
-        if start in first and 2 * len(ks) > maxl:
+        if start in first and 2 * len(range(start, n + 1, m)) > maxl:
             r0, (pows, ffs) = first[start]
             t = (r - r0) // m
             out.append((_shifted(pows, t, False) if powers else None, _shifted(ffs, t, True) if falling else None))
             continue
-        cs = [-row[k] if k & 1 else row[k] for k in ks]
+        cs = row[start::m]
         x0 = (start - r) // m
         sums = (
             _moments(cs, x0, maxl, False) if powers else None,
@@ -248,13 +251,7 @@ def alt_floor_sum(n: int, r: int, m: int, f: IntPolynomial) -> int:
     n above SUM_CAP raises CapacityError.
     """
     _check_sum_args(n, m)
-    ev = _evaluator(f)
-    row = _comb_row(n)
-    total = 0
-    for k in range(n + 1):
-        term = row[k] * ev((k - r) // m)
-        total = total - term if k & 1 else total + term
-    return total
+    return sum(map(mul, _comb_row(n), map(_evaluator(f), [(k - r) // m for k in range(n + 1)])))
 
 
 def check_floor_identity(n: int, m: int, r: int, f: IntPolynomial) -> bool:
@@ -280,19 +277,18 @@ def check_split_identity(n: int, m: int, r: int, f: IntPolynomial) -> bool:
         alt_sum(n, r, m, f) - f(floor((n-r)/m)) * alt_sum(n, r, m, 1)
             == - sum_{j=0}^{n-1} C(n,j) * alt_sum(j, r, m, 1)
                                        * alt_sum(n-j-1, r_j, m, df)
+    Each sum on the right is a dot product; the df sums read one table of df,
+    from x = -(r_0 // m) to (n - r) // m - 1, the last x at every j.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got n={n}")
-    df = poly_delta(f)
     lhs = alt_sum(n, r, m, f) - f((n - r) // m) * alt_sum(n, r, m, ONE)
-    row = _comb_row(n)
+    lo = -((r + m - 1) // m)
+    dfs = list(map(_evaluator(poly_delta(f)), range(lo, (n - r) // m)))
+    row, start = _comb_row(n), r % m
     rhs = 0
     for j in range(n):
-        a = alt_sum(j, r, m, ONE)
-        if a == 0:
-            continue
-        b = alt_sum(n - j - 1, r - j + m - 1, m, df)
-        if b == 0:
-            continue
-        rhs += row[j] * a * b
+        a = sum(_comb_row(j)[start::m])
+        if a:
+            rhs += abs(row[j]) * a * _class_dot(_comb_row(n - j - 1), r - j + m - 1, m, dfs, lo)
     return lhs == -rhs

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .exponents import StructuredExponent, as_exponent, power_rule
 from .padic import CapacityError, check_prime, ord_nonzero
@@ -97,15 +98,15 @@ def mstirling_scan(k, p: int, E: int):
 def mstirling_mod(k, m: int, p: int, E: int) -> int:
     """m! * S(k, m) modulo p**E, in [0, p**E), for a possibly huge structured exponent k.
 
-    The surjection count sum((-1)**(m-j) C(m, j) j**k) over the exact
-    binomial row, reduced once: a route apart from mstirling_scan's
-    difference table.  m is capped at SCAN_CAP like every scan.
+    The surjection count sum((-1)**(m-j) C(m, j) j**k), (-1)**m times the exact
+    signed binomial row dotted with the powers, reduced once: a route apart
+    from mstirling_scan's difference table.  m is capped at SCAN_CAP.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got m={m}")
     power = power_rule(k, p, E)
     check_scan_cap(m)
-    return sum((-1) ** (m - j) * c * power(j) for j, c in enumerate(_comb_row(m))) % p**E
+    return (-1) ** m * sum(map(mul, _comb_row(m), map(power, range(m + 1)))) % p**E
 
 
 def default_precision(p: int, n: int) -> int:

@@ -40,6 +40,7 @@ from .polysum import (
     binom_poly,
     check_floor_identity,
     check_split_identity,
+    class_sums,
 )
 from .stirling import DEFAULT_WINDOW, _diagonal, check_scan_cap, stable_min_ord
 
@@ -113,10 +114,6 @@ def _verdict(s_ord, exact, bound):
 def _outcome(check, inst, s_ord, exact, bound, note=""):
     slack, holds = _verdict(s_ord, exact, bound)
     return CheckOutcome(check, inst, s_ord, exact or s_ord is None, bound, slack, holds, note=note)
-
-
-def _skipped(check, inst, note):
-    return CheckOutcome(check, inst, None, True, None, None, None, skipped=True, note=note)
 
 
 def _carry_bound(p, alpha, n, r, base, ls):
@@ -359,44 +356,67 @@ def conjecture_modulus(p: int, alpha: int, n: int) -> tuple[int, int]:
     return (p - 1) * p**e, e
 
 
-def _admissible_l(m, n, r, mod):
-    """(floor(n/m), the residue l must have modulo mod, the smallest admissible l)."""
-    lo = n // m
-    target = (r // m + (n - r) // m) % mod
-    return lo, target, lo + (target - lo) % mod
-
-
 def check_equality_conjecture(p: int, alpha: int, n: int, r: int, l: int | None = None) -> CheckOutcome:
     """Conjectured equality in the carry bound for admissible exponents.
 
     Preconditions (n >= 2p^alpha - 1, l >= floor(n/p^alpha), and the
     congruence on l) gate the instance; failures are marked skipped, not
     violated.  Instances where the congruence modulus degenerates to p-1
-    (magnitude e = 0) are checked but flagged in the note.
+    (magnitude e = 0) are checked but flagged in the note.  l None takes
+    the smallest admissible l.
+    """
+    boundary, (row,) = _equality_block(p, alpha, n, [(r, l)])
+    return _equality_outcome(p, alpha, n, r, l, boundary, row)
+
+
+def _equality_outcome(p, alpha, n, r, l, boundary, row):
+    """The outcome of instance (p, alpha, n, r, l) from its kernel row: a precondition, or (l, order, bound)."""
+    skip = isinstance(row, str)
+    l, v, bound = (l, None, None) if skip else row
+    inst = (("p", p), ("alpha", alpha), ("n", n), ("r", r), ("l", l))
+    if skip:
+        return CheckOutcome("equality-conjecture", inst, None, True, None, None, None, skipped=True, note=row)
+    slack, note = None if v is None else v - bound, "boundary modulus (e=0)" if boundary else ""
+    return CheckOutcome("equality-conjecture", inst, v, True, bound, slack, v == bound, note=note)
+
+
+def _equality_block(p, alpha, n, rls):
+    """(boundary, rows) of check_equality_conjecture for the (r, l) of one (p, alpha, n) block.
+
+    boundary flags the modulus p-1 (e = 0).  rows[i] is the precondition an
+    instance misses, or (l, order, bound) with order None for a vanished sum;
+    l None takes the smallest admissible l, which a residue class shares.
+    The sums of one l are dot products against one table of x^l.  An r whose
+    first x lies floor(n/m) + 1 or more past the block's first starts another
+    table, so none holds more than 2 floor(n/m) + 1 powers, however far apart r lie.
     """
     check_prime(p)
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     m = p**alpha
     if n < 2 * m - 1:
-        inst = (("p", p), ("alpha", alpha), ("n", n), ("r", r), ("l", l))
-        return _skipped("equality-conjecture", inst, f"precondition: n >= {2 * m - 1}")
+        return False, [f"precondition: n >= {2 * m - 1}"] * len(rls)
     mod, e = conjecture_modulus(p, alpha, n)
-    lo, target, smallest = _admissible_l(m, n, r, mod)
-    if l is None:
-        l = smallest
-    inst = (("p", p), ("alpha", alpha), ("n", n), ("r", r), ("l", l))
-    if l < lo:
-        return _skipped("equality-conjecture", inst, f"precondition: l >= {lo}")
-    if l % mod != target:
-        return _skipped("equality-conjecture", inst, f"precondition: l = {target} (mod {mod})")
-    (bound,), _ = _carry_bound(p, alpha, n, r, ord_factorial(p, lo), (l,))
-    s = alt_sum(n, r, m, IntPolynomial.monomial(l))
-    note = "boundary modulus (e=0)" if e == 0 else ""
-    if s == 0:
-        return CheckOutcome("equality-conjecture", inst, None, True, bound, None, False, note=note)
-    v = ord_nonzero(p, s)
-    return CheckOutcome("equality-conjecture", inst, v, True, bound, v - bound, v == bound, note=note)
+    lo, base = n // m, ord_factorial(p, n // m)
+    first = -(max((r for r, _ in rls), default=0) // m)  # the smallest x a term reads
+    rows, groups = [], collections.defaultdict(list)  # (l, table run) -> (row index, r) of its sums
+    for r, l in rls:
+        target = (r // m + (n - r) // m) % mod
+        l = lo + (target - lo) % mod if l is None else l
+        if l < lo:
+            rows.append(f"precondition: l >= {lo}")
+        elif l % mod != target:
+            rows.append(f"precondition: l = {target} (mod {mod})")
+        else:
+            groups[l, (-(r // m) - first) // (lo + 1)].append((len(rows), r))
+            rows.append(_carry_bound(p, alpha, n, r, base, (l,))[0][0])  # the bound, until the sum is read
+    for (l, _), group in groups.items():
+        idx, rs = zip(*group)
+        x0 = -(max(rs) // m)
+        table = [x**l for x in range(x0, (n - min(rs)) // m + 1)]
+        for i, s in zip(idx, class_sums(n, rs, m, table, x0)):
+            rows[i] = (l, ord_nonzero(p, s) if s else None, rows[i])
+    return e == 0, rows
 
 
 _AXIS_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+?)\s*$")
@@ -702,39 +722,40 @@ def _eval_stirling_diff(block, rep):
         rep.add(key, (), 0, 0, [_stirling_diff_outcome((p, alpha, h, *lms[i], ns[j]), o, b) for i, j, o, b in bad])
 
 
-def _outcomes(check, block):
-    """(slice key, outcome) of each instance of a sub-block, for checks evaluated one instance at a time."""
-    if check == "factorial-match":
-        for n in block["n"]:
-            yield "all", check_factorial_match(n)
-    elif check == "equality-conjecture":
-        for p, alpha, n, r in itertools.product(block["p"], block["alpha"], block["n"], block["r"]):
-            yield f"p={p},alpha={alpha}", check_equality_conjecture(p, alpha, n, r)
-    else:
-        fn = check_floor_identity if check == "floor-identity" else check_split_identity
-        for n, m, r, coeffs in block["instance"]:
-            f = IntPolynomial(coeffs)
-            inst = (("n", n), ("m", m), ("r", r), ("f", str(f)))
-            yield None, CheckOutcome(check, inst, None, True, None, None, fn(n, m, r, f))
-
-
 def _eval_task(task):
-    """{check: partial SweepReport} of one task: its checks over a sub-block, or a chunk of identity samples."""
+    """{check: partial SweepReport} of one task: its checks over a sub-block, or a chunk of identity samples.
+
+    Held instances are counted; only a violation becomes a CheckOutcome.
+    """
     checks, block = task
     reports = {c: SweepReport(c, "") for c in checks}
-    if checks[0] in _BOUNDS:
+    check, rep = checks[0], reports[checks[0]]
+    if check in _BOUNDS:
         _eval_bounds(checks, block, reports)
-    elif checks[0] == "stirling-diff-bound":
-        _eval_stirling_diff(block, reports[checks[0]])
+    elif check == "stirling-diff-bound":
+        _eval_stirling_diff(block, rep)
+    elif check == "equality-conjecture":
+        for p, alpha, n in itertools.product(block["p"], block["alpha"], block["n"]):
+            boundary, rows = _equality_block(p, alpha, n, [(r, None) for r in block["r"]])
+            checked = [(r, row) for r, row in zip(block["r"], rows) if not isinstance(row, str)]
+            rep.skipped += len(rows) - len(checked)
+            rep.flagged += boundary * len(checked)
+            bad = [_equality_outcome(p, alpha, n, r, None, boundary, row) for r, row in checked if row[1] != row[2]]
+            slacks = [v - bound for _, (_, v, bound) in checked if v is not None]
+            rep.add(f"p={p},alpha={alpha}", slacks, len(checked) - len(bad), 0, bad)
+    elif check == "factorial-match":
+        for n in block["n"]:
+            o = check_factorial_match(n)
+            rep.add("all", (o.slack,), o.holds, 0, () if o.holds else (o,))
     else:
-        rep = reports[checks[0]]
-        for key, o in _outcomes(checks[0], block):
-            if o.skipped:
-                rep.skipped += 1
-                continue
-            rep.flagged += o.note.startswith("boundary")
-            slacks = () if o.slack is None else (o.slack,)
-            rep.add(key, slacks, o.holds is True, o.holds is None, (o,) if o.holds is False else ())
+        fn = check_floor_identity if check == "floor-identity" else check_split_identity
+        fs = [(n, m, r, IntPolynomial(coeffs)) for n, m, r, coeffs in block["instance"]]
+        bad = [
+            CheckOutcome(check, (("n", n), ("m", m), ("r", r), ("f", str(f))), None, True, None, None, False)
+            for n, m, r, f in fs
+            if not fn(n, m, r, f)
+        ]
+        rep.add(None, (), len(fs) - len(bad), 0, bad)
     return reports
 
 

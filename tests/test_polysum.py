@@ -92,9 +92,9 @@ def test_binom_exact():
         for k in range(-2, n + 3):
             want = math.comb(n, k) if 0 <= k <= n else 0
             assert binom_exact(n, k) == want
-    # the residue-class sums read each binomial row built multiplicatively
+    # the residue-class sums read each signed binomial row built multiplicatively
     for n in (0, 1, 2, 200, SUM_CAP):
-        assert _comb_row(n) == tuple(math.comb(n, k) for k in range(n + 1))
+        assert _comb_row(n) == tuple((-1) ** k * math.comb(n, k) for k in range(n + 1))
 
 
 def test_binomial_rows_near_the_cap_stay_bounded_in_memory():

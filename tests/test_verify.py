@@ -297,7 +297,9 @@ def _equality_draws(count, seed):
         n = rng.randint(2 * m - 1, 2 * m + 60)
         r = rng.randint(-3, n + 3)
         mod, _ = conjecture_modulus(p, alpha, n)
-        lo, target, smallest = verify._admissible_l(m, n, r, mod)
+        lo = n // m
+        target = (r // m + (n - r) // m) % mod
+        smallest = lo + (target - lo) % mod
         if rng.random() < 0.8:
             l = smallest + mod * rng.randint(0, 3)
         else:
@@ -325,6 +327,34 @@ def test_equality_conjecture_grid_pinned():
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
         "59be4042968f621baceffaef41832c2d5fe167b41ae1d63404080bbd61e85f8b"
     )
+
+
+def test_equality_block_sums_term_by_term():
+    # r far apart read tables of their own; explicit l above the smallest too
+    rls = [(r, None) for r in (-10**9, -3, 0, 5, 12, 23, 10**9)] + [(1, 12), (1, 18), (1, 7)]
+    boundary, rows = verify._equality_block(3, 1, 20, rls)
+    assert not boundary and rows[-1] == "precondition: l = 0 (mod 6)"
+    for (r, _), (l, v, bound) in zip(rls, rows[:-1]):
+        s = sum((-1) ** k * math.comb(20, k) * ((k - r) // 3) ** l for k in range(r % 3, 21, 3))
+        assert (v, bound) == (ord_int(3, s), ord_factorial(3, 6) + carries(3, r % 3, (20 - r) % 3)), r
+
+
+@pytest.mark.parametrize("patch", ["bound", "vanished"])
+def test_equality_sweep_violations_match_single_checks(patch, monkeypatch):
+    # The conjecture holds on every grid tried, so a raised bound or vanished
+    # sums stand in for violations: the sweep builds exactly the outcomes the
+    # one-instance check gives, in grid order.
+    if patch == "bound":
+        real = verify.ord_factorial
+        monkeypatch.setattr(verify, "ord_factorial", lambda p, m: real(p, m) + 1)
+    else:
+        monkeypatch.setattr(verify, "class_sums", lambda n, rs, m, values, lo: [0] * len(rs))
+    rep = sweep("equality-conjecture", "p=2,3;alpha=1;n=2..9;r=-1..10")
+    want = [check_equality_conjecture(p, 1, n, r) for p in (2, 3) for n in range(2, 10) for r in range(-1, 11)]
+    want = [o for o in want if not o.skipped]
+    assert rep.violations == want and rep.held == 0 and rep.flagged == sum(o.note != "" for o in want)
+    assert rep.slack == ({"p=2,alpha=1": (-1, -1), "p=3,alpha=1": (-1, -1)} if patch == "bound" else {})
+    assert (rep.exit_code(), rep.exit_code(strict=True)) == (0, 1)
 
 
 def test_outcome_serialization():
