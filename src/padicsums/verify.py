@@ -1,11 +1,11 @@
 """Grid verification of valuation bounds and exact integer identities.
 
-Every check_* function evaluates one inequality or equality on exact
-integers (or on residues with a truncated valuation) for one instance and
-returns a CheckOutcome.  sweep() runs a check over a parameter grid in a
-fixed lexicographic order and counts held and undetermined instances in
-bulk into a SweepReport, building a CheckOutcome only for a violation; the
-report's rendered form is byte-identical at any parallelism level.
+Every check_* function evaluates one inequality or equality on exact integers
+(or residues modulo p**E) for one instance and returns a CheckOutcome; the
+equality and Stirling-difference checks run their sweep's block kernel on it.
+sweep() runs a check over a grid in a fixed lexicographic order, counts held
+and undetermined instances in bulk into a SweepReport and builds a CheckOutcome
+only for a violation; reports render byte-identically at any parallelism level.
 """
 
 from __future__ import annotations
