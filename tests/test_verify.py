@@ -329,11 +329,20 @@ def test_equality_conjecture_grid_pinned():
     )
 
 
-def test_equality_block_sums_term_by_term():
-    # r far apart read tables of their own; explicit l above the smallest too
-    rls = [(r, None) for r in (-10**9, -3, 0, 5, 12, 23, 10**9)] + [(1, 12), (1, 18), (1, 7)]
+def test_equality_block_sums_term_by_term(monkeypatch):
+    # r far apart read tables of their own, each of at most 2 floor(n/m) + 1
+    # powers; explicit l above the smallest too
+    real, sizes = verify.class_sums, []
+
+    def recorded(n, rs, m, values, lo):
+        sizes.append(len(values))
+        return real(n, rs, m, values, lo)
+
+    monkeypatch.setattr(verify, "class_sums", recorded)
+    rls = [(r, None) for r in (-10**6, -3, 0, 5, 12, 23, 10**6)] + [(1, 12), (1, 18), (1, 7)]
     boundary, rows = verify._equality_block(3, 1, 20, rls)
     assert not boundary and rows[-1] == "precondition: l = 0 (mod 6)"
+    assert 0 < max(sizes) <= 13
     for (r, _), (l, v, bound) in zip(rls, rows[:-1]):
         s = sum((-1) ** k * math.comb(20, k) * ((k - r) // 3) ** l for k in range(r % 3, 21, 3))
         assert (v, bound) == (ord_int(3, s), ord_factorial(3, 6) + carries(3, r % 3, (20 - r) % 3)), r
