@@ -13,6 +13,7 @@ rewriting identities are checked; the order bounds live in the verifier.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -168,8 +169,7 @@ def alt_sum(n: int, r: int, m: int, f: IntPolynomial) -> int:
     n above SUM_CAP raises CapacityError.
     """
     _check_sum_args(n, m)
-    lo = -(r // m)
-    return _class_dot(_comb_row(n), r, m, list(map(_evaluator(f), range(lo, (n - r) // m + 1))), lo)
+    return sum(map(mul, _comb_row(n)[r % m :: m], map(_evaluator(f), itertools.count(-(r // m)))))
 
 
 def _class_dot(row, r, m, values, lo):
@@ -177,13 +177,14 @@ def _class_dot(row, r, m, values, lo):
     return sum(map(mul, row[r % m :: m], values[-(r // m) - lo :]))
 
 
-def class_sums(n: int, rs, m: int, values, lo: int) -> list[int]:
-    """alt_sum(n, r, m, w) for each r in rs, where w(x) = values[x - lo] for x from -(r // m) to (n - r) // m.
+def class_sums(n: int, rs, m: int, w) -> list[int]:
+    """alt_sum(n, r, m, w) for each r in rs; w, a weight callable, is tabulated once over the x the classes read.
 
-    n above SUM_CAP raises CapacityError.
+    The table runs from -(max(rs) // m) to (n - min(rs)) // m; n above SUM_CAP raises CapacityError before w is called.
     """
     _check_sum_args(n, m)
-    row = _comb_row(n)
+    lo, row = -(max(rs, default=0) // m), _comb_row(n)
+    values = list(map(w, range(lo, (n - min(rs, default=0)) // m + 1)))
     return [_class_dot(row, r, m, values, lo) for r in rs]
 
 
@@ -251,7 +252,7 @@ def alt_floor_sum(n: int, r: int, m: int, f: IntPolynomial) -> int:
     n above SUM_CAP raises CapacityError.
     """
     _check_sum_args(n, m)
-    return sum(map(mul, _comb_row(n), map(_evaluator(f), [(k - r) // m for k in range(n + 1)])))
+    return sum(map(mul, _comb_row(n), map(_evaluator(f), ((k - r) // m for k in range(n + 1)))))
 
 
 def check_floor_identity(n: int, m: int, r: int, f: IntPolynomial) -> bool:

@@ -389,6 +389,7 @@ def _equality_block(p, alpha, n, rls):
     The sums of one l are dot products against one table of x^l.  An r whose
     first x lies floor(n/m) + 1 or more past the block's first starts another
     table, so none holds more than 2 floor(n/m) + 1 powers, however far apart r lie.
+    An n above SUM_CAP with an instance to sum raises CapacityError before any table.
     """
     check_prime(p)
     if alpha < 1:
@@ -412,9 +413,7 @@ def _equality_block(p, alpha, n, rls):
             rows.append(_carry_bound(p, alpha, n, r, base, (l,))[0][0])  # the bound, until the sum is read
     for (l, _), group in groups.items():
         idx, rs = zip(*group)
-        x0 = -(max(rs) // m)
-        table = [x**l for x in range(x0, (n - min(rs)) // m + 1)]
-        for i, s in zip(idx, class_sums(n, rs, m, table, x0)):
+        for i, s in zip(idx, class_sums(n, rs, m, lambda x: x**l)):
             rows[i] = (l, ord_nonzero(p, s) if s else None, rows[i])
     return e == 0, rows
 

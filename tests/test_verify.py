@@ -35,7 +35,7 @@ from padicsums import (
     sweep,
 )
 from padicsums import verify
-from padicsums.polysum import ONE
+from padicsums.polysum import ONE, SUM_CAP
 from padicsums.verify import BOUND_CHECKS, conjecture_modulus
 
 
@@ -334,9 +334,9 @@ def test_equality_block_sums_term_by_term(monkeypatch):
     # powers; explicit l above the smallest too
     real, sizes = verify.class_sums, []
 
-    def recorded(n, rs, m, values, lo):
-        sizes.append(len(values))
-        return real(n, rs, m, values, lo)
+    def recorded(n, rs, m, w):
+        sizes.append((n - min(rs)) // m + max(rs) // m + 1)  # the x class_sums tabulates w at
+        return real(n, rs, m, w)
 
     monkeypatch.setattr(verify, "class_sums", recorded)
     rls = [(r, None) for r in (-10**6, -3, 0, 5, 12, 23, 10**6)] + [(1, 12), (1, 18), (1, 7)]
@@ -348,6 +348,23 @@ def test_equality_block_sums_term_by_term(monkeypatch):
         assert (v, bound) == (ord_int(3, s), ord_factorial(3, 6) + carries(3, r % 3, (20 - r) % 3)), r
 
 
+def test_equality_conjecture_refuses_n_over_the_cap_before_any_table():
+    # n = 10^6 at p = 2 needs l >= 500000: a table of such powers would take
+    # gigabytes, so the cap must come first.  The peak is checked after each n,
+    # so a table built before the cap fails at SUM_CAP + 1 (a few MB) and the
+    # larger n never run.  A missed precondition on l is still a skipped outcome.
+    tracemalloc.start()
+    try:
+        for n in (SUM_CAP + 1, 10**6, 10**30):
+            with pytest.raises(CapacityError, match=f"capped at n <= {SUM_CAP}, got n={n}"):
+                check_equality_conjecture(2, 1, n, 0)
+            assert tracemalloc.get_traced_memory()[1] < 2**20, n
+        skipped = check_equality_conjecture(2, 1, 10**6, 0, 0)
+    finally:
+        tracemalloc.stop()
+    assert skipped.skipped and skipped.note == "precondition: l >= 500000"
+
+
 @pytest.mark.parametrize("patch", ["bound", "vanished"])
 def test_equality_sweep_violations_match_single_checks(patch, monkeypatch):
     # The conjecture holds on every grid tried, so a raised bound or vanished
@@ -357,7 +374,7 @@ def test_equality_sweep_violations_match_single_checks(patch, monkeypatch):
         real = verify.ord_factorial
         monkeypatch.setattr(verify, "ord_factorial", lambda p, m: real(p, m) + 1)
     else:
-        monkeypatch.setattr(verify, "class_sums", lambda n, rs, m, values, lo: [0] * len(rs))
+        monkeypatch.setattr(verify, "class_sums", lambda n, rs, m, w: [0] * len(rs))
     rep = sweep("equality-conjecture", "p=2,3;alpha=1;n=2..9;r=-1..10")
     want = [check_equality_conjecture(p, 1, n, r) for p in (2, 3) for n in range(2, 10) for r in range(-1, 11)]
     want = [o for o in want if not o.skipped]
