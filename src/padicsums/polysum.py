@@ -7,8 +7,8 @@ The central object is the exact integer
 together with its full-range floor variant, where f has integer
 coefficients.  Every sum reads one cached row of signed binomials
 (-1)**k C(n, k): a residue class is the slice row[r % m::m], summed as one
-C-level dot product with a slice of a table of weight values.  Two exact
-rewriting identities are checked; the order bounds live in the verifier.
+C-level dot product with its weight values (one table where classes share
+them).  Two exact rewriting identities are checked; the bounds live in verify.
 """
 
 from __future__ import annotations
