@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -12,6 +13,7 @@ from padicsums import (
     PrecisionError,
     StructuredExponent,
     default_precision,
+    lower_bound,
     min_stirling_ord,
     mstirling_mod,
     ord_factorial,
@@ -244,6 +246,25 @@ def test_stable_family_lower_bound_invariant():
             res = stable_min_ord(p, n)
             floor_bound = n - 1 + ord_factorial(p, n // p)
             assert res.value >= floor_bound, (p, n)
+
+
+# sha256 of [p, n, value, witness_m, precision, N0, L0, m0] for every
+# stable-family answer below, recorded while the family scans still stopped
+# by a 60-term window.  How the scans stop must not move any of them.
+FAMILY_RANGES = ((2, 80), (3, 120), (5, 120), (7, 60))
+FAMILY_DIGEST = "ad7700449c07629cc12b2c4781bd6245e7160d27e5b6e5f0eb92ef2e91417b36"
+
+
+def test_stable_family_answers_pinned():
+    rows = []
+    for p, top in FAMILY_RANGES:
+        for n in range(2, top + 1):
+            res = stable_min_ord(p, n)
+            sp = res.stable
+            rows.append([p, n, res.value, res.witness_m, res.precision, sp.N0, sp.L0, sp.m0])
+            assert res.value >= lower_bound(p, n), (p, n)
+    assert len(rows) == 376
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == FAMILY_DIGEST
 
 
 # (value, m_scanned, witness_m, precision, certificate), recorded
