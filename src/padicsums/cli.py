@@ -33,7 +33,7 @@ from .su_bounds import (
     table_one,
     table_two,
 )
-from .verify import CHECK_NAMES, GridError, sweep
+from .verify import CHECK_NAMES, GridError, check_jobs, sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,18 +89,17 @@ def _cmd_compute_mstirling(args) -> int:
 
 def _cmd_compute_ep(args) -> int:
     """--L auto needs the family form (p-1)*p^L+d and takes stable_min_ord's own height."""
-    opts = {"window": args.window, "precision": args.precision}
     if args.L == "auto":
         tower = symbolic_tower(args.k)
         if tower is None:
             raise ValueError("--L auto needs a symbolic exponent of the form 'c*base^L+d'")
         if tower[:2] != (check_prime(args.p) - 1, args.p):
             raise ValueError(f"--L auto requires the stable family form {args.p - 1}*{args.p}^L+d")
-        res = stable_min_ord(args.p, args.n, d=tower[2], **opts)
+        res = stable_min_ord(args.p, args.n, d=tower[2], precision=args.precision)
         L = res.stable.height
     else:
         k = parse_exponent(args.k)
-        res, L = ep_auto(args.p, args.n, k, **opts), k.L
+        res, L = ep_auto(args.p, args.n, k, window=args.window, precision=args.precision), k.L
     lo, hi = res.m_scanned
     if res.certified:
         detail = f"certified: {res.certificate}"
@@ -116,7 +115,7 @@ def _cmd_compute_ep(args) -> int:
 
 
 def _cmd_compute_stable(args) -> int:
-    params = stable_params(args.p, args.n, window=args.window, d=args.d)
+    params = stable_params(args.p, args.n, d=args.d)
     lo, hi = params.m_scanned
     print(f"N={params.N} N0={params.N0} L0={params.L0} m0={params.m0} m_scanned=[{lo}, {hi}]")
     return 0
@@ -196,6 +195,7 @@ def _cmd_verify(args) -> int:
     jobs = args.jobs if args.jobs is not None else _env_int("PADICSUMS_JOBS")
     if jobs is not None and jobs < 1:
         raise ValueError(f"{source} must be >= 1, got {jobs}")
+    check_jobs(jobs or 1, source)
     report = sweep(args.check, grid=args.grid, jobs=jobs or 1, samples=args.samples, seed=args.seed)
     sys.stdout.write(report.to_markdown() if args.format == "md" else report.to_json() + "\n")
     print(f"wall time: {report.wall_time:.1f}s", file=sys.stderr)
@@ -255,7 +255,6 @@ def build_parser() -> _Parser:
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--d", type=int, default=None)
-    c.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     c.set_defaults(func=_cmd_compute_stable)
 
     c = csub.add_parser("bound", help="homotopy exponent lower bounds at (p, n)")

@@ -16,11 +16,12 @@ enough, and the stabilized value can be certified from exact integer scans.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from operator import mul
 
 from .exponents import StructuredExponent, as_exponent, power_rule
-from .padic import CapacityError, check_prime, ord_nonzero
+from .padic import CapacityError, check_prime, ord_factorial, ord_nonzero
 from .polysum import _comb_row
 
 STIRLING_CAP = 10**4
@@ -28,8 +29,8 @@ DEFAULT_WINDOW = 60
 WINDOW_STEP = 30
 STABLE_RUN = 25
 DEFAULT_RETRIES = 4
-# Largest m a minimum-order scan may read.  The stable-family scans up to
-# n = 120 stop by m = 180; a scan to the cap at the default precision takes
+# Largest m a minimum-order scan may read.  The stable-family scans stop by m = 87, 134, 174, 146
+# at p = 2, 3, 5, 7 (n <= 80, 120, 120, 60); a scan to the cap at the default precision takes
 # about 4 s (p=3, n=964), and the cost grows about as m**3.
 SCAN_CAP = 1024
 
@@ -167,11 +168,12 @@ def check_scan_cap(m: int):
         raise CapacityError(f"Stirling scans capped at m <= {SCAN_CAP}, got m={m}")
 
 
-def _scan_min(p, n, values, m_hi, adaptive):
+def _scan_min(p, n, values, m_hi, E, tail=None):
     """Scan the orders of values[m], m >= n, skipping zeros; returns (best, witness, first nonzero order, hi).
 
-    hi is the last m read: m_hi, or later when adaptive and best moved within STABLE_RUN terms.
-    A scan that would start or extend past m = SCAN_CAP raises CapacityError before it reads on.
+    tail(m) floors every order from m on: the scan stops after the first m with tail(m+1) > best, or >= E
+    while all vanished mod p**E.  Else it reads [n, m_hi], extended by WINDOW_STEP while best moved in the
+    last STABLE_RUN terms.  hi is the last m read; no scan starts at m_hi or reads on past SCAN_CAP.
     """
     check_scan_cap(m_hi)
     best = witness = first = None
@@ -186,12 +188,58 @@ def _scan_min(p, n, values, m_hi, adaptive):
                 first = v
             if best is None or v < best:
                 best, witness, last_change = v, m, m
-        if m >= hi:
-            if not (adaptive and last_change > hi - STABLE_RUN):
+        if tail is not None:
+            if tail(m + 1) > (E - 1 if best is None else best):  # a vanished term's order is >= E
+                return best, witness, first, m
+            hi = m + 1
+        elif m >= hi:
+            if last_change <= hi - STABLE_RUN:
                 break
             hi += WINDOW_STEP
-            check_scan_cap(hi)
+        check_scan_cap(hi)
     return best, witness, first, hi
+
+
+def _family_tail(p, d):
+    """tail(m) <= ord_p(S_m) for the family sums S_m = sum(C(m,j)(-1)**j j**d, p not | j), never decreasing in m.
+
+    S_m = +-m! S((p-1)p**L + d, m) mod p**(L+1) for every L, so ord_p(S_m) >= ord_p(m!).  For m > d,
+    S_m = -p**d sum(C(m,k)(-1)**k (k/p)**d, k = 0 mod p), so ord_p(S_m) >= d + ord_p(floor(m/p)!)
+    by Sun and Davis, Trans. Amer. Math. Soc. 359 (2007), with alpha = 1.
+    """
+    return lambda m: max(ord_factorial(p, m), d + ord_factorial(p, m // p) if m > d else 0)
+
+
+def _min_ord(p, n, k, precision, m_hi, tail, certificate):
+    """min ord_p(m! S(k, m)) over m >= n by _scan_min mod p**E, E = min(E0 << i, E_cap) for i <= DEFAULT_RETRIES.
+
+    Repeated E are dropped.  E_cap = default_precision << DEFAULT_RETRIES also caps the start E0.
+    """
+    E0 = default_precision(p, n) if precision is None else precision
+    if E0 < 1:
+        raise ValueError(f"precision must be >= 1, got {E0}")
+    E_cap = default_precision(p, n) << DEFAULT_RETRIES
+    if E0 > E_cap:
+        raise CapacityError(f"precision capped at {E_cap} for p={p}, n={n}, got {E0}")
+    ladder = sorted({min(E0 << i, E_cap) for i in range(DEFAULT_RETRIES + 1)})
+    for retries, E in enumerate(ladder):
+        best, witness, _, hi = _scan_min(p, n, mstirling_scan(k, p, E), m_hi, E, tail)
+        if best is not None:
+            break
+    res = EpResult(
+        value=E if best is None else best,
+        m_scanned=(n, hi),
+        certificate="heuristic-window" if best is None else certificate,
+        witness_m=witness,
+        precision=E,
+    )
+    if best is None:
+        raise PrecisionError(
+            f"every term for m in [{n}, {hi}] is divisible by {p}**{E}; "
+            f"precision cap reached after {retries} retries",
+            partial=res,
+        )
+    return res
 
 
 def min_stirling_ord(
@@ -207,10 +255,7 @@ def min_stirling_ord(
     up to k (terms beyond vanish identically), so the result is exact and
     certified.  Otherwise a finite window [n, n+window] is scanned,
     extended while the running minimum keeps moving, and the result is a
-    heuristic unless certified through the stable family path.  Whenever
-    every scanned term is indistinguishable from zero the precision is
-    doubled, at most DEFAULT_RETRIES times and never past the largest
-    precision the default doublings reach, which also caps the start.
+    heuristic unless certified through the stable family path.
     """
     check_prime(p)
     if n < 1:
@@ -220,52 +265,20 @@ def min_stirling_ord(
         raise ValueError(f"k must be >= n, got k={k} < n={n}")
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    exact_path = k.materializable and k.value() <= n + window
-    E0 = default_precision(p, n) if precision is None else precision
-    if E0 < 1:
-        raise ValueError(f"precision must be >= 1, got {E0}")
-    E_cap = default_precision(p, n) << DEFAULT_RETRIES
-    if E0 > E_cap:
-        raise CapacityError(f"precision capped at {E_cap} for p={p}, n={n}, got {E0}")
-    m_hi = k.value() if exact_path else n + window
-    for retries, E in enumerate(E0 << i for i in range(DEFAULT_RETRIES + 1) if E0 << i <= E_cap):
-        best, witness, _, hi = _scan_min(p, n, mstirling_scan(k, p, E), m_hi, adaptive=not exact_path)
-        if best is not None:
-            return EpResult(
-                value=best,
-                m_scanned=(n, hi),
-                certificate="exact-finite-k" if exact_path else "heuristic-window",
-                witness_m=witness,
-                precision=E,
-            )
-    partial = EpResult(
-        value=E,
-        m_scanned=(n, hi),
-        certificate="heuristic-window",
-        witness_m=None,
-        precision=E,
-    )
-    raise PrecisionError(
-        f"every term for m in [{n}, {hi}] is divisible by {p}**{E}; "
-        f"precision cap reached after {retries} retries",
-        partial=partial,
-    )
+    if k.materializable and k.value() <= n + window:
+        top = k.value()  # S(k, m) = 0 for every m > k
+        return _min_ord(p, n, k, precision, top, lambda m: 0 if m <= top else math.inf, "exact-finite-k")
+    return _min_ord(p, n, k, precision, n + window, None, "heuristic-window")
 
 
-def stable_params(
-    p: int,
-    n: int,
-    window: int = DEFAULT_WINDOW,
-    d: int | None = None,
-) -> StableParams:
+def stable_params(p: int, n: int, d: int | None = None) -> StableParams:
     """Exact scan of the family sums S_m = sum(C(m,j)(-1)**j j**d, p not | j).
 
     These are the L-independent parts of (-1)**m m! S((p-1)p**L + d, m);
     the discarded parts are divisible by p**(L+1).  The scan starts at
-    m = n and extends adaptively while the running minimum keeps moving.
+    m = n and stops once _family_tail proves that no later S_m goes below
+    the running minimum.
     """
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
     check_prime(p)
     if n < 1:
         raise ValueError(f"n must be >= 1, got n={n}")
@@ -275,9 +288,7 @@ def stable_params(
         raise ValueError(f"d must be >= 0, got d={d}")
     N = n - 1 + n // (p * (p - 1))
     family = (j**d if j % p else 0 for j in itertools.count())
-    L0, m0, N0, hi = _scan_min(p, n, _diagonal(family), n + window, adaptive=True)
-    if N0 is None:
-        raise ValueError(f"every family sum for m in [{n}, {hi}] vanished (p={p}, d={d})")
+    L0, m0, N0, hi = _scan_min(p, n, _diagonal(family), n, math.inf, _family_tail(p, d))
     return StableParams(N=N, N0=N0, L0=L0, m0=m0, m_scanned=(n, hi))
 
 
@@ -286,34 +297,26 @@ def stable_min_ord(
     n: int,
     L: int | None = None,
     d: int | None = None,
-    window: int = DEFAULT_WINDOW,
     precision: int | None = None,
 ) -> EpResult:
     """Certified minimum order for the family exponent k = (p-1) p**L + d.
 
     L defaults to max(N, N0), the smallest height at which both the
     stabilization and the bound threshold are guaranteed.  The engine scan
-    is cross-checked against the exact family value and must agree.
+    stops by the family tail, since its terms are +-S_m mod p**(L+1) and
+    L >= L0, and must agree with the exact family value.
     """
-    params = stable_params(p, n, window=window, d=d)
+    params = stable_params(p, n, d=d)
     floor_L = params.height
     if L is None:
         L = floor_L
     elif L < floor_L:
         raise ValueError(f"L={L} is below the stabilization threshold max(N, N0)={floor_L}")
     k = StructuredExponent(p - 1, p, L, n - 1 if d is None else d)
-    eng_window = max(window, params.m0 - n + STABLE_RUN)
-    res = min_stirling_ord(p, n, k, window=eng_window, precision=precision)
+    res = _min_ord(p, n, k, precision, n, _family_tail(p, k.d), "stable-family")
     if res.value != params.L0:
         raise AssertionError(
             f"engine minimum {res.value} disagrees with exact family value {params.L0} "
             f"(p={p}, n={n}, k={k})"
         )
-    return EpResult(
-        value=res.value,
-        m_scanned=res.m_scanned,
-        certificate="stable-family",
-        witness_m=res.witness_m,
-        precision=res.precision,
-        stable=params,
-    )
+    return replace(res, stable=params)

@@ -92,14 +92,18 @@ def ep_auto(
     k = as_exponent(k)
     if not k.is_plain and k.base == p and k.c == p - 1:
         try:
-            return stable_min_ord(p, n, L=k.L, d=k.d, window=window, precision=precision)
+            return stable_min_ord(p, n, L=k.L, d=k.d, precision=precision)
         except ValueError:
             pass
     return min_stirling_ord(p, n, k, window=window, precision=precision)
 
 
 def exponent_to_homotopy(p: int, n: int, value: int) -> int:
-    """Convert a minimum Stirling order into a homotopy exponent bound."""
+    """Convert a minimum Stirling order into a homotopy exponent bound.
+
+    At p = 2 this proves the arithmetic bound on e_2, not the paper's homotopy
+    bound: at 18 even n <= 80 the stable value minus 1 is one below lower_bound(2, n).
+    """
     if p == 2 and n % 2 == 0:
         return value - 1
     return value
@@ -114,8 +118,8 @@ def homotopy_exponent_bound(
 ) -> tuple[int, EpResult]:
     """Certified homotopy p-exponent lower bound for SU(n) from one exponent instance.
 
-    Returns (bound, engine result).  Uncertified engine results are refused:
-    a heuristic window minimum must not be passed off as a proven bound.
+    Returns (bound, engine result); a heuristic window minimum is refused.  At
+    p = 2 the bound is exponent_to_homotopy's, not the paper's homotopy bound.
     """
     res = ep_auto(p, n, k, window=window, precision=precision)
     if not res.certified:
@@ -154,8 +158,7 @@ def emit_table1(
         raise ValueError(f"need 2 <= n_from <= n_to, got [{n_from}, {n_to}]")
     if k_budget < 0:
         raise ValueError(f"k_budget must be >= 0, got {k_budget}")
-    window = max(DEFAULT_WINDOW, k_budget) if with_max else DEFAULT_WINDOW
-    check_scan_cap(n_to + window)
+    check_scan_cap(n_to + k_budget if with_max else n_to)
     rows = []
     for n in range(n_from, n_to + 1):
         res = stable_min_ord(3, n)
@@ -165,12 +168,8 @@ def emit_table1(
         max_observed = k_hi = None
         if with_max:
             k_hi = n + k_budget
-            best = stable
-            for k in range(n, k_hi + 1):
-                v = min_stirling_ord(3, n, k, window=window).value
-                if v > best:
-                    best = v
-            max_observed = best
+            finite = (min_stirling_ord(3, n, k, window=k_budget).value for k in range(n, k_hi + 1))
+            max_observed = max(stable, *finite)
         rows.append(Table1Row(n, L, stable, bound, max_observed, k_hi))
     return rows
 

@@ -42,7 +42,7 @@ from .polysum import (
     check_split_identity,
     class_sums,
 )
-from .stirling import DEFAULT_WINDOW, _diagonal, check_scan_cap, stable_min_ord
+from .stirling import _diagonal, check_scan_cap, stable_min_ord
 
 
 IDENTITY_CHECKS = ("floor-identity", "split-identity")
@@ -53,6 +53,8 @@ _CELL_CHUNK = 64
 _RENDER_CAP = 50
 # Instances one parsed grid may hold: about three times a default bound grid.
 GRID_CAP = 10**7
+# Worker processes one sweep may start; a fork-started pool starts them all at its first task.
+JOBS_CAP = 64
 
 
 class GridError(ValueError):
@@ -207,7 +209,7 @@ def _bound_inst(p, alpha, n, r, l, d, f=None):
     return inst + (("l", l),) if d.uses_l else inst
 
 
-def _class_sums(d, sums, ls, facts, cell):
+def _bound_sums(d, sums, ls, facts, cell):
     """The residue-class sums bound d reads for each l of ls, from the sums of its weight's numerator.
 
     sums is indexed by l, and facts[i] = ls[i]!.  A binomial-weighted sum not
@@ -236,7 +238,7 @@ def _check_bound(check, p, alpha, n, r, l=0, f=None):
     inst = _bound_inst(p, alpha, n, r, l, d, f)
     (bound,), note = d.bound(p, alpha, n, r, ord_factorial(p, n // m), (l,))
     s = alt_sum(n, r, m, f if f is not None else _WEIGHTS[d.weight](l))
-    (q,) = _class_sums(d, {l: s}, (l,), (math.factorial(l),), (p, alpha, n, r))
+    (q,) = _bound_sums(d, {l: s}, (l,), (math.factorial(l),), (p, alpha, n, r))
     return _outcome(check, inst, ord_nonzero(p, q) if q else None, True, bound, note)
 
 
@@ -553,7 +555,7 @@ def _check_block_axes(checks, blocks):
     if checks[0] in _SUM_CHECKS:
         _check_n_axis(top_n)
     elif checks[0] == "factorial-match":
-        check_scan_cap(top_n - 1 + DEFAULT_WINDOW)  # the first scan of the last n
+        check_scan_cap(top_n - 1)  # the first term of the last n's scan
     elif checks[0] == "stirling-diff-bound":
         check_scan_cap(max((max(block["m"], default=0) for block in blocks), default=0))
 
@@ -686,7 +688,7 @@ def _eval_bounds(checks, block, reports):
             if ords is None:
                 fam = d.weight == "C(x,l)"  # the index of its family in each (powers, falling) pair
                 ords = orders[d.weight] = [
-                    [ord_nonzero(p, s) if s else None for s in _class_sums(d, c[fam], lv, facts, (p, alpha, n, r))]
+                    [ord_nonzero(p, s) if s else None for s in _bound_sums(d, c[fam], lv, facts, (p, alpha, n, r))]
                     for r, c in zip(rs, cells)
                 ]
             slacks, bad = [], []
@@ -797,8 +799,15 @@ def _identity_tasks(check, samples, seed):
         yield (check,), {"instance": chunk}
 
 
+def check_jobs(jobs: int, source: str = "jobs"):
+    """Refuse a worker count above JOBS_CAP, before any pool starts."""
+    if jobs > JOBS_CAP:
+        raise CapacityError(f"{source} must be <= {JOBS_CAP}, got {jobs}")
+
+
 def _run(worker, tasks, jobs):
     """worker(task) for each task, in order; a pool is sent at most 2 * jobs tasks ahead of the results read."""
+    check_jobs(jobs)
     if jobs <= 1:
         yield from map(worker, tasks)
         return

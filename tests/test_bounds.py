@@ -17,9 +17,11 @@ from padicsums import (
     exponent_to_homotopy,
     homotopy_exponent_bound,
     lower_bound,
+    min_stirling_ord,
     old_bound,
     ord_factorial,
     restated_bound,
+    stable_min_ord,
 )
 from padicsums import IntPolynomial, golden
 from padicsums.su_bounds import render, table_delta, table_one, table_two
@@ -79,10 +81,28 @@ def test_ep_auto_routes_by_exponent_shape():
     assert res2.value == 13
 
 
+def test_ep_auto_falls_back_below_the_family_threshold():
+    # L = 3 is below the family's height max(N, N0) = 34, so the direct scan answers
+    k = StructuredExponent(2, 3, 3, 28)
+    res = ep_auto(3, 29, k)
+    assert res == min_stirling_ord(3, 29, k)
+    assert (res.certificate, res.value, res.m_scanned) == ("exact-finite-k", 15, (29, 82))
+
+
 def test_exponent_to_homotopy():
     assert exponent_to_homotopy(3, 29, 32) == 32
     assert exponent_to_homotopy(2, 10, 7) == 6
     assert exponent_to_homotopy(2, 11, 7) == 7
+
+
+def test_p2_homotopy_bound_is_one_short_at_18_even_n():
+    # at p = 2 the code proves the arithmetic bound on e_2, not the paper's homotopy bound
+    short = {}
+    for n in range(2, 81):
+        gap = lower_bound(2, n) - exponent_to_homotopy(2, n, stable_min_ord(2, n).value)
+        if gap > 0:
+            short[n] = gap
+    assert short == dict.fromkeys([2, 4, 6, 10, 12, 18, 20, 22, 34, 36, 38, 42, 44, 66, 68, 70, 74, 76], 1)
 
 
 def test_homotopy_exponent_bound_requires_certificate():

@@ -38,7 +38,7 @@ def run_cli(argv, capsys, entry=main):
         ),
         (
             ["compute", "stable", "--p", "3", "--n", "29"],
-            "N=32 N0=34 L0=32 m0=30 m_scanned=[29, 89]",
+            "N=32 N0=34 L0=32 m0=30 m_scanned=[29, 35]",
         ),
         (["compute", "bound", "--p", "3", "--n", "100"], "new=114 old=113 restated=114"),
         (["compute", "bound", "--p", "2", "--n", "40"], "new=57 old=n/a restated=57"),
@@ -52,11 +52,12 @@ def test_compute_outputs(argv, want, capsys):
 
 
 def test_ep_certified_auto_height(capsys):
-    rc, out, _ = run_cli(
-        ["compute", "ep", "--p", "3", "--n", "29", "--k", "2*3^L+28", "--L", "auto"], capsys
-    )
+    argv = ["compute", "ep", "--p", "3", "--n", "29", "--k", "2*3^L+28", "--L", "auto"]
+    rc, out, _ = run_cli(argv, capsys)
     assert rc == 0
-    assert out.strip() == "32 (certified: stable-family, L=34, m in [29, 89], precision=57)"
+    assert out.strip() == "32 (certified: stable-family, L=34, m in [29, 35], precision=57)"
+    # the family scan stops by its tail, so no window reaches it
+    assert run_cli(argv + ["--window", "0"], capsys) == (rc, out, "")
 
 
 @pytest.mark.parametrize(
@@ -68,7 +69,7 @@ def test_ep_certified_auto_height(capsys):
         ("2*3^L+28", ["--p", "5"], "--L auto requires the stable family form 4*5^L+d"),
         ("3*4^L+2", ["--p", "4"], "p must be a prime, got p=4"),
         ("2*3^L+28", ["--n", "0"], "n must be >= 1, got n=0"),
-        ("2*3^L+28", ["--window", "-1"], "window must be >= 0, got -1"),
+        ("2*3^L+28", ["--p", "2"], "--L auto requires the stable family form 1*2^L+d"),
         ("2*3^L+28", ["--precision", "0"], "precision must be >= 1, got 0"),
         ("2*3^L+28", ["--p", "1"], "p must be a prime, got p=1"),
     ],
@@ -157,14 +158,15 @@ def test_verify_n_over_sum_cap_exits_2(capsys, monkeypatch, check, grid):
     [
         (["compute", "ep", "--p", "3", "--n", "1600", "--k", "1*7^100+5"], "Stirling scans capped at m <= 1024, got m=1660"),
         (["compute", "ep", "--p", "3", "--n", "100000", "--k", "1*7^100+5"], "Stirling scans capped at m <= 1024, got m=100060"),
-        (["compute", "stable", "--p", "3", "--n", "100000"], "Stirling scans capped at m <= 1024, got m=100060"),
-        (["verify", "factorial-match", "--grid", "n=100000"], "Stirling scans capped at m <= 1024, got m=100059"),
-        (["verify", "factorial-match", "--grid", "n=4,100000"], "Stirling scans capped at m <= 1024, got m=100059"),
-        (["table", "one", "--to", "100000"], "Stirling scans capped at m <= 1024, got m=100060"),
+        (["compute", "stable", "--p", "3", "--n", "100000"], "Stirling scans capped at m <= 1024, got m=100000"),
+        (["verify", "factorial-match", "--grid", "n=100000"], "Stirling scans capped at m <= 1024, got m=99999"),
+        (["verify", "factorial-match", "--grid", "n=4,100000"], "Stirling scans capped at m <= 1024, got m=99999"),
+        (["table", "one", "--to", "100000"], "Stirling scans capped at m <= 1024, got m=100000"),
         (
             ["compute", "ep", "--p", "3", "--n", "29", "--k", "1*7^100+5", "--precision", "100000"],
             "precision capped at 912 for p=3, n=29, got 100000",
         ),
+        (["table", "one", "--to", "1000", "--with-max"], "Stirling scans capped at m <= 1024, got m=1040"),
     ],
 )
 def test_oversized_stirling_scans_exit_2(argv, want, capsys, monkeypatch):
@@ -318,6 +320,16 @@ def test_verify_jobs_env_override(capsys, monkeypatch):
     assert rc == 0 and json.loads(out)["checked"] == 40
 
 
+def test_verify_jobs_over_the_cap_exit_2_from_either_source(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", None)  # a pool that started would fail on it
+    cap, over = verify.JOBS_CAP, str(verify.JOBS_CAP + 1)
+    argv = ["verify", "carry-bound", "--grid", "p=2;alpha=1;n=1..10;r=0..1;l=0..1"]
+    assert run_cli(argv + ["--jobs", over], capsys) == (2, "", f"capacity: --jobs must be <= {cap}, got {over}\n")
+    monkeypatch.setenv("PADICSUMS_JOBS", over)
+    want = f"capacity: environment variable PADICSUMS_JOBS must be <= {cap}, got {over}\n"
+    assert run_cli(argv, capsys) == (2, "", want)
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_verify_jobs_below_one_is_refused_from_either_source(value, capsys, monkeypatch):
     monkeypatch.setattr(verify, "_run", None)  # a sweep that started would fail on it
@@ -349,6 +361,16 @@ def test_readme_commands_parse(capsys):
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}\n{capsys.readouterr().err}")
+
+
+def test_readme_family_examples_print_what_readme_shows(capsys):
+    # each `compute ep ... --L auto` line of README is followed by `# -> <its stdout>`
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    examples = [(line, lines[i + 1]) for i, line in enumerate(lines) if line.endswith("--L auto")]
+    assert len(examples) == 2
+    for line, shown in examples:
+        assert shown.startswith("# -> "), line
+        assert run_cli(shlex.split(line)[1:], capsys) == (0, shown[len("# -> "):] + "\n", ""), line
 
 
 @pytest.mark.skipif(

@@ -55,7 +55,10 @@ CASES = [
     ["compute", "mstirling", "--k", "2*3^5+28", "--m", "30", "--p", "3", "--E", "12"],
 ]
 
-# Recorded before the bound-table refactor of verify.py.
+# Recorded before the bound-table refactor of verify.py.  The four that
+# print a stable-family range (both --L auto commands, compute stable and
+# compute ep --k 2*3^40+28) were re-recorded when the family scans moved
+# from a window to the family tail; only their m ranges changed.
 DIGESTS = {
     'table one --from 19 --to 23 --format md': "03b69c1b2f6b9f79789c2d5878932b88b591179199590e58c4d9871e8eb1256f",
     'table one --from 19 --to 23 --format csv': "101a043327239786281c057dadfaf1afa8860901af0589ccc4d0988953d52d5c",
@@ -88,9 +91,9 @@ DIGESTS = {
     'compute tau --p 3 --a 4 --b 8': "d6ea1868d5b7a7f089632625413bac304384306c4fc85dea49289e3dcbdc56e5",
     'compute binom --n 10 --k 4': "3ff240d4aeee02dd38768714bd081bd58be8062c7b78acc43b6f14c0b92cfa14",
     'compute stirling --k 10 --m 4': "86928e6ed6d742613b1991594fe44b2b0cc40d5b9b5de90b2c4219ba7d9cd4b3",
-    'compute ep --p 3 --n 29 --k 2*3^L+28 --L auto': "21e3c309103365fe3a4aa2d23dee34be847a1ce28e9cbcd5eb2245d85a80bcee",
-    'compute ep --p 3 --n 28 --k 2*3^L+27 --L auto': "2468530a915a87317a32063dbe34c96cdda453ae4723f7ffeaff26e198f9239d",
-    'compute stable --p 3 --n 29': "d351b0d3a2ff00e31468ffd2afe692f6dde4de217ea641bddf88051a35cca183",
+    'compute ep --p 3 --n 29 --k 2*3^L+28 --L auto': "ee227cf77dff14dfdb7307a9fe73fd91c34d7a73a9cf931b5eed86acd05ec93b",
+    'compute ep --p 3 --n 28 --k 2*3^L+27 --L auto': "41588011e056517722c6c32e320fd85ea45961d332df8bad677dc7b0b2a3b576",
+    'compute stable --p 3 --n 29': "342d01e87014d59b447121c5f1a940b9ff50e133c2f3d48add263e32b66c5dd8",
     'compute bound --p 3 --n 100': "57083f74cc055ce38b2659fb4c4eafc54f016a78d46fce77c4e60d0ee99c4fde",
     'compute delta --l 30': "3664dc7cef1188c7bc0ebd9e452a0856d6c63e57239371f5f4dda2f0d1eaaa03",
     # Recorded while orders, residues and e_p values were still wrapped in
@@ -103,7 +106,7 @@ DIGESTS = {
     'compute mstirling --k 10 --m 4 --p 4 --E 3': "f636387ace4d81c6bc897ec1c0b89bfd9bcbafa780be73c797b8a9a4431e246e",
     'compute mstirling --k 10 --m 4 --p 3 --E 0': "3306bd8d1442780f0bfc255488d6d5bc31cffc1e97ce1a69cc52fdc075760ae3",
     # Recorded while a tower height could still be passed as --L <int>.
-    'compute ep --p 3 --n 29 --k 2*3^40+28': "69ffac05585617bdf32b14d56dea617d22eb1515095f9ac084a1155bf90e6490",
+    'compute ep --p 3 --n 29 --k 2*3^40+28': "26fa59f51ed4202b6e4ebadddbf6d8f5b8623be54f4e8541c87cc0f7890e208c",
     'compute mstirling --k 2*3^5+28 --m 30 --p 3 --E 12': "202b5be84c03ac5c7afcb513d8c5f681b48d4183e68108e883f3ee0dfe5bc160",
 }
 

@@ -165,7 +165,7 @@ def test_heuristic_window_is_uncertified():
 def test_stable_params_frozen_examples():
     sp = stable_params(3, 29)
     assert (sp.N, sp.N0, sp.L0, sp.m0) == (32, 34, 32, 30)
-    assert sp.m_scanned == (29, 89)
+    assert sp.m_scanned == (29, 35)
     sp2 = stable_params(2, 4)
     assert (sp2.N, sp2.N0, sp2.L0, sp2.m0) == (5, 4, 4, 4)
     sp3 = stable_params(2, 3, d=3)
@@ -226,12 +226,16 @@ def test_default_precision_values():
 
 
 def test_scans_refuse_past_their_caps():
-    # a scan may read up to m = SCAN_CAP, but not extend its window past it
-    assert stirling._scan_min(2, SCAN_CAP - 4, itertools.repeat(1), SCAN_CAP, adaptive=False)[3] == SCAN_CAP
+    # a scan may read up to m = SCAN_CAP, but not extend its window or read on past it
+    stop_past_cap = lambda m: 0 if m <= SCAN_CAP else math.inf  # noqa: E731
+    assert stirling._scan_min(2, SCAN_CAP - 4, itertools.repeat(1), SCAN_CAP, 9, stop_past_cap)[3] == SCAN_CAP
     drops = (2 ** (2 * SCAN_CAP - m) for m in itertools.count())  # the minimum moves at every m
     want = rf"^Stirling scans capped at m <= {SCAN_CAP}, got m={SCAN_CAP - 4 + WINDOW_STEP}$"
     with pytest.raises(CapacityError, match=want):
-        stirling._scan_min(2, SCAN_CAP - 4, drops, SCAN_CAP - 4, adaptive=True)
+        stirling._scan_min(2, SCAN_CAP - 4, drops, SCAN_CAP - 4, 9)
+    # a tail-stopped scan whose values all vanish reads on to the cap, exactly
+    with pytest.raises(CapacityError, match=rf"^Stirling scans capped at m <= {SCAN_CAP}, got m={SCAN_CAP + 1}$"):
+        stirling._scan_min(2, 3, itertools.repeat(0), 3, math.inf, stirling._family_tail(2, 2))
     # the precision may go up to what the default doublings reach
     cap = default_precision(3, 29) << DEFAULT_RETRIES
     assert min_stirling_ord(3, 29, 35, precision=cap).value == 13
@@ -270,17 +274,19 @@ def test_stable_family_answers_pinned():
 # (value, m_scanned, witness_m, precision, certificate), recorded
 # before the scans moved to one forward-difference table.  A faster kernel
 # must not move any of them: the scan bounds are printed by ``compute ep``.
+# The stable rows' m_scanned were re-recorded when the family scans moved
+# from a window to the family tail.
 PINNED_SCANS = {
     "exact-finite-k": (
         lambda: min_stirling_ord(3, 29, 80), (15, (29, 80), 29, 57, "exact-finite-k")),
     "stable p=3 n=19": (
-        lambda: stable_min_ord(3, 19), (20, (19, 79), 19, 39, "stable-family")),
+        lambda: stable_min_ord(3, 19), (20, (19, 26), 19, 39, "stable-family")),
     "stable p=3 n=28": (
-        lambda: stable_min_ord(3, 28), (31, (28, 88), 28, 55, "stable-family")),
+        lambda: stable_min_ord(3, 28), (31, (28, 35), 28, 55, "stable-family")),
     "stable p=3 n=41": (
-        lambda: stable_min_ord(3, 41), (45, (41, 101), 41, 78, "stable-family")),
+        lambda: stable_min_ord(3, 41), (45, (41, 44), 41, 78, "stable-family")),
     "stable p=2 n=7": (
-        lambda: stable_min_ord(2, 7), (8, (7, 67), 7, 26, "stable-family")),
+        lambda: stable_min_ord(2, 7), (8, (7, 7), 7, 26, "stable-family")),
     "window extension": (
         lambda: min_stirling_ord(3, 29, 4401, window=3),
         (18, (29, 62), 29, 57, "heuristic-window")),
@@ -308,7 +314,8 @@ def test_precision_error_partial_pinned():
 
 def test_precision_doublings_stop_at_the_cap(monkeypatch):
     # Every term faked to 0: each start doubles, at most DEFAULT_RETRIES
-    # times, while it stays within E_cap = default_precision(3, 29) << DEFAULT_RETRIES.
+    # times, and a doubling past E_cap = default_precision(3, 29) << DEFAULT_RETRIES
+    # runs at E_cap itself.
     passes = []
 
     def zeros(k, p, E):
@@ -318,7 +325,7 @@ def test_precision_doublings_stop_at_the_cap(monkeypatch):
     monkeypatch.setattr(stirling, "mstirling_scan", zeros)
     k = parse_exponent("2*3^70+28")
     assert default_precision(3, 29) << DEFAULT_RETRIES == 912
-    for start, want in ((None, [57, 114, 228, 456, 912]), (1, [1, 2, 4, 8, 16]), (300, [300, 600]), (912, [912])):
+    for start, want in ((None, [57, 114, 228, 456, 912]), (1, [1, 2, 4, 8, 16]), (300, [300, 600, 912]), (500, [500, 912]), (912, [912])):
         passes.clear()
         with pytest.raises(PrecisionError, match=rf"cap reached after {len(want) - 1} retries$") as ei:
             min_stirling_ord(3, 29, k, precision=start)
@@ -327,12 +334,33 @@ def test_precision_doublings_stop_at_the_cap(monkeypatch):
 
 def test_stable_params_scans_pinned():
     want = {
-        (3, 19, 60): (21, 20, 20, 19, (19, 79)),
-        (3, 28, 60): (31, 31, 31, 28, (28, 88)),
-        (3, 41, 60): (46, 45, 45, 41, (41, 101)),
-        (2, 7, 60): (9, 8, 8, 7, (7, 67)),
-        (3, 60, 5): (69, 68, 68, 60, (60, 95)),  # one window extension
+        (3, 19): (21, 20, 20, 19, (19, 26)),
+        (3, 28): (31, 31, 31, 28, (28, 35)),
+        (3, 41): (46, 45, 45, 41, (41, 44)),
+        (2, 7): (9, 8, 8, 7, (7, 7)),
+        (3, 60): (69, 68, 68, 60, (60, 71)),
     }
-    for (p, n, window), fields in want.items():
-        sp = stable_params(p, n, window=window)
-        assert (sp.N, sp.N0, sp.L0, sp.m0, sp.m_scanned) == fields, (p, n, window)
+    for (p, n), fields in want.items():
+        sp = stable_params(p, n)
+        assert (sp.N, sp.N0, sp.L0, sp.m0, sp.m_scanned) == fields, (p, n)
+
+
+def test_family_tail_bounds_every_family_sum():
+    # Sun-Davis: ord_p(S_m) >= tail(m) on exact S_m, below and above m = d
+    for p in (2, 3, 5, 7, 11):
+        for n in range(2, 41):
+            tail = stirling._family_tail(p, n - 1)
+            family = (j ** (n - 1) if j % p else 0 for j in itertools.count())
+            for m, s in zip(range(n + 300), stirling._diagonal(family)):
+                assert s == 0 or ord_int(p, s) >= tail(m), (p, n, m)
+
+
+def test_family_scans_stop_by_the_tail(monkeypatch):
+    # no family answer reads a window, and the engine reads the exact scan's range
+    for name in ("DEFAULT_WINDOW", "WINDOW_STEP", "STABLE_RUN"):
+        monkeypatch.setattr(stirling, name, None)
+    for p, top in ((2, 30), (3, 40), (7, 60)):
+        for n in range(2, top + 1):
+            res = stable_min_ord(p, n)
+            assert res.m_scanned == res.stable.m_scanned, (p, n)
+            assert stirling._family_tail(p, n - 1)(res.m_scanned[1] + 1) > res.value, (p, n)

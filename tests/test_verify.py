@@ -6,6 +6,7 @@ import json
 import math
 import random
 import tracemalloc
+from concurrent.futures import Future
 
 import pytest
 
@@ -455,6 +456,10 @@ def test_sweep_rejects_incomplete_grids():
         sweep("polysum-bound", grid={"p": [2], "alpha": [0], "n": [3]})
     with pytest.raises(GridError, match="no default grid"):
         default_grid("floor-identity")
+    with pytest.raises(GridError, match=r"^grid has unknown axes \['h'\] for check 'carry-bound'$"):
+        sweep("carry-bound", grid="p=2;alpha=0;n=1;r=0;l=0;h=1")
+    with pytest.raises(GridError, match=r"^grid is missing axes \['l'\] for this check$"):
+        bound_sweep(["carry-bound"], grid={"p": [2], "alpha": [0], "n": [1], "r": [0], "l": []})
 
 
 def test_default_grid_shapes():
@@ -798,3 +803,39 @@ def test_check_names_registry():
     assert set(BOUND_CHECKS) <= set(CHECK_NAMES)
     assert "equality-conjecture" in CHECK_NAMES
     assert "floor-identity" in CHECK_NAMES and "split-identity" in CHECK_NAMES
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that runs each task in this process and records its size."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, arg):
+        done = Future()
+        done.set_result(fn(arg))
+        return done
+
+
+def test_sweeps_refuse_more_workers_than_the_cap(monkeypatch):
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", None)  # a pool that started would fail on it
+    cap, grid = verify.JOBS_CAP, "p=2,3;alpha=0..1;n=1..12;r=0..2;l=0..2"
+    with pytest.raises(CapacityError, match=rf"^jobs must be <= {cap}, got {cap + 1}$"):
+        sweep("carry-bound", grid=grid, jobs=cap + 1)
+    with pytest.raises(CapacityError, match=rf"^jobs must be <= {cap}, got {cap + 1}$"):
+        bound_sweep(["carry-bound"], grid=grid, jobs=cap + 1)
+    with pytest.raises(CapacityError, match=rf"^jobs must be <= {cap}, got {cap + 1}$"):
+        identity_sweep("split-identity", samples=10, jobs=cap + 1)
+    # at the cap itself the sweep answers, through a pool of that size
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+    _InlinePool.sizes.clear()
+    assert sweep("carry-bound", grid=grid, jobs=cap).to_dict() == sweep("carry-bound", grid=grid).to_dict()
+    assert _InlinePool.sizes == [cap]
