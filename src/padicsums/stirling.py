@@ -173,7 +173,7 @@ def _scan_min(p, n, values, m_hi, E, tail=None):
 
     tail(m) floors every order from m on: the scan stops after the first m with tail(m+1) > best, or >= E
     while all vanished mod p**E.  Else it reads [n, m_hi], extended by WINDOW_STEP while best moved in the
-    last STABLE_RUN terms.  hi is the last m read; no scan starts at m_hi or reads on past SCAN_CAP.
+    last STABLE_RUN terms.  hi is the last m read; m_hi and each next m are held to SCAN_CAP.
     """
     check_scan_cap(m_hi)
     best = witness = first = None
@@ -251,11 +251,9 @@ def min_stirling_ord(
 ) -> EpResult:
     """Minimum of ord_p(m! S(k, m)) over m >= n, scanned modulo p**E.
 
-    When k is materializable and k <= n + window the scan covers every m
-    up to k (terms beyond vanish identically), so the result is exact and
-    certified.  Otherwise a finite window [n, n+window] is scanned,
-    extended while the running minimum keeps moving, and the result is a
-    heuristic unless certified through the stable family path.
+    When k is materializable and k <= n + window the scan reads every m up
+    to k, since S(k, m) = 0 past it: exact and certified.  Otherwise it reads
+    [n, n+window], extended while the minimum keeps moving: a heuristic.
     """
     check_prime(p)
     if n < 1:
@@ -266,7 +264,7 @@ def min_stirling_ord(
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
     if k.materializable and k.value() <= n + window:
-        top = k.value()  # S(k, m) = 0 for every m > k
+        top = k.value()
         return _min_ord(p, n, k, precision, top, lambda m: 0 if m <= top else math.inf, "exact-finite-k")
     return _min_ord(p, n, k, precision, n + window, None, "heuristic-window")
 
@@ -276,8 +274,7 @@ def stable_params(p: int, n: int, d: int | None = None) -> StableParams:
 
     These are the L-independent parts of (-1)**m m! S((p-1)p**L + d, m);
     the discarded parts are divisible by p**(L+1).  The scan starts at
-    m = n and stops once _family_tail proves that no later S_m goes below
-    the running minimum.
+    m = n and stops once _family_tail rules out a lower S_m further on.
     """
     check_prime(p)
     if n < 1:

@@ -101,8 +101,7 @@ def ep_auto(
 def exponent_to_homotopy(p: int, n: int, value: int) -> int:
     """Convert a minimum Stirling order into a homotopy exponent bound.
 
-    At p = 2 this proves the arithmetic bound on e_2, not the paper's homotopy
-    bound: at 18 even n <= 80 the stable value minus 1 is one below lower_bound(2, n).
+    At p = 2 this is the arithmetic bound on e_2, not the paper's: at 18 even n <= 80 it is lower_bound(2, n) - 1.
     """
     if p == 2 and n % 2 == 0:
         return value - 1

@@ -53,8 +53,7 @@ _CELL_CHUNK = 64
 _RENDER_CAP = 50
 # Instances one parsed grid may hold: about three times a default bound grid.
 GRID_CAP = 10**7
-# Worker processes one sweep may start; a fork-started pool starts them all at its first task.
-JOBS_CAP = 64
+JOBS_CAP = 64  # worker processes one sweep may start; a fork-started pool starts them all at once
 
 
 class GridError(ValueError):
