@@ -325,7 +325,8 @@ def test_precision_doublings_stop_at_the_cap(monkeypatch):
     monkeypatch.setattr(stirling, "mstirling_scan", zeros)
     k = parse_exponent("2*3^70+28")
     assert default_precision(3, 29) << DEFAULT_RETRIES == 912
-    for start, want in ((None, [57, 114, 228, 456, 912]), (1, [1, 2, 4, 8, 16]), (300, [300, 600, 912]), (500, [500, 912]), (912, [912])):
+    starts = {None: [57, 114, 228, 456, 912], 1: [1, 2, 4, 8, 16], 300: [300, 600, 912], 500: [500, 912], 912: [912]}
+    for start, want in starts.items():
         passes.clear()
         with pytest.raises(PrecisionError, match=rf"cap reached after {len(want) - 1} retries$") as ei:
             min_stirling_ord(3, 29, k, precision=start)
