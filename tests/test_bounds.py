@@ -111,7 +111,7 @@ def test_homotopy_exponent_bound_requires_certificate():
     bound2, res2 = homotopy_exponent_bound(2, 10, StructuredExponent.plain(10))
     assert bound2 == 7 and res2.value == 8
     with pytest.raises(ValueError, match="not certified"):
-        homotopy_exponent_bound(3, 29, StructuredExponent.plain(4401))
+        homotopy_exponent_bound(3, 29, StructuredExponent(1, 7, 70, 28))
 
 
 def test_table1_rows_against_reference():

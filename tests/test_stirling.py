@@ -155,10 +155,10 @@ def test_min_stirling_ord_validation():
 
 
 def test_heuristic_window_is_uncertified():
-    res = min_stirling_ord(3, 29, StructuredExponent.plain(4401))
+    res = min_stirling_ord(3, 29, parse_exponent("1*7^70+28"))
     assert not res.certified
     assert res.certificate == "heuristic-window"
-    assert res.value == 18
+    assert res.value == 16
     assert res.m_scanned == (29, 89)
 
 
@@ -288,8 +288,8 @@ PINNED_SCANS = {
     "stable p=2 n=7": (
         lambda: stable_min_ord(2, 7), (8, (7, 7), 7, 26, "stable-family")),
     "window extension": (
-        lambda: min_stirling_ord(3, 29, 4401, window=3),
-        (18, (29, 62), 29, 57, "heuristic-window")),
+        lambda: min_stirling_ord(3, 29, parse_exponent("1*7^70+28"), window=3),
+        (16, (29, 62), 29, 57, "heuristic-window")),
     "precision doubling": (
         lambda: min_stirling_ord(2, 12, parse_exponent("1*7^70000+30"), precision=2),
         (11, (12, 72), 12, 16, "heuristic-window")),
