@@ -7,6 +7,7 @@ or uncertified result (partial output on stderr), 64 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -33,7 +34,9 @@ from .su_bounds import (
     table_one,
     table_two,
 )
-from .verify import CHECK_NAMES, GridError, check_jobs, sweep
+from .verify import CHECK_NAMES, check_jobs, sweep
+
+BINOM_DIGITS_CAP = 4300  # the most digits str() writes of an int by default
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +74,18 @@ def _cmd_compute_tau(args) -> int:
 
 
 def _cmd_compute_binom(args) -> int:
-    print(binom_exact(args.n, args.k))
+    """C(n, k) is built only when it has at most one digit past BINOM_DIGITS_CAP; its exact value decides that digit.
+
+    C(n, k) >= 2**k, and the sum of logs is log10 C(n, k) to within 1e-6.
+    """
+    n, k = args.n, min(args.k, args.n - args.k)
+    refused = CapacityError(f"binomials capped at {BINOM_DIGITS_CAP} digits, got C({args.n}, {args.k})")
+    if k > 4 * BINOM_DIGITS_CAP or sum(math.log10(n - i) - math.log10(k - i) for i in range(k)) > BINOM_DIGITS_CAP + 1:
+        raise refused
+    value = binom_exact(args.n, args.k)
+    if value >= 10**BINOM_DIGITS_CAP:
+        raise refused
+    print(value)
     return 0
 
 
@@ -90,6 +104,8 @@ def _cmd_compute_mstirling(args) -> int:
 def _cmd_compute_ep(args) -> int:
     """--L auto needs the family form (p-1)*p^L+d and takes stable_min_ord's own height."""
     if args.L == "auto":
+        if args.window < 0:
+            raise ValueError(f"window must be >= 0, got {args.window}")
         tower = symbolic_tower(args.k)
         if tower is None:
             raise ValueError("--L auto needs a symbolic exponent of the form 'c*base^L+d'")
@@ -314,9 +330,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 64
     except PrecisionError as exc:
         print(f"undetermined: {exc}", file=sys.stderr)
         lo, hi = exc.partial.m_scanned

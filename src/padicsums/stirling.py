@@ -251,9 +251,9 @@ def min_stirling_ord(
 ) -> EpResult:
     """Minimum of ord_p(m! S(k, m)) over m >= n, scanned modulo p**E.
 
-    When k is materializable and k <= n + window the scan reads every m up
-    to k, since S(k, m) = 0 past it: exact and certified.  Otherwise it reads
-    [n, n+window], extended while the minimum keeps moving: a heuristic.
+    A materializable k is scanned until ord_p((m+1)!) passes the minimum or to m = k, as S(k, m) is an
+    integer and 0 past k: exact.  That tail is 0 below p, so no such scan stops before min(k, p - 1).
+    Only a tower past MATERIALIZE_CAP reads [n, n+window], extended while the minimum moves: a heuristic.
     """
     check_prime(p)
     if n < 1:
@@ -263,9 +263,10 @@ def min_stirling_ord(
         raise ValueError(f"k must be >= n, got k={k} < n={n}")
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    if k.materializable and k.value() <= n + window:
+    if k.materializable:
         top = k.value()
-        return _min_ord(p, n, k, precision, top, lambda m: 0 if m <= top else math.inf, "exact-finite-k")
+        tail = lambda m: ord_factorial(p, m) if m <= top else math.inf  # noqa: E731
+        return _min_ord(p, n, k, precision, max(n, min(top, p - 1)), tail, "exact-finite-k")
     return _min_ord(p, n, k, precision, n + window, None, "heuristic-window")
 
 

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .exponents import as_exponent
-from .padic import carries, check_prime, ord_factorial
+from .padic import CapacityError, carries, check_prime, ord_factorial
 from .polysum import IntPolynomial
 from .stirling import (
     DEFAULT_WINDOW,
@@ -23,6 +23,10 @@ from .stirling import (
     stable_min_ord,
 )
 from .verify import check_polysum_bound
+
+# Largest weight degree l of a delta.  One delta at n = SUM_CAP, alpha = 0 takes about 0.3 s at l = 1024
+# and 2 s at l = 4096 (its cost grows about as l**1.6), and a table costs the sum over its l.
+DELTA_L_CAP = 1024
 
 
 def lower_bound(p: int, n: int) -> int:
@@ -86,11 +90,11 @@ def ep_auto(
 
     Exponents of the family shape (p-1)*p^L + d go through the stable-family
     certification when L is above the stabilization threshold; everything
-    else runs the direct scan (exact for small materializable k, heuristic
-    window otherwise).
+    else runs the direct scan (exact for materializable k, heuristic window
+    past MATERIALIZE_CAP).  A negative window takes the direct scan, which refuses it.
     """
     k = as_exponent(k)
-    if not k.is_plain and k.base == p and k.c == p - 1:
+    if window >= 0 and not k.is_plain and k.base == p and k.c == p - 1:
         try:
             return stable_min_ord(p, n, L=k.L, d=k.d, precision=precision)
         except ValueError:
@@ -112,7 +116,6 @@ def homotopy_exponent_bound(
     p: int,
     n: int,
     k,
-    window: int = DEFAULT_WINDOW,
     precision: int | None = None,
 ) -> tuple[int, EpResult]:
     """Certified homotopy p-exponent lower bound for SU(n) from one exponent instance.
@@ -120,7 +123,7 @@ def homotopy_exponent_bound(
     Returns (bound, engine result); a heuristic window minimum is refused.  At
     p = 2 the bound is exponent_to_homotopy's, not the paper's homotopy bound.
     """
-    res = ep_auto(p, n, k, window=window, precision=precision)
+    res = ep_auto(p, n, k, precision=precision)
     if not res.certified:
         raise ValueError(
             f"minimum order for (p={p}, n={n}, k={as_exponent(k)}) is not certified "
@@ -167,7 +170,7 @@ def emit_table1(
         max_observed = k_hi = None
         if with_max:
             k_hi = n + k_budget
-            finite = (min_stirling_ord(3, n, k, window=k_budget).value for k in range(n, k_hi + 1))
+            finite = (min_stirling_ord(3, n, k).value for k in range(n, k_hi + 1))
             max_observed = max(stable, *finite)
         rows.append(Table1Row(n, L, stable, bound, max_observed, k_hi))
     return rows
@@ -195,6 +198,8 @@ def emit_delta(
     """
     if l_from < 0 or l_to < l_from:
         raise ValueError(f"need 0 <= l_from <= l_to, got [{l_from}, {l_to}]")
+    if l_to > DELTA_L_CAP:
+        raise CapacityError(f"delta capped at l <= {DELTA_L_CAP}, got l={l_to}")
     return [check_polysum_bound(p, alpha, n, 0, IntPolynomial.monomial(l)).slack for l in range(l_from, l_to + 1)]
 
 

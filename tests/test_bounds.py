@@ -86,7 +86,7 @@ def test_ep_auto_falls_back_below_the_family_threshold():
     k = StructuredExponent(2, 3, 3, 28)
     res = ep_auto(3, 29, k)
     assert res == min_stirling_ord(3, 29, k)
-    assert (res.certificate, res.value, res.m_scanned) == ("exact-finite-k", 15, (29, 82))
+    assert (res.certificate, res.value, res.m_scanned) == ("exact-finite-k", 15, (29, 35))
 
 
 def test_exponent_to_homotopy():

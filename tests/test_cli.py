@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import re
 import shlex
 import shutil
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from padicsums import IntPolynomial, check_polysum_bound, polysum, stirling, verify
-from padicsums.cli import build_parser, main
+from padicsums.cli import BINOM_DIGITS_CAP, build_parser, main
+from padicsums.su_bounds import DELTA_L_CAP
 
 
 def run_cli(argv, capsys, entry=main):
@@ -95,14 +97,34 @@ def test_spaced_exponents_read_as_squeezed(spaced, squeezed, capsys):
 def test_ep_certified_exact(capsys):
     rc, out, _ = run_cli(["compute", "ep", "--p", "3", "--n", "29", "--k", "35"], capsys)
     assert rc == 0
-    assert out.strip() == "13 (certified: exact-finite-k, m in [29, 35], precision=57)"
+    assert out.strip() == "13 (certified: exact-finite-k, m in [29, 29], precision=57)"
 
 
 def test_ep_ignores_a_precision_environment_variable(capsys, monkeypatch):
     argv = ["compute", "ep", "--p", "3", "--n", "29", "--k", "35"]
     plain = run_cli(argv, capsys)
     monkeypatch.setenv("PADICSUMS_PRECISION", "0")
-    assert run_cli(argv, capsys) == plain == (0, "13 (certified: exact-finite-k, m in [29, 35], precision=57)\n", "")
+    assert run_cli(argv, capsys) == plain == (0, "13 (certified: exact-finite-k, m in [29, 29], precision=57)\n", "")
+
+
+def test_ep_window_does_not_reach_a_plain_k(capsys):
+    argv = ["compute", "ep", "--p", "3", "--n", "29", "--k", "4401"]
+    want = (0, "18 (certified: exact-finite-k, m in [29, 41], precision=57)\n", "")
+    assert run_cli(argv, capsys) == run_cli(argv + ["--window", "0"], capsys) == want
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        ["--k", "2*3^40+28"],  # stable family
+        ["--k", "2*3^L+28", "--L", "auto"],
+        ["--k", "1*7^40+28"],  # exact scan
+        ["--k", "1*7^70+28"],  # heuristic window
+    ],
+)
+def test_negative_window_is_refused_on_every_route(route, capsys):
+    argv = ["compute", "ep", "--p", "3", "--n", "29", *route, "--window", "-1"]
+    assert run_cli(argv, capsys) == (64, "", "error: window must be >= 0, got -1\n")
 
 
 def test_ep_uncertified_goes_to_stderr(capsys):
@@ -167,6 +189,8 @@ def test_verify_n_over_sum_cap_exits_2(capsys, monkeypatch, check, grid):
             "precision capped at 912 for p=3, n=29, got 100000",
         ),
         (["table", "one", "--to", "1000", "--with-max"], "Stirling scans capped at m <= 1024, got m=1040"),
+        # ord_p(m!) = 0 below p, so an exact scan for p past the cap cannot stop before m = p - 1
+        (["compute", "ep", "--p", "1031", "--n", "5", "--k", "5000"], "Stirling scans capped at m <= 1024, got m=1030"),
     ],
 )
 def test_oversized_stirling_scans_exit_2(argv, want, capsys, monkeypatch):
@@ -193,6 +217,37 @@ def test_compute_delta_n_over_sum_cap_exits_2(capsys, monkeypatch):
     rc, out, err = run_cli(["compute", "delta", "--n", "3000000", "--l", "1"], capsys)
     assert (rc, out) == (2, "")
     assert err == "capacity: residue-class sums capped at n <= 4096, got n=3000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv, kernel, want",
+    [
+        (["compute", "delta", "--l", str(DELTA_L_CAP + 1)], (IntPolynomial, "monomial"), f"got l={DELTA_L_CAP + 1}"),
+        (["compute", "delta", "--l", "1000000000"], (IntPolynomial, "monomial"), "got l=1000000000"),
+        (["table", "delta", "--from", "0", "--to", "100000"], (IntPolynomial, "monomial"), "got l=100000"),
+        (["compute", "binom", "--n", "20000", "--k", "10000"], (math, "comb"), "got C(20000, 10000)"),
+        (["compute", "binom", "--n", "10000000", "--k", "5000000"], (math, "comb"), "got C(10000000, 5000000)"),
+    ],
+)
+def test_oversized_delta_and_binom_exit_2(argv, kernel, want, capsys, monkeypatch):
+    def started(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(*kernel, started)
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out) == (2, "") and err.startswith("capacity: ") and err.endswith(f", {want}\n")
+
+
+def test_delta_and_binom_answer_at_their_caps(capsys):
+    assert run_cli(["compute", "delta", "--l", str(DELTA_L_CAP)], capsys) == (0, "9\n", "")
+    argv = ["table", "delta", "--from", str(DELTA_L_CAP - 2), "--to", str(DELTA_L_CAP), "--format", "csv"]
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0 and len(out.splitlines()) == 4
+    # C(14291, 7145) has BINOM_DIGITS_CAP digits and C(14292, 7146) one more; the exact value decides both
+    rc, out, _ = run_cli(["compute", "binom", "--n", "14291", "--k", "7145"], capsys)
+    assert rc == 0 and int(out) == math.comb(14291, 7145) and len(out.strip()) == BINOM_DIGITS_CAP
+    over = f"capacity: binomials capped at {BINOM_DIGITS_CAP} digits, got C(14292, 7146)\n"
+    assert run_cli(["compute", "binom", "--n", "14292", "--k", "7146"], capsys) == (2, "", over)
 
 
 def test_usage_errors_exit_64(capsys):
@@ -364,12 +419,11 @@ def test_readme_commands_parse(capsys):
 
 
 def test_readme_family_examples_print_what_readme_shows(capsys):
-    # each `compute ep ... --L auto` line of README is followed by `# -> <its stdout>`
+    # every README line followed by `# -> <its stdout>` prints exactly that
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
-    examples = [(line, lines[i + 1]) for i, line in enumerate(lines) if line.endswith("--L auto")]
-    assert len(examples) == 2
+    examples = [(line, lines[i + 1]) for i, line in enumerate(lines[:-1]) if lines[i + 1].startswith("# -> ")]
+    assert len(examples) == 3
     for line, shown in examples:
-        assert shown.startswith("# -> "), line
         assert run_cli(shlex.split(line)[1:], capsys) == (0, shown[len("# -> "):] + "\n", ""), line
 
 

@@ -138,6 +138,31 @@ def test_min_stirling_ord_exact_route_brute_force():
         assert res.m_scanned[0] == n
 
 
+def test_exact_route_past_the_window_brute_force():
+    # a materializable k, also past n + DEFAULT_WINDOW, is scanned exactly, up to the first m with
+    # ord_p((m+1)!) above the minimum or to m = k; value and witness are the exact triangle's
+    for k in map(parse_exponent, ("31", "90", "300", "1*2^7+5")):
+        top = k.value()
+        *_, (_, row) = stirling_rows(top, top)
+        for p in (2, 3, 5, 7):
+            orders = {m: ord_factorial(p, m) + ord_int(p, s) for m, s in enumerate(row) if s}
+            for n in range(1, 30):
+                value, witness = min((v, m) for m, v in orders.items() if m >= n)
+                end = next((m for m in range(n, top) if ord_factorial(p, m + 1) > value), top)
+                res = min_stirling_ord(p, n, k)
+                assert (res.value, res.witness_m, res.certificate) == (value, witness, "exact-finite-k"), (p, n, k)
+                assert res.m_scanned == (n, end), (p, n, k)
+
+
+def test_window_has_no_effect_on_a_materializable_k():
+    for p, n, k in ((3, 29, "4401"), (2, 12, "1*7^20+30"), (5, 10, "12"), (3, 29, "2*3^3+28")):
+        k = parse_exponent(k)
+        want = min_stirling_ord(p, n, k)
+        assert want.certificate == "exact-finite-k", (p, n, k)
+        for window in (0, 3, 60, 1000):
+            assert min_stirling_ord(p, n, k, window=window) == want, (p, n, k, window)
+
+
 def test_min_at_k_equal_n_is_factorial_order():
     # the only nonzero term is m = n, so the minimum is ord of n!
     for p in (2, 3, 5):
@@ -275,10 +300,11 @@ def test_stable_family_answers_pinned():
 # before the scans moved to one forward-difference table.  A faster kernel
 # must not move any of them: the scan bounds are printed by ``compute ep``.
 # The stable rows' m_scanned were re-recorded when the family scans moved
-# from a window to the family tail.
+# from a window to the family tail, and the exact row's when the exact scan
+# came to stop by the factorial tail.
 PINNED_SCANS = {
     "exact-finite-k": (
-        lambda: min_stirling_ord(3, 29, 80), (15, (29, 80), 29, 57, "exact-finite-k")),
+        lambda: min_stirling_ord(3, 29, 80), (15, (29, 35), 29, 57, "exact-finite-k")),
     "stable p=3 n=19": (
         lambda: stable_min_ord(3, 19), (20, (19, 26), 19, 39, "stable-family")),
     "stable p=3 n=28": (
