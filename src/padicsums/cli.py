@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import golden
@@ -34,7 +33,7 @@ from .su_bounds import (
     table_one,
     table_two,
 )
-from .verify import CHECK_NAMES, check_jobs, sweep
+from .verify import CHECK_NAMES, sweep
 
 BINOM_DIGITS_CAP = 4300  # the most digits str() writes of an int by default
 
@@ -45,16 +44,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name} must be an integer, got {raw!r}") from None
 
 
 def _cmd_compute_ord(args) -> int:
@@ -131,7 +120,7 @@ def _cmd_compute_ep(args) -> int:
 
 
 def _cmd_compute_stable(args) -> int:
-    params = stable_params(args.p, args.n, d=args.d)
+    params = stable_params(args.p, args.n)
     lo, hi = params.m_scanned
     print(f"N={params.N} N0={params.N0} L0={params.L0} m0={params.m0} m_scanned=[{lo}, {hi}]")
     return 0
@@ -207,12 +196,7 @@ def _cmd_table_delta(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    source = "--jobs" if args.jobs is not None else "environment variable PADICSUMS_JOBS"
-    jobs = args.jobs if args.jobs is not None else _env_int("PADICSUMS_JOBS")
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"{source} must be >= 1, got {jobs}")
-    check_jobs(jobs or 1, source)
-    report = sweep(args.check, grid=args.grid, jobs=jobs or 1, samples=args.samples, seed=args.seed)
+    report = sweep(args.check, grid=args.grid, jobs=args.jobs, samples=args.samples, seed=args.seed)
     sys.stdout.write(report.to_markdown() if args.format == "md" else report.to_json() + "\n")
     print(f"wall time: {report.wall_time:.1f}s", file=sys.stderr)
     return report.exit_code(strict=args.strict)
@@ -270,7 +254,6 @@ def build_parser() -> _Parser:
     c = csub.add_parser("stable", help="stable family parameters N, N0, L0, m0")
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--d", type=int, default=None)
     c.set_defaults(func=_cmd_compute_stable)
 
     c = csub.add_parser("bound", help="homotopy exponent lower bounds at (p, n)")
@@ -315,7 +298,7 @@ def build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="sweep one check over a grid")
     verify.add_argument("check", choices=CHECK_NAMES)
     verify.add_argument("--grid", default=None, help="'default' or 'p=2,3; alpha=0..3; n=1..200; ...'")
-    verify.add_argument("--jobs", type=int, default=None)
+    verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--format", choices=("md", "json"), default="md")
     verify.add_argument("--strict", action="store_true", help="conjecture violations become fatal")
     verify.add_argument("--seed", type=int, default=0)

@@ -13,9 +13,6 @@ class CapacityError(Exception):
     """Raised when a request exceeds a hard size cap instead of churning forever."""
 
 
-_KNOWN_PRIMES: set[int] = set()
-
-
 def is_prime(p: int) -> bool:
     """Trial-division primality test, meant for the small primes used as bases."""
     if p < 2:
@@ -34,12 +31,8 @@ def is_prime(p: int) -> bool:
 
 def check_prime(p: int) -> int:
     """Return p if prime, else raise ValueError naming the offending value."""
-    if p in _KNOWN_PRIMES:
-        return p
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got p={p!r}")
-    if p < 10**6:
-        _KNOWN_PRIMES.add(p)
     return p
 
 

@@ -160,7 +160,7 @@ def emit_table1(
         raise ValueError(f"need 2 <= n_from <= n_to, got [{n_from}, {n_to}]")
     if k_budget < 0:
         raise ValueError(f"k_budget must be >= 0, got {k_budget}")
-    check_scan_cap(n_to + k_budget if with_max else n_to)
+    check_scan_cap(n_to)
     rows = []
     for n in range(n_from, n_to + 1):
         res = stable_min_ord(3, n)

@@ -307,7 +307,7 @@ def _stirling_diff_block(p, alpha, h, n, lms):
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     check_scan_cap(max(m for _, m in lms))
-    q = {m: ord_factorial(p, m // p) for _, m in lms}
+    q = {m: ord_factorial(p, m // p) for m in {m for _, m in lms}}
     bounds = [min(l * (alpha + 1), n - 1 + q[m]) for l, m in lms]
     out = [(None, bound) for bound in bounds]
     # ord_p(m!) = floor(m/p) + ord_p(floor(m/p)!) by Legendre's formula
@@ -798,16 +798,18 @@ def _identity_tasks(check, samples, seed):
         yield (check,), {"instance": chunk}
 
 
-def check_jobs(jobs: int, source: str = "jobs"):
-    """Refuse a worker count above JOBS_CAP, before any pool starts."""
+def check_jobs(jobs: int):
+    """Refuse a worker count below 1 or above JOBS_CAP, before any task runs or pool starts."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs > JOBS_CAP:
-        raise CapacityError(f"{source} must be <= {JOBS_CAP}, got {jobs}")
+        raise CapacityError(f"jobs must be <= {JOBS_CAP}, got {jobs}")
 
 
 def _run(worker, tasks, jobs):
     """worker(task) for each task, in order; a pool is sent at most 2 * jobs tasks ahead of the results read."""
     check_jobs(jobs)
-    if jobs <= 1:
+    if jobs == 1:
         yield from map(worker, tasks)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:

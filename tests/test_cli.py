@@ -1,5 +1,6 @@
 """Command line interface: outputs, formats, and exit codes."""
 
+import ast
 import importlib
 import json
 import math
@@ -7,11 +8,12 @@ import re
 import shlex
 import shutil
 import subprocess
+import types
 from pathlib import Path
 
 import pytest
 
-from padicsums import IntPolynomial, check_polysum_bound, polysum, stirling, verify
+from padicsums import IntPolynomial, check_polysum_bound, polysum, stirling, su_bounds, verify
 from padicsums.cli import BINOM_DIGITS_CAP, build_parser, main
 from padicsums.su_bounds import DELTA_L_CAP
 
@@ -188,7 +190,7 @@ def test_verify_n_over_sum_cap_exits_2(capsys, monkeypatch, check, grid):
             ["compute", "ep", "--p", "3", "--n", "29", "--k", "1*7^100+5", "--precision", "100000"],
             "precision capped at 912 for p=3, n=29, got 100000",
         ),
-        (["table", "one", "--to", "1000", "--with-max"], "Stirling scans capped at m <= 1024, got m=1040"),
+        (["table", "one", "--from", "1025", "--to", "1025", "--with-max"], "Stirling scans capped at m <= 1024, got m=1025"),
         # ord_p(m!) = 0 below p, so an exact scan for p past the cap cannot stop before m = p - 1
         (["compute", "ep", "--p", "1031", "--n", "5", "--k", "5000"], "Stirling scans capped at m <= 1024, got m=1030"),
     ],
@@ -200,6 +202,22 @@ def test_oversized_stirling_scans_exit_2(argv, want, capsys, monkeypatch):
 
     monkeypatch.setattr(stirling, "_diagonal", started)
     assert run_cli(argv, capsys) == (2, "", f"capacity: {want}\n")
+
+
+def test_table_one_with_max_checks_only_to(capsys, monkeypatch):
+    # each exact scan checks SCAN_CAP before its next m, so the up-front check reads --to alone
+    family = types.SimpleNamespace(value=7, stable=types.SimpleNamespace(height=9))
+    ks = []
+
+    def scan(p, n, k):
+        ks.append(k)
+        return types.SimpleNamespace(value=5)
+
+    monkeypatch.setattr(su_bounds, "stable_min_ord", lambda p, n: family)
+    monkeypatch.setattr(su_bounds, "min_stirling_ord", scan)
+    rc, out, err = run_cli(["table", "one", "--from", "1000", "--to", "1000", "--with-max", "--format", "csv"], capsys)
+    assert (rc, err) == (0, "") and ks == list(range(1000, 1041))
+    assert out.splitlines()[1].startswith("1000,7,")
 
 
 @pytest.mark.parametrize("m", [1025, 10**9])
@@ -257,9 +275,22 @@ def test_usage_errors_exit_64(capsys):
     assert run_cli(["compute", "ep", "--p", "3", "--n", "29", "--k", "2*3^L+28", "--L", "5"], capsys)[0] == 64
     assert run_cli(["compute", "mstirling", "--k", "2*3^L+28", "--L", "5", "--m", "3", "--p", "3", "--E", "4"], capsys)[0] == 64
     assert run_cli(["compute", "delta", "--l", "30", "--baseline", "22"], capsys)[0] == 64
+    assert run_cli(["compute", "stable", "--p", "3", "--n", "29", "--d", "28"], capsys)[0] == 64
     assert run_cli(["verify", "nonsense"], capsys)[0] == 64
     assert run_cli(["verify", "carry-bound", "--grid", "p=2..1"], capsys)[0] == 64
     assert run_cli(["nope"], capsys)[0] == 64
+
+
+def test_package_reads_no_environment_variable():
+    # a setting has one spelling, its option; an environment read would be a second
+    reads = []
+    for path in sorted(Path(polysum.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) and node.module == "os" else []
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                names = [node.attr]
+            reads += [f"{path.name}:{node.lineno} os.{name}" for name in names if name.startswith(("environ", "getenv"))]
+    assert reads == []
 
 
 def test_table_one_csv(capsys):
@@ -365,35 +396,32 @@ def test_verify_jobs_do_not_change_output(capsys):
     assert out1 == out2
 
 
-def test_verify_jobs_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("PADICSUMS_JOBS", "2")
-    rc, out, _ = run_cli(
-        ["verify", "carry-bound", "--grid", "p=2;alpha=1;n=1..10;r=0..1;l=0..1",
-         "--format", "json"],
-        capsys,
-    )
+def test_verify_ignores_a_jobs_environment_variable(capsys, monkeypatch):
+    argv = ["verify", "carry-bound", "--grid", "p=2;alpha=1;n=1..10;r=0..1;l=0..1", "--format", "json"]
+    rc, out, _ = run_cli(argv, capsys)
     assert rc == 0 and json.loads(out)["checked"] == 40
+    monkeypatch.setenv("PADICSUMS_JOBS", "0")
+    assert run_cli(argv, capsys)[:2] == (0, out)
 
 
-def test_verify_jobs_over_the_cap_exit_2_from_either_source(capsys, monkeypatch):
+def _no_task(task):
+    raise AssertionError("a sweep task ran")
+
+
+def test_verify_jobs_over_the_cap_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(verify, "ProcessPoolExecutor", None)  # a pool that started would fail on it
+    monkeypatch.setattr(verify, "_eval_task", _no_task)
     cap, over = verify.JOBS_CAP, str(verify.JOBS_CAP + 1)
     argv = ["verify", "carry-bound", "--grid", "p=2;alpha=1;n=1..10;r=0..1;l=0..1"]
-    assert run_cli(argv + ["--jobs", over], capsys) == (2, "", f"capacity: --jobs must be <= {cap}, got {over}\n")
-    monkeypatch.setenv("PADICSUMS_JOBS", over)
-    want = f"capacity: environment variable PADICSUMS_JOBS must be <= {cap}, got {over}\n"
-    assert run_cli(argv, capsys) == (2, "", want)
+    assert run_cli(argv + ["--jobs", over], capsys) == (2, "", f"capacity: jobs must be <= {cap}, got {over}\n")
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
-def test_verify_jobs_below_one_is_refused_from_either_source(value, capsys, monkeypatch):
-    monkeypatch.setattr(verify, "_run", None)  # a sweep that started would fail on it
+def test_verify_jobs_below_one_is_refused(value, capsys, monkeypatch):
+    monkeypatch.setattr(verify, "_eval_task", _no_task)
     argv = ["verify", "carry-bound", "--grid", "p=2;alpha=1;n=1..10;r=0..1;l=0..1"]
     rc, out, err = run_cli(argv + ["--jobs", value], capsys)
-    assert (rc, out, err) == (64, "", f"error: --jobs must be >= 1, got {value}\n")
-    monkeypatch.setenv("PADICSUMS_JOBS", value)
-    rc, out, err = run_cli(argv, capsys)
-    assert (rc, out, err) == (64, "", f"error: environment variable PADICSUMS_JOBS must be >= 1, got {value}\n")
+    assert (rc, out, err) == (64, "", f"error: jobs must be >= 1, got {value}\n")
 
 
 def test_verify_strict_flag_accepted(capsys):

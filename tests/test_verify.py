@@ -825,6 +825,16 @@ class _InlinePool:
         return done
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_sweeps_refuse_fewer_than_one_worker(jobs, monkeypatch):
+    def ran(task):
+        raise AssertionError("a sweep task ran")
+
+    monkeypatch.setattr(verify, "_eval_task", ran)
+    with pytest.raises(ValueError, match=rf"^jobs must be >= 1, got {jobs}$"):
+        sweep("carry-bound", grid="p=2;alpha=1;n=1..10;r=0..1;l=0..1", jobs=jobs)
+
+
 def test_sweeps_refuse_more_workers_than_the_cap(monkeypatch):
     monkeypatch.setattr(verify, "ProcessPoolExecutor", None)  # a pool that started would fail on it
     cap, grid = verify.JOBS_CAP, "p=2,3;alpha=0..1;n=1..12;r=0..2;l=0..2"
