@@ -17,6 +17,7 @@ from .padic import CapacityError, carries, check_prime, ord_factorial
 from .polysum import IntPolynomial
 from .stirling import (
     DEFAULT_WINDOW,
+    SCAN_CAP,
     EpResult,
     check_scan_cap,
     min_stirling_ord,
@@ -160,6 +161,8 @@ def emit_table1(
         raise ValueError(f"need 2 <= n_from <= n_to, got [{n_from}, {n_to}]")
     if k_budget < 0:
         raise ValueError(f"k_budget must be >= 0, got {k_budget}")
+    if k_budget > SCAN_CAP:
+        raise CapacityError(f"table one capped at k_budget <= {SCAN_CAP}, got k_budget={k_budget}")
     check_scan_cap(n_to)
     rows = []
     for n in range(n_from, n_to + 1):

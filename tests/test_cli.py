@@ -193,6 +193,8 @@ def test_verify_n_over_sum_cap_exits_2(capsys, monkeypatch, check, grid):
         (["table", "one", "--from", "1025", "--to", "1025", "--with-max"], "Stirling scans capped at m <= 1024, got m=1025"),
         # ord_p(m!) = 0 below p, so an exact scan for p past the cap cannot stop before m = p - 1
         (["compute", "ep", "--p", "1031", "--n", "5", "--k", "5000"], "Stirling scans capped at m <= 1024, got m=1030"),
+        (["table", "one", "--with-max", "--k-budget", "1025"], "table one capped at k_budget <= 1024, got k_budget=1025"),
+        (["table", "one", "--with-max", "--k-budget", "1000000000"], "table one capped at k_budget <= 1024, got k_budget=1000000000"),
     ],
 )
 def test_oversized_stirling_scans_exit_2(argv, want, capsys, monkeypatch):
