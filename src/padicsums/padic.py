@@ -84,6 +84,16 @@ def ord_factorial(p: int, m: int) -> int:
     return total
 
 
+def class_bound(p: int, alpha: int, n: int) -> int:
+    """ord_p(floor(n/p**alpha)!), a lower bound on the order of every alternating residue-class sum.
+
+    For an integer polynomial f, Sun and Davis (Trans. Amer. Math. Soc. 359,
+    2007) prove ord_p(sum C(n,k)(-1)**k f((k-r)/p**alpha)) >= this value, the
+    sum running over 0 <= k <= n with k = r (mod p**alpha).
+    """
+    return ord_factorial(p, n // p**alpha)
+
+
 def carries(p: int, a: int, b: int) -> int:
     """Number of carries when a and b are added in base p.
 

@@ -8,7 +8,10 @@ together with its full-range floor variant, where f has integer
 coefficients.  Every sum reads one cached row of signed binomials
 (-1)**k C(n, k): a residue class is the slice row[r % m::m], summed as one
 C-level dot product with its weight values (one table where classes share
-them).  Two exact rewriting identities are checked; the bounds live in verify.
+them).  alt_sums_upto sums x^l and (x)_l for every l at once with C-level
+list passes: a short class term by term, a long class l by l at its first r
+and by an exact shift at the next.  Two exact rewriting identities are
+checked; the bounds live in verify.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, sub
 
 from .padic import CapacityError
 
@@ -193,33 +196,54 @@ def alt_sums_upto(n: int, rs, m: int, maxl: int, powers: bool = True, falling: b
 
     Returns one (powers, falling) pair of lists indexed by l for each r, with
     None for a family not asked for; n above SUM_CAP raises CapacityError.
-    Each residue class is summed directly at its first r in rs.  A later r of
-    the class has x' = x - t with t = (r - r0)/m, so its sums follow exactly
-    from those at r0: P'_l = sum C(l,j) (-t)^(l-j) P_j by the binomial theorem,
-    and F'_l = sum C(l,j) (-t)_(l-j) F_j by Vandermonde's identity.  The shift
-    costs about maxl**2/2 products and a direct pass maxl per term, so a class
-    is shifted only when it has more than maxl/2 terms.
+    A class of at most maxl/2 terms is short: each of its terms adds c * w(x)
+    in one pass, where w(x) lists x^l or (x)_l for l <= maxl, built once per
+    call for each x.  A long class is summed l by l at its first r in rs.  At
+    a later r its x is x - t, with t = (r - r0)/m from the class's previous r0.
+    For t = 1 the sums follow without products: P'_l is the l-th difference
+    of P at 0, and F'_l = F_l - l F'_(l-1) since (x)_l - (x-1)_l = l (x-1)_(l-1).
+    Any other t shifts exactly: P'_l = sum C(l,j) (-t)^(l-j) P_j by the
+    binomial theorem, and F'_l = sum C(l,j) (-t)_(l-j) F_j by Vandermonde's identity.
     """
     _check_sum_args(n, m)
     row = _comb_row(n)
-    first = {}  # class start -> (r0, its sums)
+    families = [f for f, asked in ((False, powers), (True, falling)) if asked]
+    weights = {f: {} for f in families}  # family -> x -> w(x), for the short classes of this call
+    last = {}  # start of a long class -> (its latest r, the sums there)
     out = []
     for r in rs:
         start = r % m
-        if start in first and 2 * len(range(start, n + 1, m)) > maxl:
-            r0, (pows, ffs) = first[start]
-            t = (r - r0) // m
-            out.append((_shifted(pows, t, False) if powers else None, _shifted(ffs, t, True) if falling else None))
-            continue
         cs = row[start::m]
         x0 = (start - r) // m
-        sums = (
-            _moments(cs, x0, maxl, False) if powers else None,
-            _moments(cs, x0, maxl, True) if falling else None,
-        )
-        first.setdefault(start, (r, sums))
-        out.append(sums)
+        short = 2 * len(cs) <= maxl
+        if short:
+            sums = {f: _by_terms(cs, x0, maxl, f, weights[f]) for f in families}
+        elif start in last:
+            r0, prev = last[start]
+            t = (r - r0) // m
+            sums = {f: _unit_shift(prev[f], f) if t == 1 else _shifted(prev[f], t, f) for f in families}
+        else:
+            sums = {f: _moments(cs, x0, maxl, f) for f in families}
+        if not short:
+            last[start] = (r, sums)
+        out.append((sums.get(False), sums.get(True)))
     return out
+
+
+def _weights(x, maxl, falling):
+    """[w_0(x), ..., w_maxl(x)] for w_l = x^l, or the falling factorial (x)_l if falling."""
+    return list(itertools.accumulate(range(x, x - maxl, -1) if falling else itertools.repeat(x, maxl), mul, initial=1))
+
+
+def _by_terms(cs, x0, maxl, falling, weights):
+    """sum(cs[i] * w(x0 + i)) for each l <= maxl, one pass per term; weights caches w(x) by x."""
+    acc = None
+    for x, c in enumerate(cs, x0):
+        w = weights.get(x)
+        if w is None:
+            w = weights[x] = _weights(x, maxl, falling)
+        acc = list(map(c.__mul__, w)) if acc is None else list(map(add, acc, map(c.__mul__, w)))
+    return [0] * (maxl + 1) if acc is None else acc
 
 
 def _moments(cs, x0, maxl, falling):
@@ -230,6 +254,20 @@ def _moments(cs, x0, maxl, falling):
         acc = list(map(mul, acc, range(lo, lo + len(cs))))
         sums.append(sum(acc))
     return sums
+
+
+def _unit_shift(sums, falling):
+    """Class sums at x - 1 from the class sums at x, l <= len(sums) - 1, without a product of two sums."""
+    out = [sums[0]]
+    if falling:
+        for l in range(1, len(sums)):
+            out.append(sums[l] - l * out[-1])
+        return out
+    diffs = sums
+    for _ in range(len(sums) - 1):
+        diffs = list(map(sub, diffs[1:], diffs))
+        out.append(diffs[0])
+    return out
 
 
 @lru_cache(maxsize=256)

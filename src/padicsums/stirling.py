@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from operator import mul
 
 from .exponents import StructuredExponent, as_exponent, power_rule
-from .padic import CapacityError, check_prime, ord_factorial, ord_nonzero
+from .padic import CapacityError, check_prime, class_bound, ord_factorial, ord_nonzero
 from .polysum import _comb_row
 
 STIRLING_CAP = 10**4
@@ -207,7 +207,7 @@ def _family_tail(p, d):
     S_m = -p**d sum(C(m,k)(-1)**k (k/p)**d, k = 0 mod p), so ord_p(S_m) >= d + ord_p(floor(m/p)!)
     by Sun and Davis, Trans. Amer. Math. Soc. 359 (2007), with alpha = 1.
     """
-    return lambda m: max(ord_factorial(p, m), d + ord_factorial(p, m // p) if m > d else 0)
+    return lambda m: max(ord_factorial(p, m), d + class_bound(p, 1, m) if m > d else 0)
 
 
 def _min_ord(p, n, k, precision, m_hi, tail, certificate):

@@ -6,15 +6,18 @@ equality and Stirling-difference checks run their sweep's block kernel on it.
 sweep() runs a check over a grid in a fixed lexicographic order, counts held
 and undetermined instances in bulk into a SweepReport and builds a CheckOutcome
 only for a violation; reports render byte-identically at any parallelism level.
+The bound sweep reads a cell's least order from the gcd of its sums and its
+largest only when it can beat the row's largest slack so far; the check_*
+functions sum each instance with alt_sum instead, an independent route.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import json
 import math
+import operator
 import random
 import re
 import time
@@ -27,6 +30,7 @@ from .padic import (
     CapacityError,
     carries,
     check_prime,
+    class_bound,
     euler_phi_prime_power,
     ord_factorial,
     ord_nonzero,
@@ -53,6 +57,8 @@ _CELL_CHUNK = 64
 _RENDER_CAP = 50
 # Instances one parsed grid may hold: about three times a default bound grid.
 GRID_CAP = 10**7
+# Samples one identity sweep may draw: a split-identity sample takes 0.06 to 0.11 ms, so 1 to 2 minutes at jobs=1.
+SAMPLES_CAP = 10**6
 JOBS_CAP = 64  # worker processes one sweep may start; a fork-started pool starts them all at once
 
 
@@ -117,21 +123,21 @@ def _outcome(check, inst, s_ord, exact, bound, note=""):
     return CheckOutcome(check, inst, s_ord, exact or s_ord is None, bound, slack, holds, note=note)
 
 
-def _carry_bound(p, alpha, n, r, base, ls):
+def _carry_bound(p, alpha, n, r, base):
     m = p**alpha
     tau = carries(p, r % m, (n - r) % m)
     assert 0 <= tau <= alpha
-    return [base + tau] * len(ls), f"tau={tau}"
+    return base + tau, f"tau={tau}"
 
 
-def _plain_sum_bound(p, alpha, n, r, base, ls):
+def _plain_sum_bound(p, alpha, n, r, base):
     # ord_p(floor(n/p^(alpha-1))!) = floor(n/p^alpha) + base by Legendre's formula; alpha = 0 uses n*p
     prev = n * p if alpha == 0 else n // p ** (alpha - 1)
     bound = ord_factorial(p, prev)
     chain = n // p**alpha + base
     if bound != chain:
         raise AssertionError(f"order chain broken at p={p} alpha={alpha} n={n}: {bound} != {chain}")
-    return [bound], ""
+    return bound, ""
 
 
 def _totient_precondition(p, alpha, n):
@@ -142,14 +148,8 @@ def _totient_precondition(p, alpha, n):
     return None
 
 
-def _totient_bound(p, alpha, n, r, base, ls):
-    return [(n - p ** (alpha - 1)) // euler_phi_prime_power(p, alpha)], ""
-
-
-@functools.lru_cache(maxsize=64)
-def _ord_factorials(p, ls):
-    """ord_p(l!) for each l of the tuple ls, computed once per (p, l axis), not per cell."""
-    return tuple(ord_factorial(p, l) for l in ls)
+def _totient_bound(p, alpha, n, r, base):
+    return (n - p ** (alpha - 1)) // euler_phi_prime_power(p, alpha), ""
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,11 @@ class _Bound:
 
     weight names the summand: "x^l", "C(x,l)" (the falling factorial over
     l!, whose exact division is asserted) or "1"; only the first two read
-    the l axis.  bound(p, alpha, n, r, base, ls), with base the order of
-    floor(n/p^alpha)!, gives one bound per l and the note.
+    the l axis.  bound(p, alpha, n, r, base), with base = class_bound(p,
+    alpha, n), gives the note and one bound B for every l of a cell, on the
+    order of the sum of the weight's numerator: x^l, (x)_l or 1.  So an
+    instance's bound is B, or B - ord_p(l!) for "C(x,l)", and its slack is
+    the numerator sum's order minus B either way.
     precondition(p, alpha, n) names the hypothesis an instance misses: the
     check_* function raises it as a ValueError and the sweep counts the
     instance skipped.
@@ -175,11 +178,9 @@ class _Bound:
 
 
 _BOUNDS = {
-    "polysum-bound": _Bound("x^l", lambda p, alpha, n, r, base, ls: ([base] * len(ls), "")),
+    "polysum-bound": _Bound("x^l", lambda p, alpha, n, r, base: (base, "")),
     "carry-bound": _Bound("x^l", _carry_bound),
-    "binom-weight-bound": _Bound(
-        "C(x,l)", lambda p, alpha, n, r, base, ls: ([base - o for o in _ord_factorials(p, ls)], "")
-    ),
+    "binom-weight-bound": _Bound("C(x,l)", lambda p, alpha, n, r, base: (base, "")),
     "plain-sum-bound": _Bound("1", _plain_sum_bound),
     "totient-bound": _Bound("1", _totient_bound, _totient_precondition),
 }
@@ -208,21 +209,14 @@ def _bound_inst(p, alpha, n, r, l, d, f=None):
     return inst + (("l", l),) if d.uses_l else inst
 
 
-def _bound_sums(d, sums, ls, facts, cell):
-    """The residue-class sums bound d reads for each l of ls, from the sums of its weight's numerator.
+def _check_divisible(d, sums, ls, facts, cell):
+    """Raise AssertionError naming the first instance of cell (p, alpha, n, r) whose falling-factorial sum l! does not divide.
 
-    sums is indexed by l, and facts[i] = ls[i]!.  A binomial-weighted sum not
-    divisible by l! raises AssertionError naming its instance in cell (p, alpha, n, r).
+    sums[i] and facts[i] = ls[i]! belong to the l = ls[i] of the cell.
     """
-    if d.weight != "C(x,l)":
-        return [sums[l] for l in ls]
-    out = []
-    for l, f in zip(ls, facts):
-        q, rem = divmod(sums[l], f)
-        if rem:
+    for l, s, f in zip(ls, sums, facts):
+        if s % f:
             raise AssertionError(f"binomial-weighted sum not divisible by {l}! at {_bound_inst(*cell, l, d)}")
-        out.append(q)
-    return out
 
 
 def _check_bound(check, p, alpha, n, r, l=0, f=None):
@@ -235,10 +229,13 @@ def _check_bound(check, p, alpha, n, r, l=0, f=None):
     _check_args(p, alpha, n, l)
     m = p**alpha
     inst = _bound_inst(p, alpha, n, r, l, d, f)
-    (bound,), note = d.bound(p, alpha, n, r, ord_factorial(p, n // m), (l,))
+    bound, note = d.bound(p, alpha, n, r, class_bound(p, alpha, n))
     s = alt_sum(n, r, m, f if f is not None else _WEIGHTS[d.weight](l))
-    (q,) = _bound_sums(d, {l: s}, (l,), (math.factorial(l),), (p, alpha, n, r))
-    return _outcome(check, inst, ord_nonzero(p, q) if q else None, True, bound, note)
+    if d.weight == "C(x,l)":
+        _check_divisible(d, (s,), (l,), (math.factorial(l),), (p, alpha, n, r))
+        s //= math.factorial(l)
+        bound -= ord_factorial(p, l)
+    return _outcome(check, inst, ord_nonzero(p, s) if s else None, True, bound, note)
 
 
 def check_polysum_bound(p: int, alpha: int, n: int, r: int, f: IntPolynomial) -> CheckOutcome:
@@ -399,7 +396,7 @@ def _equality_block(p, alpha, n, rls):
     if n < 2 * m - 1:
         return False, [f"precondition: n >= {2 * m - 1}"] * len(rls)
     mod, e = conjecture_modulus(p, alpha, n)
-    lo, base = n // m, ord_factorial(p, n // m)
+    lo, base = n // m, class_bound(p, alpha, n)
     first = -(max((r for r, _ in rls), default=0) // m)  # the smallest x a term reads
     rows, groups = [], collections.defaultdict(list)  # (l, table run) -> (row index, r) of its sums
     for r, l in rls:
@@ -411,7 +408,7 @@ def _equality_block(p, alpha, n, rls):
             rows.append(f"precondition: l = {target} (mod {mod})")
         else:
             groups[l, (-(r // m) - first) // (lo + 1)].append((len(rows), r))
-            rows.append(_carry_bound(p, alpha, n, r, base, (l,))[0][0])  # the bound, until the sum is read
+            rows.append(_carry_bound(p, alpha, n, r, base)[0])  # the bound, until the sum is read
     for (l, _), group in groups.items():
         idx, rs = zip(*group)
         for i, s in zip(idx, class_sums(n, rs, m, lambda x: x**l)):
@@ -664,45 +661,92 @@ def _eval_bounds(checks, block, reports):
     """Count bound checks over a sub-block, one (p, alpha, n) row of r cells at a time.
 
     One alt_sums_upto call sums every residue class of a row for every l at
-    once.  Each (row, check) pair is added to its report in one call, and
-    only a violated instance becomes a CheckOutcome, added in grid order.
+    once.  A cell's verdict reads two orders of its nonzero sums, both
+    against its one bound B: the least is the order of their gcd, and the
+    largest is read exactly only when some sum is divisible by
+    p**(B + hi + 1), with hi the row's largest slack so far.  Each (row,
+    check) pair is added to its report in one call; only a cell whose least
+    slack is negative has its instances' orders read, and only a violated
+    instance becomes a CheckOutcome, added in grid order.
     """
     plan = [(c, _BOUNDS[c], reports[c]) for c in checks]
     weights = {d.weight for _, d, _ in plan}
     ls, rs = tuple(block.get("l", ())), block["r"]
+    maxl = max(ls, default=0)
     facts = [math.factorial(l) for l in ls]
     for p, alpha, n in itertools.product(block["p"], block["alpha"], block["n"]):
         _check_args(p, alpha, n, min(ls, default=0))
-        m = p**alpha
-        base = ord_factorial(p, n // m)
+        base = class_bound(p, alpha, n)
         key = f"p={p},alpha={alpha}"
-        cells = alt_sums_upto(n, rs, m, max(ls, default=0), bool(weights - {"C(x,l)"}), "C(x,l)" in weights)
-        orders = {}  # weight -> per r, the order of each sum it reads (None: the sum vanished)
+        cells = alt_sums_upto(n, rs, p**alpha, maxl, bool(weights - {"C(x,l)"}), "C(x,l)" in weights)
+        read = {}  # weight -> per r, (the sums it reads, their nonzero ones, the least order among those)
         for check, d, rep in plan:
             lv = ls if d.uses_l else (0,)
             if d.precondition(p, alpha, n):
                 rep.skipped += len(lv) * len(rs)
                 continue
-            ords = orders.get(d.weight)
-            if ords is None:
-                fam = d.weight == "C(x,l)"  # the index of its family in each (powers, falling) pair
-                ords = orders[d.weight] = [
-                    [ord_nonzero(p, s) if s else None for s in _bound_sums(d, c[fam], lv, facts, (p, alpha, n, r))]
-                    for r, c in zip(rs, cells)
-                ]
-            slacks, bad = [], []
-            for r, cell_ords in zip(rs, ords):
-                bounds, note = d.bound(p, alpha, n, r, base, lv)
-                cell_slacks = [o - b for o, b in zip(cell_ords, bounds) if o is not None]
-                slacks += cell_slacks
-                if min(cell_slacks, default=0) >= 0:
+            if d.weight not in read:
+                read[d.weight] = [_cell_sums(p, base, d, lv, facts, (p, alpha, n, r), c) for r, c in zip(rs, cells)]
+            lo = hi = None
+            bad = []
+            for r, (sums, nz, least) in zip(rs, read[d.weight]):
+                B, note = d.bound(p, alpha, n, r, base)  # on every cell: its own checks do not read the sums
+                if not nz:
                     continue
-                bad += [
-                    _outcome(check, _bound_inst(p, alpha, n, r, l, d), o, True, b, note)
-                    for l, o, b in zip(lv, cell_ords, bounds)
-                    if o is not None and o < b
-                ]
-            rep.add(key, slacks, len(lv) * len(rs) - len(bad), 0, bad)
+                lo = least - B if lo is None else min(lo, least - B)
+                t = least if hi is None else max(least, B + hi + 1)
+                above = nz if t == least else _multiples(p**t, nz)
+                if above:
+                    hi = _top_order(p, above, t) - B
+                if least < B:
+                    shift = [ord_factorial(p, l) for l in lv] if d.weight == "C(x,l)" else [0] * len(lv)
+                    bad += [
+                        _outcome(check, _bound_inst(p, alpha, n, r, l, d), o - sh, True, B - sh, note)
+                        for l, s, sh in zip(lv, sums, shift)
+                        if s and (o := ord_nonzero(p, s)) < B
+                    ]
+            rep.add(key, () if lo is None else (lo, hi), len(lv) * len(rs) - len(bad), 0, bad)
+
+
+def _multiples(q, xs):
+    """The integers of xs that q divides, in one C-level pass."""
+    return list(itertools.compress(xs, map(operator.not_, map(operator.mod, xs, itertools.repeat(q)))))
+
+
+def _top_order(p, xs, t):
+    """The largest p-adic order among the nonzero integers xs, each divisible by p**t.
+
+    A search over the exponent that keeps only the integers still divisible:
+    each step is one C-level pass, and the steps grow with the log of the
+    order, not with the order.
+    """
+    step = 1
+    while above := _multiples(p ** (t + step), xs):
+        xs, t, step = above, t + step, 2 * step
+    while step > 1:  # p**t divides each of xs, p**(t + step) none
+        step //= 2
+        if above := _multiples(p ** (t + step), xs):
+            xs, t = above, t + step
+    return t
+
+
+def _cell_sums(p, base, d, lv, facts, cell, pair):
+    """(sums, nonzero sums, least order) of one cell for bound d: the sums of its weight's numerator at each l of lv.
+
+    pair is the cell's (powers, falling) pair from alt_sums_upto.  The least
+    order is that of the gcd of the nonzero sums, None when every sum
+    vanished; p**base is divided out first when it divides.  A falling sum
+    not divisible by l! raises AssertionError naming its instance in cell (p, alpha, n, r).
+    """
+    fam = d.weight == "C(x,l)"
+    sums = list(map(pair[fam].__getitem__, lv))
+    if fam and any(map(operator.mod, sums, facts)):
+        _check_divisible(d, sums, lv, facts, cell)
+    nz = list(filter(None, sums))
+    if not nz:
+        return sums, nz, None
+    g, pb = math.gcd(*nz), p**base
+    return sums, nz, base + ord_nonzero(p, g // pb) if g % pb == 0 else ord_nonzero(p, g)
 
 
 def _eval_stirling_diff(block, rep):
@@ -868,14 +912,14 @@ def sweep(check: str, grid=None, jobs: int = 1, samples: int = 10**4, seed: int 
 def identity_sweep(check: str, samples: int = 10**4, seed: int = 0, jobs: int = 1) -> SweepReport:
     """Check an exact identity on randomized instances drawn from a fixed seed.
 
-    More than GRID_CAP samples raise CapacityError before any is drawn.
+    More than SAMPLES_CAP samples raise CapacityError before any is drawn.
     """
     if check not in IDENTITY_CHECKS:
         raise GridError(f"{check!r} is not an identity check")
     if samples < 1:
         raise GridError(f"samples must be >= 1, got {samples}")
-    if samples > GRID_CAP:
-        raise CapacityError(f"{samples} samples requested, over the cap of {GRID_CAP}")
+    if samples > SAMPLES_CAP:
+        raise CapacityError(f"identity sweeps capped at samples <= {SAMPLES_CAP}, got samples={samples}")
     started = time.monotonic()
     desc = f"random(samples={samples}, seed={seed}, n<=60, m<=9, |r|<=12, deg<=5, |coeff|<=9)"
     tasks = _identity_tasks(check, samples, seed)

@@ -1,5 +1,6 @@
 """Integer polynomials and exact alternating sums over residue classes."""
 
+import collections
 import math
 import random
 import tracemalloc
@@ -229,6 +230,103 @@ def test_alt_sums_upto_families_asked_for():
     assert alt_sums_upto(6, [0, 3], 3, 2, powers=False, falling=True)[1][0] is None
     assert alt_sums_upto(6, [0, 3], 3, 2)[1][1] is None
     assert alt_sums_upto(6, [], 3, 2) == []
+
+
+def _routes(monkeypatch):
+    """Count the calls of each alt_sums_upto route: term by term, l by l, unit shift, general shift."""
+    seen = collections.Counter()
+    for name in ("_by_terms", "_moments", "_unit_shift", "_shifted"):
+        real = getattr(polysum, name)
+
+        def counted(*args, _real=real, _name=name):
+            seen[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(polysum, name, counted)
+    return seen
+
+
+def _assert_cells_are_alt_sums(n, rs, m, maxl, cells, powers=True, falling=True):
+    assert len(cells) == len(rs)
+    for r, (pows, ffs) in zip(rs, cells):
+        assert (pows is None, ffs is None) == (not powers, not falling)
+        for l in range(maxl + 1):
+            if powers:
+                assert pows[l] == alt_sum(n, r, m, IntPolynomial.monomial(l)), (n, r, m, l)
+            if falling:
+                assert ffs[l] == alt_sum(n, r, m, binom_poly(l)), (n, r, m, l)
+        assert len(pows if powers else ffs) == maxl + 1
+
+
+@pytest.mark.parametrize(
+    "maxl, routes",
+    [
+        # every class of n = 20 modulo 3 has 7 terms: 2*7 == maxl is short,
+        (14, {"_by_terms": 30}),
+        # and 2*7 == maxl + 1 is long, shifted one step at a time after its first r
+        (13, {"_moments": 6, "_unit_shift": 24}),
+    ],
+)
+def test_alt_sums_upto_at_the_short_long_boundary(maxl, routes, monkeypatch):
+    n, m, rs = 20, 3, list(range(-6, 9))
+    seen = _routes(monkeypatch)
+    cells = alt_sums_upto(n, rs, m, maxl, True, True)
+    assert dict(seen) == routes
+    _assert_cells_are_alt_sums(n, rs, m, maxl, cells)
+
+
+@pytest.mark.parametrize("maxl, short", [(10, False), (20, True)])
+def test_alt_sums_upto_unsorted_repeated_and_gapped_r(maxl, short, monkeypatch):
+    # classes of n = 40 modulo 5 have 8 or 9 terms; the r of class 2 step by
+    # m, 2m, -m, 0, -4m and m, and class 4 is met once, between them
+    n, m = 40, 5
+    rs = [2, 7, 17, 12, 12, -8, 4, -3, 9]
+    seen = _routes(monkeypatch)
+    cells = alt_sums_upto(n, rs, m, maxl, True, True)
+    if short:
+        assert dict(seen) == {"_by_terms": 2 * len(rs)}
+    else:
+        # unit steps 2 -> 7, -8 -> -3 (class 2) and 4 -> 9 (class 4); 7 -> 17, 17 -> 12, 12 -> 12, 12 -> -8 shift
+        assert dict(seen) == {"_moments": 4, "_unit_shift": 6, "_shifted": 8}
+    _assert_cells_are_alt_sums(n, rs, m, maxl, cells)
+
+
+def test_alt_sums_upto_negative_r_empty_classes_and_maxl_0():
+    # n = 4 modulo 7: classes 5 and 6 are empty, the others hold one term
+    for maxl in (0, 1, 2, 5):
+        rs = list(range(-15, 16))
+        _assert_cells_are_alt_sums(4, rs, 7, maxl, alt_sums_upto(4, rs, 7, maxl, True, True))
+    rs = [6, -1, 13, 5, 2]
+    assert [c for c, _ in alt_sums_upto(4, rs, 7, 3)[:4]] == [[0] * 4] * 4
+    _assert_cells_are_alt_sums(0, rs, 1, 0, alt_sums_upto(0, rs, 1, 0, True, True))
+
+
+@pytest.mark.parametrize("n, m, maxl", [(20, 3, 14), (20, 3, 13), (40, 5, 10), (4, 7, 0)])
+def test_alt_sums_upto_each_family_alone(n, m, maxl):
+    rs = [2, 7, 17, 12, 12, -8, 4, -3, 9, 3, 8]
+    both = alt_sums_upto(n, rs, m, maxl, True, True)
+    powers = alt_sums_upto(n, rs, m, maxl, True, False)
+    falling = alt_sums_upto(n, rs, m, maxl, False, True)
+    assert powers == [(pows, None) for pows, _ in both]
+    assert falling == [(None, ffs) for _, ffs in both]
+    _assert_cells_are_alt_sums(n, rs, m, maxl, powers, falling=False)
+    _assert_cells_are_alt_sums(n, rs, m, maxl, falling, powers=False)
+
+
+def test_alt_sums_upto_keeps_no_weight_lists():
+    # l = 0..1024 at m = 125: every class is short, and w(x) for x = -2 in the
+    # falling family alone holds about 1 MB; none outlives the call
+    n, m, maxl, rs = 200, 125, 1024, [-130, -10, 0, 5, 124, 130, 250]
+    alt_sums_upto(n, rs, m, 1)  # the binomial row is cached before tracing
+    tracemalloc.start()
+    try:
+        cells = alt_sums_upto(n, rs, m, maxl, True, True)
+        peak = tracemalloc.get_traced_memory()[1]
+        del cells
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak > 2**20 and held < 2**16
 
 
 def test_residue_class_sums_refuse_n_over_the_cap():

@@ -372,8 +372,8 @@ def test_equality_sweep_violations_match_single_checks(patch, monkeypatch):
     # sums stand in for violations: the sweep builds exactly the outcomes the
     # one-instance check gives, in grid order.
     if patch == "bound":
-        real = verify.ord_factorial
-        monkeypatch.setattr(verify, "ord_factorial", lambda p, m: real(p, m) + 1)
+        real = verify.class_bound
+        monkeypatch.setattr(verify, "class_bound", lambda p, alpha, n: real(p, alpha, n) + 1)
     else:
         monkeypatch.setattr(verify, "class_sums", lambda n, rs, m, w: [0] * len(rs))
     rep = sweep("equality-conjecture", "p=2,3;alpha=1;n=2..9;r=-1..10")
@@ -561,9 +561,9 @@ def test_bound_violations_match_direct_checks_and_render_truncated(monkeypatch):
     # grid is violated, 149 of them over two worker tasks
     true_bound = verify._BOUNDS["carry-bound"]
 
-    def one_above(p, alpha, n, r, base, ls):
-        bounds, note = true_bound.bound(p, alpha, n, r, base, ls)
-        return [b + 1 for b in bounds], note
+    def one_above(p, alpha, n, r, base):
+        bound, note = true_bound.bound(p, alpha, n, r, base)
+        return bound + 1, note
 
     monkeypatch.setitem(verify._BOUNDS, "carry-bound", verify._Bound("x^l", one_above))
     grid = parse_grid("p=2;alpha=1..2;n=1..12;r=0..3;l=0..3")
@@ -609,6 +609,9 @@ def test_broken_order_chain_names_its_instance(monkeypatch):
         check_plain_sum_bound(3, 1, 12, 0)
     with pytest.raises(AssertionError, match=msg):
         sweep("plain-sum-bound", grid="p=3;alpha=1;n=10..14;r=0..2")
+    # at alpha = 0 every plain sum of n >= 1 vanishes, and the chain is still checked
+    with pytest.raises(AssertionError, match=r"order chain broken at p=3 alpha=0 n=4: 6 != 5"):
+        sweep("plain-sum-bound", grid="p=3;alpha=0;n=3..5;r=0..2")
 
 
 def test_sweep_memory_is_bounded_by_the_task():
@@ -714,6 +717,115 @@ def test_fused_sweep_matches_direct_check_calls():
         assert (skipped > 0) == (check == "totient-bound"), check
 
 
+def _per_instance_reports(checks, grid):
+    """The reports bound_sweep should give, from one instance at a time in grid order.
+
+    Each instance goes through _check_bound, the route of every check_*
+    function (check_polysum_bound names its weight f=x^l, the sweep l).
+    """
+    reports = {}
+    for check in checks:
+        rep = reports[check] = SweepReport(check, "custom")
+        ls = grid["l"] if verify._BOUNDS[check].uses_l else [0]
+        for p, alpha, n, r, l in itertools.product(grid["p"], grid["alpha"], grid["n"], grid["r"], ls):
+            try:
+                oc = verify._check_bound(check, p, alpha, n, r, l)
+            except ValueError:
+                rep.skipped += 1
+                continue
+            slacks = () if oc.slack is None else (oc.slack,)
+            rep.add(f"p={p},alpha={alpha}", slacks, oc.holds is True, 0, () if oc.holds else (oc,))
+    return reports
+
+
+def _random_bound_grids(seed, count, primes=(2, 3, 5, 7)):
+    """Seeded custom grids: unsorted and repeated r, negative r, n = 0, and the l axis 3,7..9."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p, alpha = rng.choice(primes), rng.randint(0, 3)
+        m = p**alpha
+        rs = [rng.randint(-2 * m - 3, 2 * m + 3) for _ in range(rng.randint(1, 6))]
+        rs += [r + m * rng.choice((1, 1, 2, -1)) for r in rs[: rng.randint(0, 3)]]
+        ns = [0] + rng.sample(range(1, 60), rng.randint(1, 3))
+        yield {"p": [p], "alpha": [alpha], "n": ns, "r": rs, "l": [3, 7, 8, 9]}
+
+
+def test_bound_sweep_equals_the_per_instance_route_on_random_grids():
+    for grid in _random_bound_grids(2026, 40):
+        got = bound_sweep(BOUND_CHECKS, grid=grid)
+        for check, want in _per_instance_reports(BOUND_CHECKS, grid).items():
+            assert got[check].to_json() == want.to_json(), (check, grid)
+
+
+@pytest.mark.parametrize("check", BOUND_CHECKS)
+def test_raised_bound_violations_come_in_grid_order(check, monkeypatch):
+    # one bound raised by 2: tight and near-tight instances are violated, and
+    # every report equals the per-instance route, violations in grid order
+    true_bound = verify._BOUNDS[check]
+
+    def raised(p, alpha, n, r, base):
+        bound, note = true_bound.bound(p, alpha, n, r, base)
+        return bound + 2, note
+
+    monkeypatch.setitem(verify._BOUNDS, check, verify._Bound(true_bound.weight, raised, true_bound.precondition))
+    violations = 0
+    for grid in _random_bound_grids(7, 12):
+        if not true_bound.uses_l:
+            del grid["l"]
+        got = bound_sweep([check], grid=grid)[check]
+        assert got.to_json() == _per_instance_reports([check], grid)[check].to_json(), grid
+        violations += len(got.violations)
+    assert violations >= 30
+
+
+def test_raised_class_bound_is_read_below_p_to_the_base(monkeypatch):
+    # class_bound one too high: a cell whose gcd p**base does not divide has
+    # its least order read without dividing.  p = 2 only, as ord_nonzero(p, 0)
+    # would not return at odd p.  plain-sum-bound's order chain reads base and
+    # would break, so it is left out.
+    real = verify.class_bound
+    monkeypatch.setattr(verify, "class_bound", lambda p, alpha, n: real(p, alpha, n) + 1)
+    checks = ("polysum-bound", "carry-bound", "binom-weight-bound", "totient-bound")
+    violations = 0
+    for grid in _random_bound_grids(11, 12, primes=(2,)):
+        got = bound_sweep(checks, grid=grid)
+        for check, want in _per_instance_reports(checks, grid).items():
+            assert got[check].to_json() == want.to_json(), (check, grid)
+            violations += len(want.violations)
+    assert violations > 50
+
+
+def test_top_order_reads_orders_far_above_the_start():
+    # raw falling-factorial sums at large l have orders near ord_p(l!), far
+    # above the cell's least; the search must land on the exact largest
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7):
+        for top in (0, 1, 2, 7, 64, 1000):
+            ks = [top] + [rng.randint(0, top) for _ in range(6)]
+            xs = [(-1) ** k * p**k * rng.choice([u for u in range(1, 3 * p) if u % p]) for k in ks]
+            rng.shuffle(xs)
+            assert verify._top_order(p, xs, min(ks)) == top, (p, top)
+
+
+def test_perturbed_falling_sum_names_its_instance(monkeypatch):
+    want = r"binomial-weighted sum not divisible by 3! at \(\('p', 3\), \('alpha', 1\), \('n', 10\), \('r', 2\), \('l', 3\)\)"
+    real_sums, real_sum = verify.alt_sums_upto, verify.alt_sum
+
+    def sums(n, rs, m, maxl, powers, falling):
+        cells = real_sums(n, rs, m, maxl, powers, falling)
+        for r, (_, ffs) in zip(rs, cells):
+            if (n, r) == (10, 2):
+                ffs[3] += 1
+        return cells
+
+    monkeypatch.setattr(verify, "alt_sums_upto", sums)
+    with pytest.raises(AssertionError, match=want):
+        bound_sweep(["polysum-bound", "binom-weight-bound"], grid="p=3;alpha=1;n=9..11;r=0..3;l=0..4")
+    monkeypatch.setattr(verify, "alt_sum", lambda n, r, m, f: real_sum(n, r, m, f) + ((n, r) == (10, 2)))
+    with pytest.raises(AssertionError, match=want):
+        check_binom_weight_bound(3, 1, 10, 2, 3)
+
+
 def test_conjecture_sweep_report():
     grid = parse_grid("p=3;alpha=1;n=5..40;r=0..12")
     rep = sweep("equality-conjecture", grid=grid)
@@ -762,12 +874,28 @@ def test_identity_sweep_refuses_a_grid(monkeypatch):
 
 
 def test_identity_sweep_refuses_oversized_samples(monkeypatch):
-    # samples are capped like grids, before any instance is drawn; each task
-    # draws its own instances from the seeded stream as it is built
-    assert len(next(verify._identity_tasks("split-identity", verify.GRID_CAP, 0))[1]["instance"]) == verify._CELL_CHUNK
+    # samples have a cap of their own, checked before any instance is drawn;
+    # each task draws its own instances from the seeded stream as it is built
+    assert len(next(verify._identity_tasks("split-identity", verify.SAMPLES_CAP, 0))[1]["instance"]) == verify._CELL_CHUNK
     monkeypatch.setattr(verify, "_run", None)  # a sweep that started would fail on it
-    with pytest.raises(CapacityError, match="100000000 samples requested, over the cap of 10000000"):
-        identity_sweep("split-identity", samples=10**8)
+    for samples in (verify.SAMPLES_CAP + 1, 10**8):
+        with pytest.raises(CapacityError, match=f"^identity sweeps capped at samples <= 1000000, got samples={samples}$"):
+            identity_sweep("split-identity", samples=samples)
+
+
+def test_identity_samples_cap_admits_the_cap_and_the_defaults(monkeypatch):
+    # 0.06 to 0.11 ms a split-identity sample: the cap is 1 to 2 minutes at jobs=1
+    assert verify.SAMPLES_CAP == 10**6
+    drawn = []
+
+    def tasks(check, samples, seed):
+        drawn.append(samples)
+        return iter(())
+
+    monkeypatch.setattr(verify, "_identity_tasks", tasks)
+    for samples in (2000, 10**4, verify.SAMPLES_CAP):
+        assert identity_sweep("split-identity", samples=samples).checked == 0
+    assert drawn == [2000, 10**4, verify.SAMPLES_CAP]
 
 
 def test_exit_codes():
