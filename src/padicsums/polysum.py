@@ -9,9 +9,9 @@ coefficients.  Every sum reads one cached row of signed binomials
 (-1)**k C(n, k): a residue class is the slice row[r % m::m], summed as one
 C-level dot product with its weight values (one table where classes share
 them).  alt_sums_upto sums x^l and (x)_l for every l at once with C-level
-list passes: a short class term by term, a long class l by l at its first r
-and by an exact shift at the next.  Two exact rewriting identities are
-checked; the bounds live in verify.
+list passes: a short class term by term, a long class l by l, or from its
+sums at r - m by differences.  Two exact rewriting identities are checked;
+the bounds live in verify.
 """
 
 from __future__ import annotations
@@ -196,58 +196,47 @@ def alt_sums_upto(n: int, rs, m: int, maxl: int, powers: bool = True, falling: b
 
     Returns one (powers, falling) pair of lists indexed by l for each r, with
     None for a family not asked for; n above SUM_CAP raises CapacityError.
-    A class of at most maxl/2 terms is short: each of its terms adds c * w(x)
-    in one pass, where w(x) lists x^l or (x)_l for l <= maxl, built once per
-    call for each x.  A long class is summed l by l at its first r in rs.  At
-    a later r its x is x - t, with t = (r - r0)/m from the class's previous r0.
-    For t = 1 the sums follow without products: P'_l is the l-th difference
-    of P at 0, and F'_l = F_l - l F'_(l-1) since (x)_l - (x-1)_l = l (x-1)_(l-1).
-    Any other t shifts exactly: P'_l = sum C(l,j) (-t)^(l-j) P_j by the
-    binomial theorem, and F'_l = sum C(l,j) (-t)_(l-j) F_j by Vandermonde's identity.
+    A class of at most maxl/8 terms is short and summed term by term: one
+    pass per term, which makes c * w_l(x) for every l by multiplying c by the
+    small factors of w.  A longer class is summed l by l, one pass per l,
+    unless the class's previous r in rs is r - m: its x is then that r's x
+    minus 1, and its sums follow without products: P'_l is the l-th
+    difference of P at 0, and F'_l = F_l - l F'_(l-1) since
+    (x)_l - (x-1)_l = l (x-1)_(l-1).
     """
     _check_sum_args(n, m)
     row = _comb_row(n)
     families = [f for f, asked in ((False, powers), (True, falling)) if asked]
-    weights = {f: {} for f in families}  # family -> x -> w(x), for the short classes of this call
     last = {}  # start of a long class -> (its latest r, the sums there)
     out = []
     for r in rs:
         start = r % m
         cs = row[start::m]
-        x0 = (start - r) // m
-        short = 2 * len(cs) <= maxl
+        short = 8 * len(cs) <= maxl
+        prev = last.get(start)
         if short:
-            sums = {f: _by_terms(cs, x0, maxl, f, weights[f]) for f in families}
-        elif start in last:
-            r0, prev = last[start]
-            t = (r - r0) // m
-            sums = {f: _unit_shift(prev[f], f) if t == 1 else _shifted(prev[f], t, f) for f in families}
+            sums = {f: _by_terms(cs, (start - r) // m, maxl, f) for f in families}
+        elif prev and prev[0] == r - m:
+            sums = {f: _unit_shift(prev[1][f], f) for f in families}
         else:
-            sums = {f: _moments(cs, x0, maxl, f) for f in families}
+            sums = {f: _moments(cs, (start - r) // m, maxl, f) for f in families}
         if not short:
             last[start] = (r, sums)
         out.append((sums.get(False), sums.get(True)))
     return out
 
 
-def _weights(x, maxl, falling):
-    """[w_0(x), ..., w_maxl(x)] for w_l = x^l, or the falling factorial (x)_l if falling."""
-    return list(itertools.accumulate(range(x, x - maxl, -1) if falling else itertools.repeat(x, maxl), mul, initial=1))
-
-
-def _by_terms(cs, x0, maxl, falling, weights):
-    """sum(cs[i] * w(x0 + i)) for each l <= maxl, one pass per term; weights caches w(x) by x."""
-    acc = None
+def _by_terms(cs, x0, maxl, falling):
+    """sum(cs[i] * w(x0 + i)) for w = x^l, or the falling factorial (x)_l if falling, and each l <= maxl; one pass per term."""
+    acc = [0] * (maxl + 1)
     for x, c in enumerate(cs, x0):
-        w = weights.get(x)
-        if w is None:
-            w = weights[x] = _weights(x, maxl, falling)
-        acc = list(map(c.__mul__, w)) if acc is None else list(map(add, acc, map(c.__mul__, w)))
-    return [0] * (maxl + 1) if acc is None else acc
+        factors = range(x, x - maxl, -1) if falling else itertools.repeat(x, maxl)
+        acc = list(map(add, acc, itertools.accumulate(factors, mul, initial=c)))
+    return acc
 
 
 def _moments(cs, x0, maxl, falling):
-    """sum(cs[i] * w(x0 + i)) for w = x^l, or the falling factorial (x)_l if falling, and each l <= maxl."""
+    """sum(cs[i] * w(x0 + i)) for w = x^l, or the falling factorial (x)_l if falling, and each l <= maxl; one pass per l."""
     acc, sums = cs, [sum(cs)]
     for l in range(1, maxl + 1):
         lo = x0 - (l - 1) * falling
@@ -268,20 +257,6 @@ def _unit_shift(sums, falling):
         diffs = list(map(sub, diffs[1:], diffs))
         out.append(diffs[0])
     return out
-
-
-@lru_cache(maxsize=256)
-def _shift_rows(t: int, maxl: int, falling: bool) -> tuple[tuple[int, ...], ...]:
-    """Row l <= maxl: C(l,j) (-t)^(l-j), or C(l,j) (-t)_(l-j) if falling, for j <= l."""
-    steps = [1]
-    for i in range(maxl):
-        steps.append(steps[-1] * (-t - i if falling else -t))
-    return tuple(tuple(math.comb(l, j) * steps[l - j] for j in range(l + 1)) for l in range(maxl + 1))
-
-
-def _shifted(sums, t, falling):
-    """Class sums at x - t from the class sums at x, l <= len(sums) - 1."""
-    return [sum(map(mul, row, sums)) for row in _shift_rows(t, len(sums) - 1, falling)]
 
 
 def alt_floor_sum(n: int, r: int, m: int, f: IntPolynomial) -> int:

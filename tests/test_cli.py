@@ -157,9 +157,11 @@ def test_verify_stirling_diff_m_past_scan_cap_exits_2(capsys, monkeypatch):
 
 def test_verify_oversized_samples_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(verify, "_run", None)  # a sweep that started would fail on it
-    rc, out, err = run_cli(["verify", "split-identity", "--samples", "100000000"], capsys)
+    monkeypatch.setattr(verify, "_identity_tasks", None)  # and so would one that drew a sample
+    over = verify.SAMPLES_CAP + 1
+    rc, out, err = run_cli(["verify", "split-identity", "--samples", str(over)], capsys)
     assert (rc, out) == (2, "")
-    assert err == "capacity: identity sweeps capped at samples <= 1000000, got samples=100000000\n"
+    assert err == f"capacity: identity sweeps capped at samples <= {verify.SAMPLES_CAP}, got samples={over}\n"
 
 
 @pytest.mark.parametrize(
@@ -247,11 +249,6 @@ def test_compute_delta_n_over_sum_cap_exits_2(capsys, monkeypatch):
         (["table", "delta", "--from", "0", "--to", "100000"], (IntPolynomial, "monomial"), "got l=100000"),
         (["compute", "binom", "--n", "20000", "--k", "10000"], (math, "comb"), "got C(20000, 10000)"),
         (["compute", "binom", "--n", "10000000", "--k", "5000000"], (math, "comb"), "got C(10000000, 5000000)"),
-        (
-            ["verify", "split-identity", "--samples", str(verify.SAMPLES_CAP + 1)],
-            (verify, "_identity_tasks"),
-            f"got samples={verify.SAMPLES_CAP + 1}",
-        ),
     ],
 )
 def test_oversized_delta_and_binom_exit_2(argv, kernel, want, capsys, monkeypatch):

@@ -196,10 +196,10 @@ def test_alt_sum_small_closed_forms():
 
 
 def test_alt_sums_upto_shared_classes_match_direct_sums():
-    """Every r of a cell equals a one-r pass and alt_sum, whether its class is shifted or summed again."""
+    """Every r of a cell equals a one-r pass and alt_sum, whether its class is long or short."""
     rng = random.Random(137)
     polys = {l: (IntPolynomial.monomial(l), binom_poly(l)) for l in range(13)}
-    seen = {"shifted": 0, "summed again": 0, "above n": 0}
+    seen = {"long": 0, "short": 0, "above n": 0}
     for _ in range(250):
         p, alpha = rng.choice((2, 3, 5, 7)), rng.randint(0, 3)
         m, n, maxl = p**alpha, rng.randint(0, 80), rng.randint(0, 12)
@@ -216,7 +216,7 @@ def test_alt_sums_upto_shared_classes_match_direct_sums():
             if start > n:
                 seen["above n"] += 1
             elif start in firsts:
-                seen["shifted" if 2 * terms > maxl else "summed again"] += 1
+                seen["long" if 8 * terms > maxl else "short"] += 1
             firsts.add(start)
             assert cell == alt_sums_upto(n, [r], m, maxl, True, True)[0], (p, alpha, n, r, maxl)
             pows, ffs = cell
@@ -233,9 +233,9 @@ def test_alt_sums_upto_families_asked_for():
 
 
 def _routes(monkeypatch):
-    """Count the calls of each alt_sums_upto route: term by term, l by l, unit shift, general shift."""
+    """Count the calls of each alt_sums_upto route: term by term, l by l, unit shift."""
     seen = collections.Counter()
-    for name in ("_by_terms", "_moments", "_unit_shift", "_shifted"):
+    for name in ("_by_terms", "_moments", "_unit_shift"):
         real = getattr(polysum, name)
 
         def counted(*args, _real=real, _name=name):
@@ -261,24 +261,24 @@ def _assert_cells_are_alt_sums(n, rs, m, maxl, cells, powers=True, falling=True)
 @pytest.mark.parametrize(
     "maxl, routes",
     [
-        # every class of n = 20 modulo 3 has 7 terms: 2*7 == maxl is short,
-        (14, {"_by_terms": 30}),
-        # and 2*7 == maxl + 1 is long, shifted one step at a time after its first r
-        (13, {"_moments": 6, "_unit_shift": 24}),
+        # every class of n = 5 modulo 3 has 2 terms: 8*2 == maxl is short,
+        (16, {"_by_terms": 30}),
+        # and 8*2 == maxl + 1 is long, shifted one step at a time after its first r
+        (15, {"_moments": 6, "_unit_shift": 24}),
     ],
 )
 def test_alt_sums_upto_at_the_short_long_boundary(maxl, routes, monkeypatch):
-    n, m, rs = 20, 3, list(range(-6, 9))
+    n, m, rs = 5, 3, list(range(-6, 9))
     seen = _routes(monkeypatch)
     cells = alt_sums_upto(n, rs, m, maxl, True, True)
     assert dict(seen) == routes
     _assert_cells_are_alt_sums(n, rs, m, maxl, cells)
 
 
-@pytest.mark.parametrize("maxl, short", [(10, False), (20, True)])
+@pytest.mark.parametrize("maxl, short", [(10, False), (64, True)])
 def test_alt_sums_upto_unsorted_repeated_and_gapped_r(maxl, short, monkeypatch):
     # classes of n = 40 modulo 5 have 8 or 9 terms; the r of class 2 step by
-    # m, 2m, -m, 0, -4m and m, and class 4 is met once, between them
+    # m, 2m, -m, 0, -4m and m, and those of class 4, met between them, by m
     n, m = 40, 5
     rs = [2, 7, 17, 12, 12, -8, 4, -3, 9]
     seen = _routes(monkeypatch)
@@ -286,8 +286,8 @@ def test_alt_sums_upto_unsorted_repeated_and_gapped_r(maxl, short, monkeypatch):
     if short:
         assert dict(seen) == {"_by_terms": 2 * len(rs)}
     else:
-        # unit steps 2 -> 7, -8 -> -3 (class 2) and 4 -> 9 (class 4); 7 -> 17, 17 -> 12, 12 -> 12, 12 -> -8 shift
-        assert dict(seen) == {"_moments": 4, "_unit_shift": 6, "_shifted": 8}
+        # unit steps 2 -> 7, -8 -> -3 (class 2) and 4 -> 9 (class 4); every other r, 17, 12, 12 and -8 too, is summed l by l
+        assert dict(seen) == {"_moments": 12, "_unit_shift": 6}
     _assert_cells_are_alt_sums(n, rs, m, maxl, cells)
 
 
@@ -301,7 +301,7 @@ def test_alt_sums_upto_negative_r_empty_classes_and_maxl_0():
     _assert_cells_are_alt_sums(0, rs, 1, 0, alt_sums_upto(0, rs, 1, 0, True, True))
 
 
-@pytest.mark.parametrize("n, m, maxl", [(20, 3, 14), (20, 3, 13), (40, 5, 10), (4, 7, 0)])
+@pytest.mark.parametrize("n, m, maxl", [(5, 3, 16), (5, 3, 15), (40, 5, 10), (4, 7, 0)])
 def test_alt_sums_upto_each_family_alone(n, m, maxl):
     rs = [2, 7, 17, 12, 12, -8, 4, -3, 9, 3, 8]
     both = alt_sums_upto(n, rs, m, maxl, True, True)
@@ -313,9 +313,9 @@ def test_alt_sums_upto_each_family_alone(n, m, maxl):
     _assert_cells_are_alt_sums(n, rs, m, maxl, falling, powers=False)
 
 
-def test_alt_sums_upto_keeps_no_weight_lists():
-    # l = 0..1024 at m = 125: every class is short, and w(x) for x = -2 in the
-    # falling family alone holds about 1 MB; none outlives the call
+def test_alt_sums_upto_keeps_nothing_after_return():
+    # l = 0..1024 at m = 125: every class is short, summed term by term; the
+    # cells hold over 1 MB, and once they are dropped nothing of the call stays
     n, m, maxl, rs = 200, 125, 1024, [-130, -10, 0, 5, 124, 130, 250]
     alt_sums_upto(n, rs, m, 1)  # the binomial row is cached before tracing
     tracemalloc.start()
