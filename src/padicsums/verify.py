@@ -13,6 +13,7 @@ functions sum each instance with alt_sum instead, an independent route.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import itertools
 import json
@@ -59,6 +60,12 @@ _RENDER_CAP = 50
 GRID_CAP = 10**7
 # Samples one identity sweep may draw: a split-identity sample takes 0.06 to 0.11 ms, so 1 to 2 minutes at jobs=1.
 SAMPLES_CAP = 10**6
+# Largest l of a bound grid: one cell summed l = 0..1024 in 0.07-0.12 s and 3.1 MB,
+# and l = 0..4096 in 3.2-3.8 s and 56 MB.
+BOUND_L_CAP = 1024
+# Largest working precision E = bound + 2 of stirling-diff-bound: one table at m = SCAN_CAP took
+# 0.26 s at p = 2 and 1.3 s at p = 7 with E = 2048, and 0.66 s and 4.9 s with E = 4096.
+DIFF_PRECISION_CAP = 2048
 JOBS_CAP = 64  # worker processes one sweep may start; a fork-started pool starts them all at once
 
 
@@ -72,9 +79,9 @@ class CheckOutcome:
 
     lhs_ord is the measured order of the left-hand sum: None means the sum
     vanished (infinite order), and lhs_exact=False means only
-    "order >= lhs_ord" is known from the working precision.  holds is
-    three-valued; None marks an instance the precision could not decide.
-    Identity checks carry holds only.
+    "order >= lhs_ord" is known from the working precision: a
+    stirling-diff-bound floor, two above its bound, which holds.  holds is
+    None only on a skipped instance.  Identity checks carry holds only.
     """
 
     check: str
@@ -109,18 +116,10 @@ class CheckOutcome:
         }
 
 
-def _verdict(s_ord, exact, bound):
-    """(slack, holds) of a measured order against an integer bound; None order: the sum vanished."""
-    if s_ord is None:
-        return None, True
-    if exact:
-        return s_ord - bound, s_ord >= bound
-    return None, True if s_ord >= bound else None
-
-
-def _outcome(check, inst, s_ord, exact, bound, note=""):
-    slack, holds = _verdict(s_ord, exact, bound)
-    return CheckOutcome(check, inst, s_ord, exact or s_ord is None, bound, slack, holds, note=note)
+def _outcome(check, inst, s_ord, bound, note=""):
+    """The outcome of an exactly measured order against an integer bound; None order: the sum vanished, which holds."""
+    slack = None if s_ord is None else s_ord - bound
+    return CheckOutcome(check, inst, s_ord, True, bound, slack, slack is None or slack >= 0, note=note)
 
 
 def _carry_bound(p, alpha, n, r, base):
@@ -235,7 +234,7 @@ def _check_bound(check, p, alpha, n, r, l=0, f=None):
         _check_divisible(d, (s,), (l,), (math.factorial(l),), (p, alpha, n, r))
         s //= math.factorial(l)
         bound -= ord_factorial(p, l)
-    return _outcome(check, inst, ord_nonzero(p, s) if s else None, True, bound, note)
+    return _outcome(check, inst, ord_nonzero(p, s) if s else None, bound, note)
 
 
 def check_polysum_bound(p: int, alpha: int, n: int, r: int, f: IntPolynomial) -> CheckOutcome:
@@ -271,58 +270,71 @@ def check_stirling_diff_bound(p: int, alpha: int, h: int, l: int, m: int, n: int
     """Bound on the l-fold difference of scaled Stirling numbers along a tower family.
 
     The sum binom(l,k)(-1)^k m! S(k H + n - 1, m), H = h (p-1) p^alpha, is
-    the m-th difference at 0 of j^(n-1) (1 - j^H)^l, read modulo p**E with E
-    two above the bound, so no verdict is left undetermined.  Each S is an
-    integer, so when ord_p(m!) >= E the sum vanishes modulo p**E before any
-    table is read: the outcome is the floor lhs_ord = E with lhs_exact False.
+    the m-th difference at 0 of j^(n-1) (1 - j^H)^l, read by the sweep's
+    kernel modulo p**E with E two above the bound.  A sum that vanishes there,
+    as every sum with ord_p(m!) >= E does, is the floor lhs_ord = E with
+    lhs_exact False, which holds.  An m past SCAN_CAP, then an E past
+    DIFF_PRECISION_CAP, raises CapacityError before any table.
     """
-    ((order, bound),) = _stirling_diff_block(p, alpha, h, n, [(l, m)])
-    return _stirling_diff_outcome((p, alpha, h, l, m, n), order, bound)
+    inst = tuple(zip(_CHECK_AXES["stirling-diff-bound"], (p, alpha, h, l, m, n)))
+    bound = _diff_precision({a: [v] for a, v in inst}) - 2
+    live = _stirling_diff_block(p, alpha, h, n, [l], _m_axis(p, [m]))
+    if live:
+        return _outcome("stirling-diff-bound", inst, live[0][2], bound)
+    return CheckOutcome("stirling-diff-bound", inst, bound + 2, False, bound, None, True)
 
 
-def _stirling_diff_outcome(inst, order, bound):
-    """The outcome of instance (p, alpha, h, l, m, n) from its kernel pair; order None is the floor."""
-    inst = tuple(zip(_CHECK_AXES["stirling-diff-bound"], inst))
-    if order is None:
-        return _outcome("stirling-diff-bound", inst, bound + 2, False, bound)
-    return _outcome("stirling-diff-bound", inst, order, True, bound)
+def _diff_precision(block):
+    """The largest bound + 2 of a stirling-diff-bound block, at its largest l, alpha, n and m and smallest p.
 
-
-def _stirling_diff_block(p, alpha, h, n, lms):
-    """(order, bound) of check_stirling_diff_bound for each (l, m) of one (p, alpha, h, n) block.
-
-    order is None for a floor: the sum vanishes modulo p**(bound+2).  An
-    instance with ord_p(m!) >= bound + 2 is a floor without a table.  The
-    others read one difference table per l, of j^(n-1) (1 - j^H)^l with
-    H = h (p-1) p^alpha, run up to their largest m modulo the largest p**E
-    they need.  An m past SCAN_CAP raises CapacityError up front.
+    Its axes are checked first: ValueError, then CapacityError past SCAN_CAP and DIFF_PRECISION_CAP.
     """
-    check_prime(p)
-    for name, v in (("alpha", alpha), ("h", h), ("l", min(l for l, _ in lms)), ("m", min(m for _, m in lms))):
-        if v < 0:
+    for p in block["p"]:
+        check_prime(p)
+    for name in ("alpha", "h", "l", "m"):
+        if (v := min(block[name], default=0)) < 0:
             raise ValueError(f"{name} must be >= 0, got {v}")
-    if n < 1:
+    if (n := min(block["n"], default=1)) < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    check_scan_cap(max(m for _, m in lms))
-    q = {m: ord_factorial(p, m // p) for m in {m for _, m in lms}}
-    bounds = [min(l * (alpha + 1), n - 1 + q[m]) for l, m in lms]
-    out = [(None, bound) for bound in bounds]
-    # ord_p(m!) = floor(m/p) + ord_p(floor(m/p)!) by Legendre's formula
-    live = collections.defaultdict(list)
-    for i, ((l, m), bound) in enumerate(zip(lms, bounds)):
-        if m // p + q[m] < bound + 2:
-            live[l].append(i)
-    for l, group in live.items():
-        E = max(bounds[i] for i in group) + 2
-        jn, jH = power_rule(n - 1, p, E), power_rule(StructuredExponent(h * (p - 1), p, alpha, 0), p, E)
-        values = (jn(j) * pow(1 - jH(j), l, p**E) % p**E for j in itertools.count())
-        table = list(itertools.islice(_diagonal(values), max(lms[i][1] for i in group) + 1))
-        for i in group:
-            acc = table[lms[i][1]] % p ** (bounds[i] + 2)
-            if acc:
-                out[i] = (ord_nonzero(p, acc), bounds[i])
-        del table
-    return out
+    top_m, p = max(block["m"], default=0), min(block["p"], default=2)
+    check_scan_cap(top_m)
+    top_l = max(block["l"], default=0) * (max(block["alpha"], default=0) + 1)
+    E = min(top_l, max(block["n"], default=1) - 1 + ord_factorial(p, top_m // p)) + 2
+    if E > DIFF_PRECISION_CAP:
+        raise CapacityError(f"stirling-diff-bound capped at precision E <= {DIFF_PRECISION_CAP}, got E={E}")
+    return E
+
+
+def _m_axis(p, ms):
+    """(m, ord_p(m!), index in ms, q = ord_p(floor(m/p)!)) in increasing m; ord_p(m!) = floor(m/p) + q (Legendre)."""
+    return sorted((m, m // p + q, j, q) for j, m in enumerate(ms) for q in [ord_factorial(p, m // p)])
+
+
+def _stirling_diff_block(p, alpha, h, n, ls, axis):
+    """(l index, m index, order, bound) of each (p, alpha, h, n) block instance nonzero modulo p**(bound+2).
+
+    axis is _m_axis(p, ms); every instance of ls x ms left out is a floor.
+    With bound = min(l (alpha+1), n - 1 + ord_p(floor(m/p)!)), ord_p(m!) <
+    bound + 2 exactly when floor(m/p) <= n and ord_p(m!) < l (alpha+1) + 2,
+    each a prefix of the axis.  Each l with such an m reads one table of
+    j^(n-1) (1 - j^H)^l up to that m, modulo p**(its largest bound + 2), from
+    j^(n-1) and 1 - j^H taken once modulo the block's largest p**E.
+    """
+    top, fact = bisect.bisect_left(axis, (p * (n + 1),)), operator.itemgetter(1)  # floor(m/p) <= n below top
+    cuts = {l: c for l in ls if (c := bisect.bisect_left(axis, l * (alpha + 1) + 2, 0, top, key=fact))}
+    if not cuts:
+        return []
+    E = max(min(l * (alpha + 1), n - 1 + axis[c - 1][3]) for l, c in cuts.items()) + 2
+    jn, jH = power_rule(n - 1, p, E), power_rule(StructuredExponent(h * (p - 1), p, alpha, 0), p, E)
+    size = axis[max(cuts.values()) - 1][0] + 1
+    heads, tails = [jn(j) for j in range(size)], [1 - jH(j) for j in range(size)]
+    found = {}  # l -> (m index, residue, bound) of each nonzero sum
+    for l, c in cuts.items():
+        bounds = [min(l * (alpha + 1), n - 1 + q) for *_, q in axis[:c]]
+        P = p ** (bounds[-1] + 2)
+        table = list(_diagonal([a * pow(b, l, P) % P for a, b in zip(heads[: axis[c - 1][0] + 1], tails)]))
+        found[l] = [(j, r, b) for (m, _, j, _), b in zip(axis, bounds) if (r := table[m] % p ** (b + 2))]
+    return [(i, j, ord_nonzero(p, r), b) for i, l in enumerate(ls) if l in found for j, r, b in found[l]]
 
 
 def check_factorial_match(n: int) -> CheckOutcome:
@@ -553,7 +565,10 @@ def _check_block_axes(checks, blocks):
     elif checks[0] == "factorial-match":
         check_scan_cap(top_n - 1)  # the first term of the last n's scan
     elif checks[0] == "stirling-diff-bound":
-        check_scan_cap(max((max(block["m"], default=0) for block in blocks), default=0))
+        for block in blocks:
+            _diff_precision(block)
+    if need_l and (top_l := max(max(block["l"]) for block in blocks)) > BOUND_L_CAP:
+        raise CapacityError(f"bound sweeps capped at l <= {BOUND_L_CAP}, got l={top_l}")
 
 
 def _check_n_axis(top):
@@ -701,7 +716,7 @@ def _eval_bounds(checks, block, reports):
                 if least < B:
                     shift = [ord_factorial(p, l) for l in lv] if d.weight == "C(x,l)" else [0] * len(lv)
                     bad += [
-                        _outcome(check, _bound_inst(p, alpha, n, r, l, d), o - sh, True, B - sh, note)
+                        _outcome(check, _bound_inst(p, alpha, n, r, l, d), o - sh, B - sh, note)
                         for l, s, sh in zip(lv, sums, shift)
                         if s and (o := ord_nonzero(p, s)) < B
                     ]
@@ -752,18 +767,21 @@ def _cell_sums(p, base, d, lv, facts, cell, pair):
 def _eval_stirling_diff(block, rep):
     """Count stirling-diff-bound over a sub-block, one (p, alpha, h, n) table block at a time.
 
-    Each block's counts are added at once; violations wait, to be added in grid order (p, alpha, h, l, m, n).
+    The m axis is sorted once per p; an instance the kernel leaves out is a
+    held floor with no slack.  Violations are added in grid order (p, alpha, h, l, m, n).
     """
-    lms, ns = list(itertools.product(block["l"], block["m"])), block["n"]
-    for p, alpha, h in itertools.product(block["p"], block["alpha"], block["h"]):
-        key, bad = f"p={p},alpha={alpha}", []  # bad: (index in lms, index in ns, order, bound)
-        for j, n in enumerate(ns if lms else ()):
-            res = _stirling_diff_block(p, alpha, h, n, lms)
-            low = [(i, j, o, b) for i, (o, b) in enumerate(res) if o is not None and o < b]
-            rep.add(key, [o - b for o, b in res if o is not None], len(res) - len(low))
-            bad += low
-        bad.sort()
-        rep.add(key, (), 0, 0, [_stirling_diff_outcome((p, alpha, h, *lms[i], ns[j]), o, b) for i, j, o, b in bad])
+    ls, ms, ns = block["l"], block["m"], block["n"]
+    check, axes = "stirling-diff-bound", _CHECK_AXES["stirling-diff-bound"]
+    for p in block["p"]:
+        axis = _m_axis(p, ms)
+        for alpha, h in itertools.product(block["alpha"], block["h"]):
+            found = [(i, j, k, o, b) for k, n in enumerate(ns)
+                     for i, j, o, b in _stirling_diff_block(p, alpha, h, n, ls, axis)]
+            bad = sorted(f for f in found if f[3] < f[4])
+            held = len(ls) * len(ms) * len(ns) - len(bad)
+            outcomes = [_outcome(check, tuple(zip(axes, (p, alpha, h, ls[i], ms[j], ns[k]))), o, b)
+                        for i, j, k, o, b in bad]
+            rep.add(f"p={p},alpha={alpha}", [o - b for *_, o, b in found], held, 0, outcomes)
 
 
 def _eval_task(task):

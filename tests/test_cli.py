@@ -249,6 +249,9 @@ def test_compute_delta_n_over_sum_cap_exits_2(capsys, monkeypatch):
         (["table", "delta", "--from", "0", "--to", "100000"], (IntPolynomial, "monomial"), "got l=100000"),
         (["compute", "binom", "--n", "20000", "--k", "10000"], (math, "comb"), "got C(20000, 10000)"),
         (["compute", "binom", "--n", "10000000", "--k", "5000000"], (math, "comb"), "got C(10000000, 5000000)"),
+        (["verify", "carry-bound", "--grid", "p=2;alpha=0;n=1;r=0;l=0..1025"], (verify, "alt_sums_upto"), "got l=1025"),
+        # E = min(4 l, n - 1 + ord_2(30!)) + 2 = 8002
+        (["verify", "stirling-diff-bound", "--grid", "p=2;alpha=3;h=1;l=2000;m=60;n=8000"], (verify, "_diagonal"), "got E=8002"),
     ],
 )
 def test_oversized_delta_and_binom_exit_2(argv, kernel, want, capsys, monkeypatch):
@@ -256,6 +259,7 @@ def test_oversized_delta_and_binom_exit_2(argv, kernel, want, capsys, monkeypatc
         raise AssertionError("the kernel ran")
 
     monkeypatch.setattr(*kernel, started)
+    monkeypatch.setattr(verify, "_run", started)  # a sweep task would run through it
     rc, out, err = run_cli(argv, capsys)
     assert (rc, out) == (2, "") and err.startswith("capacity: ") and err.endswith(f", {want}\n")
 

@@ -193,6 +193,18 @@ def test_stirling_diff_outcomes_pinned():
         assert any(map(covered, insts))
 
 
+def test_stirling_diff_floor_is_the_only_inexact_outcome():
+    # A floor reads the sum modulo p**(bound+2) only, so it reports lhs_ord =
+    # bound + 2 with lhs_exact False, and it holds: no verdict is left open.
+    ocs = [check_stirling_diff_bound(*c) for c in _stirling_diff_draws(600, 15)]
+    floors = [oc for oc in ocs if not oc.lhs_exact]
+    assert all((oc.lhs_ord, oc.slack, oc.holds) == (oc.bound + 2, None, True) for oc in floors)
+    assert all(oc.holds is True for oc in ocs)
+    # both kinds occur: ord_p(m!) >= bound + 2, read without a table, and a table whose residue vanished
+    kinds = {ord_factorial(d["p"], d["m"]) >= oc.bound + 2 for oc in floors for d in [dict(oc.instance)]}
+    assert kinds == {True, False}
+
+
 @pytest.mark.parametrize(
     "inst, want",
     [
@@ -208,15 +220,18 @@ def test_stirling_diff_large_l_pinned(inst, want):
 
 def test_stirling_diff_block_pairs_pinned():
     # Every (order, bound) of a grid whose blocks have several live l, recorded
-    # before the residue-class sums became dot products.  A kernel that reads a
-    # block's instances from one l's table changes it; the sweep's counts and
-    # slack extremes do not see that.
+    # before the residue-class sums became dot products, with order None for
+    # a floor.  A kernel that reads a block's instances from one l's table
+    # changes it; the sweep's counts and slack extremes do not see that.
     pairs, several = [], 0
     for p, alpha, h, n in itertools.product((2, 3), range(3), (1, 2), range(2, 13)):
-        lms = list(itertools.product(range(6), range(n, n + 13)))
-        block = verify._stirling_diff_block(p, alpha, h, n, lms)
+        ls, ms = range(6), range(n, n + 13)
+        found = {(i, j): (o, b) for i, j, o, b in verify._stirling_diff_block(p, alpha, h, n, ls, verify._m_axis(p, ms))}
+        bounds = [min(l * (alpha + 1), n - 1 + ord_factorial(p, m // p)) for l in ls for m in ms]
+        block = [found.get((i, j), (None, b)) for (i, j), b in zip(itertools.product(range(6), range(13)), bounds)]
+        assert [b for _, b in block] == bounds
         pairs += block
-        several += len({l for (l, _), (o, _) in zip(lms, block) if o is not None}) >= 3
+        several += len({i for i, _ in found}) >= 3
     assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == (
         "f6b7efeaf06e247fa9d79d50f07fde6e4a46f60ccb2cbaa14ef982ce19609a2f"
     )
@@ -242,10 +257,11 @@ def test_stirling_diff_l_axis_builds_one_table_per_l(monkeypatch):
     rep = sweep("stirling-diff-bound", grid="p=3;alpha=1;h=1;l=1..6;m=2,5,8,11;n=10")
     assert (rep.checked, rep.held, len(built)) == (24, 24, 6)
     # and each (l, m) of the block reads its own l's table, as a one-instance block does
-    lms = list(itertools.product(range(1, 7), (2, 5, 8, 11)))
-    pairs = verify._stirling_diff_block(3, 1, 1, 10, lms)
-    assert pairs == [verify._stirling_diff_block(3, 1, 1, 10, [lm])[0] for lm in lms]
-    assert {o for o, _ in pairs} == {None, 2, 4, 6, 7, 8, 9, 10}
+    ls, ms = range(1, 7), (2, 5, 8, 11)
+    found = {(ls[i], ms[j]): o for i, j, o, _ in verify._stirling_diff_block(3, 1, 1, 10, ls, verify._m_axis(3, ms))}
+    ocs = {(l, m): check_stirling_diff_bound(3, 1, 1, l, m, 10) for l in ls for m in ms}
+    assert found == {lm: oc.lhs_ord for lm, oc in ocs.items() if oc.lhs_exact}
+    assert set(found.values()) == {2, 4, 6, 7, 8, 9, 10} and len(found) < len(ocs)
 
 
 def test_factorial_match_examples():
@@ -449,6 +465,41 @@ def test_stirling_diff_bound_refuses_m_past_the_scan_cap(monkeypatch):
     assert (oc.lhs_ord, oc.lhs_exact, oc.bound) == (3, False, 1)
 
 
+def test_stirling_diff_bound_refuses_precision_past_its_cap(monkeypatch):
+    # E = bound + 2 with bound = min(4 l, n - 1 + ord_2(floor(m/2)!)); m = 2 keeps the table at three values
+    assert verify.DIFF_PRECISION_CAP == 2048
+    oc = check_stirling_diff_bound(2, 3, 1, 512, 2, 2047)
+    assert oc.bound + 2 == 2048
+    rep = sweep("stirling-diff-bound", grid="p=2,3;alpha=0..3;h=1;l=0,512;m=0..2;n=1,2047")
+    assert rep.checked == rep.held == 96
+
+    def built(*args):
+        raise AssertionError("a difference table was built or a sweep task ran")
+
+    monkeypatch.setattr(verify, "_diagonal", built)
+    monkeypatch.setattr(verify, "_run", built)
+    with pytest.raises(CapacityError, match=r"^stirling-diff-bound capped at precision E <= 2048, got E=2049$"):
+        check_stirling_diff_bound(2, 3, 1, 512, 2, 2048)
+    with pytest.raises(CapacityError, match=r"got E=2049$"):
+        sweep("stirling-diff-bound", grid="p=2;alpha=3;h=1;l=512;m=2;n=2048")
+    # the largest E of a grid pairs the largest l and alpha with the largest n and m and the smallest p
+    with pytest.raises(CapacityError, match=r"got E=2049$"):
+        sweep("stirling-diff-bound", grid=[{"p": [3, 2], "alpha": [0, 3], "h": [1], "l": [520], "m": [0, 4], "n": [2047]}])
+
+
+def test_bound_sweeps_refuse_l_past_their_cap(monkeypatch):
+    assert verify.BOUND_L_CAP == 1024
+    assert sweep("carry-bound", grid="p=2;alpha=0;n=1;r=0;l=1024").checked == 1
+
+    def no_work(*args):
+        raise AssertionError("sweep work started past the l cap")
+
+    monkeypatch.setattr(verify, "_run", no_work)
+    for check in ("polysum-bound", "carry-bound", "binom-weight-bound"):
+        with pytest.raises(CapacityError, match=r"^bound sweeps capped at l <= 1024, got l=4096$"):
+            sweep(check, grid="p=2;alpha=0;n=1;r=0;l=0,4096,3")
+
+
 def test_sweep_rejects_incomplete_grids():
     with pytest.raises(GridError, match="missing axes"):
         sweep("polysum-bound", grid={"q": [1]})
@@ -523,18 +574,70 @@ def test_stirling_diff_sweep_shares_blocks_deterministically(monkeypatch):
     seq = sweep("stirling-diff-bound", grid=grid, jobs=1)
     par = sweep("stirling-diff-bound", grid=grid, jobs=2)
     assert seq.to_json() == par.to_json()
-    # the single-instance API gives the same verdicts, one instance at a time
-    held = undetermined = 0
-    slack = {}
-    for p, alpha, h, l, m, n in insts:
-        oc = check_stirling_diff_bound(p, alpha, h, l, m, n)
+    assert _sweep_matches_single_instances(grid, monkeypatch)[0] == seq.to_json()
+
+
+def _sweep_matches_single_instances(grid, monkeypatch):
+    """(JSON report, exact instances) of a stirling-diff-bound sweep at jobs=1, checked against check_stirling_diff_bound.
+
+    The single-instance API, one instance at a time, must give the report's
+    counts and slacks, and every exact order must be one the sweep's kernel
+    read for that instance, as often as the instance occurs in the grid.
+    """
+    real, read = verify._stirling_diff_block, []
+
+    def spy(p, alpha, h, n, ls, axis):
+        found = real(p, alpha, h, n, ls, axis)
+        m_at = {j: m for m, _, j, _ in axis}
+        read.extend(((p, alpha, h, ls[i], m_at[j], n), o) for i, j, o, _ in found)
+        return found
+
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "_stirling_diff_block", spy)
+        rep = sweep("stirling-diff-bound", grid=grid, jobs=1)
+    insts = list(itertools.product(*(grid[a] for a in ("p", "alpha", "h", "l", "m", "n"))))
+    held, slack, exact = 0, {}, []
+    for inst in insts:
+        oc = check_stirling_diff_bound(*inst)
         held += oc.holds is True
-        undetermined += oc.holds is None
-        if oc.slack is not None:
-            lo, hi = slack.get(f"p={p},alpha={alpha}", (oc.slack, oc.slack))
-            slack[f"p={p},alpha={alpha}"] = (min(lo, oc.slack), max(hi, oc.slack))
-    assert (seq.checked, seq.held, seq.undetermined, seq.violations) == (len(insts), held, undetermined, [])
-    assert seq.slack == slack
+        if oc.lhs_exact:
+            exact.append((inst, oc.lhs_ord))
+            key = f"p={inst[0]},alpha={inst[1]}"
+            lo, hi = slack.get(key, (oc.slack, oc.slack))
+            slack[key] = (min(lo, oc.slack), max(hi, oc.slack))
+        else:
+            assert (oc.lhs_ord, oc.slack, oc.holds) == (oc.bound + 2, None, True), inst
+    assert (rep.checked, rep.held, rep.undetermined, rep.violations) == (len(insts), held, 0, [])
+    assert rep.slack == slack
+    assert sorted(read) == sorted(exact)
+    return rep.to_json(), len(exact)
+
+
+def test_stirling_diff_sweep_matches_single_instances_on_random_grids(monkeypatch):
+    # Custom grids with unsorted and repeated l and m axes, m below p and
+    # below n, n = 1, h = 0 and alpha = 0 and 70 (a tower that cannot be
+    # materialized).
+    rng = random.Random(22)
+    grids = [
+        {
+            "p": rng.sample((2, 3, 5, 7), 2),
+            "alpha": rng.sample((0, 1, 2, 70), 2),
+            "h": rng.sample(range(3), 2),
+            "l": [rng.randint(0, 5) for _ in range(3)],
+            "m": [rng.randint(0, 30) for _ in range(6)],
+            "n": rng.sample(range(1, 16), 3),
+        }
+        for _ in range(12)
+    ]
+    assert sum(_sweep_matches_single_instances(grid, monkeypatch)[1] for grid in grids) == 1202  # of 5184
+    insts = [dict(zip(g, v)) for g in grids for v in itertools.product(*g.values())]
+    for covered in (
+        lambda d: d["m"] < d["p"], lambda d: d["m"] < d["n"], lambda d: d["n"] == 1, lambda d: d["l"] == 0,
+        lambda d: d["h"] == 0, lambda d: d["alpha"] == 0, lambda d: d["alpha"] == 70,
+    ):
+        assert any(map(covered, insts))
+    assert any(g["m"] != sorted(g["m"]) for g in grids)
+    assert any(len(set(g["m"])) < len(g["m"]) for g in grids) and any(len(set(g["l"])) < len(g["l"]) for g in grids)
 
 
 def test_stirling_diff_violations_in_grid_order(monkeypatch):
@@ -543,9 +646,13 @@ def test_stirling_diff_violations_in_grid_order(monkeypatch):
     chosen = [(1, 4, 2), (2, 3, 2), (0, 5, 3), (1, 3, 4)]  # (l, m, n), in block order
     real = verify._stirling_diff_block
 
-    def fake(p, alpha, h, n, lms):
-        res = real(p, alpha, h, n, lms)
-        return [(b - 1, b) if (l, m, n) in chosen else (o, b) for (l, m), (o, b) in zip(lms, res)]
+    def fake(p, alpha, h, n, ls, axis):
+        found = {(i, j): (o, b) for i, j, o, b in real(p, alpha, h, n, ls, axis)}
+        for (i, l), (m, _, j, q) in itertools.product(enumerate(ls), axis):
+            if (l, m, n) in chosen:
+                b = min(l * (alpha + 1), n - 1 + q)
+                found[i, j] = (b - 1, b)
+        return [(i, j, o, b) for (i, j), (o, b) in reversed(found.items())]
 
     monkeypatch.setattr(verify, "_stirling_diff_block", fake)
     rep = sweep("stirling-diff-bound", grid="p=2;alpha=0;h=1..2;l=0..2;m=3..5;n=2..4", jobs=1)
