@@ -1,7 +1,7 @@
 """Command-line surface: single computations, table emission, verification sweeps.
 
-Exit codes: 0 success, 1 golden mismatch or sweep violation, 2 undetermined
-or uncertified result (partial output on stderr), 64 usage or parse errors.
+Exit codes: 0 success, 1 golden mismatch or sweep violation, 2 an input over a capacity cap or an
+uncertified or undetermined compute ep answer (partial output on stderr), 64 usage or parse errors.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ import sys
 
 from . import golden
 from .exponents import parse_exponent, symbolic_tower
-from .padic import CapacityError, carries, check_prime, ord_factorial, ord_int
+from .padic import CapacityError, carries, check_prime, is_prime, ord_factorial, ord_int
 from .polysum import binom_exact
 from .stirling import (
     DEFAULT_WINDOW,
+    STIRLING_CAP,
     PrecisionError,
     mstirling_mod,
     stable_min_ord,
@@ -35,7 +36,7 @@ from .su_bounds import (
 )
 from .verify import CHECK_NAMES, sweep
 
-BINOM_DIGITS_CAP = 4300  # the most digits str() writes of an int by default
+DIGITS_CAP = 4300  # the most digits str() writes of an int by default
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,31 +63,38 @@ def _cmd_compute_tau(args) -> int:
     return 0
 
 
-def _cmd_compute_binom(args) -> int:
-    """C(n, k) is built only when it has at most one digit past BINOM_DIGITS_CAP; its exact value decides that digit.
+def _capped(kind, what, log10, build):
+    """build(), refused past DIGITS_CAP digits: unbuilt when log10, a lower bound on its log10 to within 1e-6,
+    passes DIGITS_CAP + 1, and else by its exact value."""
+    refused = CapacityError(f"{kind} capped at {DIGITS_CAP} digits, got {what}")
+    if log10 > DIGITS_CAP + 1:
+        raise refused
+    value = build()
+    if value >= 10**DIGITS_CAP:
+        raise refused
+    return value
 
-    C(n, k) >= 2**k, and the sum of logs is log10 C(n, k) to within 1e-6.
-    """
+
+def _cmd_compute_binom(args) -> int:
+    """C(n, k) >= 2**k, and the sum of logs is log10 C(n, k) to within 1e-6."""
     n, k = args.n, min(args.k, args.n - args.k)
-    refused = CapacityError(f"binomials capped at {BINOM_DIGITS_CAP} digits, got C({args.n}, {args.k})")
-    if k > 4 * BINOM_DIGITS_CAP or sum(math.log10(n - i) - math.log10(k - i) for i in range(k)) > BINOM_DIGITS_CAP + 1:
-        raise refused
-    value = binom_exact(args.n, args.k)
-    if value >= 10**BINOM_DIGITS_CAP:
-        raise refused
-    print(value)
+    log10 = math.inf if k > 4 * DIGITS_CAP else sum(math.log10(n - i) - math.log10(k - i) for i in range(k))
+    print(_capped("binomials", f"C({args.n}, {args.k})", log10, lambda: binom_exact(args.n, args.k)))
     return 0
 
 
 def _cmd_compute_stirling(args) -> int:
-    print(stirling_exact(args.k, args.m))
+    """S(k, m) >= m**(k - m) for 1 <= m <= k; a k past STIRLING_CAP is refused by stirling_exact first."""
+    log10 = (args.k - args.m) * math.log10(args.m) if 0 < args.m <= args.k <= STIRLING_CAP else 0
+    print(_capped("Stirling numbers", f"S({args.k}, {args.m})", log10, lambda: stirling_exact(args.k, args.m)))
     return 0
 
 
 def _cmd_compute_mstirling(args) -> int:
-    k = parse_exponent(args.k)
-    residue = mstirling_mod(k, args.m, args.p, args.E)
-    print(f"{residue} (mod {args.p}^{args.E})")
+    k, p, E = parse_exponent(args.k), args.p, args.E
+    if args.m >= 0 and is_prime(p) and E >= 1:  # past mstirling_mod's own checks, before any power
+        _capped("moduli", f"{p}^{E}", E * math.log10(p), lambda: p**E)
+    print(f"{mstirling_mod(k, args.m, p, E)} (mod {p}^{E})")
     return 0
 
 

@@ -125,8 +125,8 @@ def power_rule(k, p: int, E: int):
     min(k, E), as its E-th power is already 0 mod p**E.
     """
     k = as_exponent(k)
+    k_unit = k.mod(carmichael_prime_power(p, E))  # refuses a p or E it cannot take before p**E is formed
     M = p**E
-    k_unit = k.mod(carmichael_prime_power(p, E))
     k_mult = min(k.value(), E) if k.materializable else E
     return lambda j: pow(j, k_unit if j % p else k_mult, M)
 

@@ -23,11 +23,7 @@ from .stirling import (
     min_stirling_ord,
     stable_min_ord,
 )
-from .verify import check_polysum_bound
-
-# Largest weight degree l of a delta.  One delta at n = SUM_CAP, alpha = 0 takes about 0.3 s at l = 1024
-# and 2 s at l = 4096 (its cost grows about as l**1.6), and a table costs the sum over its l.
-DELTA_L_CAP = 1024
+from .verify import BOUND_L_CAP, check_polysum_bound
 
 
 def lower_bound(p: int, n: int) -> int:
@@ -201,8 +197,8 @@ def emit_delta(
     """
     if l_from < 0 or l_to < l_from:
         raise ValueError(f"need 0 <= l_from <= l_to, got [{l_from}, {l_to}]")
-    if l_to > DELTA_L_CAP:
-        raise CapacityError(f"delta capped at l <= {DELTA_L_CAP}, got l={l_to}")
+    if l_to > BOUND_L_CAP:
+        raise CapacityError(f"delta capped at l <= {BOUND_L_CAP}, got l={l_to}")
     return [check_polysum_bound(p, alpha, n, 0, IntPolynomial.monomial(l)).slack for l in range(l_from, l_to + 1)]
 
 

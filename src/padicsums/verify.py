@@ -3,9 +3,10 @@
 Every check_* function evaluates one inequality or equality on exact integers
 (or residues modulo p**E) for one instance and returns a CheckOutcome; the
 equality and Stirling-difference checks run their sweep's block kernel on it.
-sweep() runs a check over a grid in a fixed lexicographic order, counts held
-and undetermined instances in bulk into a SweepReport and builds a CheckOutcome
-only for a violation; reports render byte-identically at any parallelism level.
+sweep() refuses a grid value its check does not accept before any task runs,
+runs the check over the grid in a fixed lexicographic order, counts held
+instances in bulk into a SweepReport and builds a CheckOutcome only for a
+violation; reports render byte-identically at any parallelism level.
 The bound sweep reads a cell's least order from the gcd of its sums and its
 largest only when it can beat the row's largest slack so far; the check_*
 functions sum each instance with alt_sum instead, an independent route.
@@ -60,8 +61,9 @@ _RENDER_CAP = 50
 GRID_CAP = 10**7
 # Samples one identity sweep may draw: a split-identity sample takes 0.06 to 0.11 ms, so 1 to 2 minutes at jobs=1.
 SAMPLES_CAP = 10**6
-# Largest l of a bound grid: one cell summed l = 0..1024 in 0.07-0.12 s and 3.1 MB,
-# and l = 0..4096 in 3.2-3.8 s and 56 MB.
+# Largest degree l of a residue-class monomial sum, in a bound grid and in su_bounds.emit_delta: one bound
+# cell summed l = 0..1024 in 0.07-0.12 s and 3.1 MB, and l = 0..4096 in 3.2-3.8 s and 56 MB; one delta at
+# n = SUM_CAP, alpha = 0 takes about 0.3 s at l = 1024 and 2 s at l = 4096.
 BOUND_L_CAP = 1024
 # Largest working precision E = bound + 2 of stirling-diff-bound: one table at m = SCAN_CAP took
 # 0.26 s at p = 2 and 1.3 s at p = 7 with E = 2048, and 0.66 s and 4.9 s with E = 4096.
@@ -190,15 +192,24 @@ CHECK_NAMES = BOUND_CHECKS + ("stirling-diff-bound", "factorial-match", *IDENTIT
 
 _WEIGHTS = {"x^l": IntPolynomial.monomial, "C(x,l)": binom_poly, "1": lambda l: ONE}
 
+# Each grid check's axes in grid order, each with its least value (None: any integer).
+_CHECK_AXES = {
+    **{c: {"p": 2, "alpha": 0, "n": 0, "r": None} | ({"l": 0} if d.uses_l else {}) for c, d in _BOUNDS.items()},
+    "stirling-diff-bound": {"p": 2, "alpha": 0, "h": 0, "l": 0, "m": 0, "n": 1},
+    "factorial-match": {"n": 4},
+    "equality-conjecture": {"p": 2, "alpha": 1, "n": None, "r": None},
+}
 
-def _check_args(p, alpha, n, l=0):
-    check_prime(p)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got n={n}")
+
+def _check_values(check, block):
+    """Raise ValueError at the first block value, in axis order, below its least, a non-prime p or an odd factorial n."""
+    even = check == "factorial-match"
+    for axis, lo in _CHECK_AXES[check].items():
+        for v in () if lo is None else block[axis]:
+            if v < lo or even and v % 2:
+                raise ValueError(f"{axis} must be {'even and ' * even}>= {lo}, got {v}")
+            if axis == "p":
+                check_prime(v)
 
 
 def _bound_inst(p, alpha, n, r, l, d, f=None):
@@ -221,11 +232,10 @@ def _check_divisible(d, sums, ls, facts, cell):
 def _check_bound(check, p, alpha, n, r, l=0, f=None):
     """One instance of a bound check, summed directly with alt_sum (f overrides the weight)."""
     d = _BOUNDS[check]
-    check_prime(p)
+    _check_values(check, dict(zip(_CHECK_AXES[check], ([p], [alpha], [n], [r], [l]))))
     missing = d.precondition(p, alpha, n)
     if missing:
         raise ValueError(missing)
-    _check_args(p, alpha, n, l)
     m = p**alpha
     inst = _bound_inst(p, alpha, n, r, l, d, f)
     bound, note = d.bound(p, alpha, n, r, class_bound(p, alpha, n))
@@ -277,29 +287,29 @@ def check_stirling_diff_bound(p: int, alpha: int, h: int, l: int, m: int, n: int
     DIFF_PRECISION_CAP, raises CapacityError before any table.
     """
     inst = tuple(zip(_CHECK_AXES["stirling-diff-bound"], (p, alpha, h, l, m, n)))
-    bound = _diff_precision({a: [v] for a, v in inst}) - 2
+    block = {a: [v] for a, v in inst}
+    _check_values("stirling-diff-bound", block)
+    bound = _diff_precision(block) - 2
     live = _stirling_diff_block(p, alpha, h, n, [l], _m_axis(p, [m]))
     if live:
         return _outcome("stirling-diff-bound", inst, live[0][2], bound)
     return CheckOutcome("stirling-diff-bound", inst, bound + 2, False, bound, None, True)
 
 
+def _diff_bound(l, alpha, n, q):
+    """The stirling-diff-bound bound min(l (alpha+1), n - 1 + q), with q = ord_p(floor(m/p)!)."""
+    return min(l * (alpha + 1), n - 1 + q)
+
+
 def _diff_precision(block):
     """The largest bound + 2 of a stirling-diff-bound block, at its largest l, alpha, n and m and smallest p.
 
-    Its axes are checked first: ValueError, then CapacityError past SCAN_CAP and DIFF_PRECISION_CAP.
+    CapacityError past SCAN_CAP, then past DIFF_PRECISION_CAP.
     """
-    for p in block["p"]:
-        check_prime(p)
-    for name in ("alpha", "h", "l", "m"):
-        if (v := min(block[name], default=0)) < 0:
-            raise ValueError(f"{name} must be >= 0, got {v}")
-    if (n := min(block["n"], default=1)) < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     top_m, p = max(block["m"], default=0), min(block["p"], default=2)
     check_scan_cap(top_m)
-    top_l = max(block["l"], default=0) * (max(block["alpha"], default=0) + 1)
-    E = min(top_l, max(block["n"], default=1) - 1 + ord_factorial(p, top_m // p)) + 2
+    l, alpha, n = (max(block[a], default=0) for a in ("l", "alpha", "n"))
+    E = _diff_bound(l, alpha, n, ord_factorial(p, top_m // p)) + 2
     if E > DIFF_PRECISION_CAP:
         raise CapacityError(f"stirling-diff-bound capped at precision E <= {DIFF_PRECISION_CAP}, got E={E}")
     return E
@@ -324,13 +334,13 @@ def _stirling_diff_block(p, alpha, h, n, ls, axis):
     cuts = {l: c for l in ls if (c := bisect.bisect_left(axis, l * (alpha + 1) + 2, 0, top, key=fact))}
     if not cuts:
         return []
-    E = max(min(l * (alpha + 1), n - 1 + axis[c - 1][3]) for l, c in cuts.items()) + 2
+    E = max(_diff_bound(l, alpha, n, axis[c - 1][3]) for l, c in cuts.items()) + 2
     jn, jH = power_rule(n - 1, p, E), power_rule(StructuredExponent(h * (p - 1), p, alpha, 0), p, E)
     size = axis[max(cuts.values()) - 1][0] + 1
     heads, tails = [jn(j) for j in range(size)], [1 - jH(j) for j in range(size)]
     found = {}  # l -> (m index, residue, bound) of each nonzero sum
     for l, c in cuts.items():
-        bounds = [min(l * (alpha + 1), n - 1 + q) for *_, q in axis[:c]]
+        bounds = [_diff_bound(l, alpha, n, q) for *_, q in axis[:c]]
         P = p ** (bounds[-1] + 2)
         table = list(_diagonal([a * pow(b, l, P) % P for a, b in zip(heads[: axis[c - 1][0] + 1], tails)]))
         found[l] = [(j, r, b) for (m, _, j, _), b in zip(axis, bounds) if (r := table[m] % p ** (b + 2))]
@@ -343,8 +353,7 @@ def check_factorial_match(n: int) -> CheckOutcome:
     For even n > 2 the family k = 2^L + n - 1 (scan start n-1) stabilizes at
     ord_2((n-1)!) once L >= max(N, N0); the check runs at that height.
     """
-    if n <= 2 or n % 2:
-        raise ValueError(f"n must be even and > 2, got n={n}")
+    _check_values("factorial-match", {"n": [n]})
     res = stable_min_ord(2, n - 1, d=n - 1)
     inst = (("n", n), ("L", res.stable.height))
     got = res.value
@@ -375,6 +384,7 @@ def check_equality_conjecture(p: int, alpha: int, n: int, r: int, l: int | None 
     (magnitude e = 0) are checked but flagged in the note.  l None takes
     the smallest admissible l.
     """
+    _check_values("equality-conjecture", {"p": [p], "alpha": [alpha], "n": [n], "r": [r]})
     boundary, (row,) = _equality_block(p, alpha, n, [(r, l)])
     return _equality_outcome(p, alpha, n, r, l, boundary, row)
 
@@ -401,9 +411,6 @@ def _equality_block(p, alpha, n, rls):
     table, so none holds more than 2 floor(n/m) + 1 powers, however far apart r lie.
     An n above SUM_CAP with an instance to sum raises CapacityError before any table.
     """
-    check_prime(p)
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
     m = p**alpha
     if n < 2 * m - 1:
         return False, [f"precondition: n >= {2 * m - 1}"] * len(rls)
@@ -481,13 +488,6 @@ def _grid_axes(text, n_capped=False):
     return {name: items[0] if len(items) == 1 else [v for it in items for v in it] for name, items in axes.items()}
 
 
-_CHECK_AXES = {
-    **{c: ("p", "alpha", "n", "r") + ("l",) * d.uses_l for c, d in _BOUNDS.items()},
-    "stirling-diff-bound": ("p", "alpha", "h", "l", "m", "n"),
-    "factorial-match": ("n",),
-    "equality-conjecture": ("p", "alpha", "n", "r"),
-}
-
 _SUM_CHECKS = (*_BOUNDS, "equality-conjecture")  # checks whose n axis SUM_CAP bounds
 
 _DEFAULT_GRID_DESC = {
@@ -546,6 +546,7 @@ def _resolve_grid(check, grid):
 
 
 def _check_block_axes(checks, blocks):
+    """Refuse a missing or unknown axis (GridError) or a value (ValueError) of any block, then a cap (CapacityError)."""
     need_l = any(c in _BOUNDS and _BOUNDS[c].uses_l for c in checks)
     for check in checks:
         axes = _CHECK_AXES[check]
@@ -557,6 +558,7 @@ def _check_block_axes(checks, blocks):
             extra = [a for a in block if a not in wanted]
             if extra:
                 raise GridError(f"grid has unknown axes {extra} for check {check!r}")
+            _check_values(check, block)
     if need_l and not all(block["l"] for block in blocks):
         raise GridError("grid is missing axes ['l'] for this check")
     top_n = max((max(block["n"], default=0) for block in blocks), default=0)
@@ -585,17 +587,16 @@ class SweepReport:
     checked: int = 0
     held: int = 0
     violations: list[CheckOutcome] = field(default_factory=list)
-    undetermined: int = 0
     skipped: int = 0
     flagged: int = 0
     slack: dict[str, tuple[int, int]] = field(default_factory=dict)
     wall_time: float = 0.0
+    undetermined = 0  # every verdict is decided; the report schema keeps the field
 
-    def add(self, key, slacks, held, undetermined=0, violations=()):
-        """Count checked instances of slice key (held, undetermined or violated) and their known slacks."""
-        self.checked += held + undetermined + len(violations)
+    def add(self, key, slacks, held, violations=()):
+        """Count checked instances of slice key (held or violated) and their known slacks."""
+        self.checked += held + len(violations)
         self.held += held
-        self.undetermined += undetermined
         self.violations.extend(violations)
         if slacks:
             lo, hi = min(slacks), max(slacks)
@@ -606,7 +607,7 @@ class SweepReport:
         """Count a partial report of the same check that follows this one in grid order."""
         self.skipped += other.skipped
         self.flagged += other.flagged
-        self.add(None, (), other.held, other.undetermined, other.violations)
+        self.add(None, (), other.held, other.violations)
         for key, rec in other.slack.items():
             self.add(key, rec, 0)
 
@@ -617,12 +618,7 @@ class SweepReport:
         return self.held / self.checked
 
     def exit_code(self, strict: bool = False) -> int:
-        fatal = self.violations and (strict or self.check != "equality-conjecture")
-        if fatal:
-            return 1
-        if self.undetermined:
-            return 2
-        return 0
+        return 1 if self.violations and (strict or self.check != "equality-conjecture") else 0
 
     def to_dict(self) -> dict:
         d = {
@@ -690,7 +686,6 @@ def _eval_bounds(checks, block, reports):
     maxl = max(ls, default=0)
     facts = [math.factorial(l) for l in ls]
     for p, alpha, n in itertools.product(block["p"], block["alpha"], block["n"]):
-        _check_args(p, alpha, n, min(ls, default=0))
         base = class_bound(p, alpha, n)
         key = f"p={p},alpha={alpha}"
         cells = alt_sums_upto(n, rs, p**alpha, maxl, bool(weights - {"C(x,l)"}), "C(x,l)" in weights)
@@ -720,7 +715,7 @@ def _eval_bounds(checks, block, reports):
                         for l, s, sh in zip(lv, sums, shift)
                         if s and (o := ord_nonzero(p, s)) < B
                     ]
-            rep.add(key, () if lo is None else (lo, hi), len(lv) * len(rs) - len(bad), 0, bad)
+            rep.add(key, () if lo is None else (lo, hi), len(lv) * len(rs) - len(bad), bad)
 
 
 def _multiples(q, xs):
@@ -781,7 +776,7 @@ def _eval_stirling_diff(block, rep):
             held = len(ls) * len(ms) * len(ns) - len(bad)
             outcomes = [_outcome(check, tuple(zip(axes, (p, alpha, h, ls[i], ms[j], ns[k]))), o, b)
                         for i, j, k, o, b in bad]
-            rep.add(f"p={p},alpha={alpha}", [o - b for *_, o, b in found], held, 0, outcomes)
+            rep.add(f"p={p},alpha={alpha}", [o - b for *_, o, b in found], held, outcomes)
 
 
 def _eval_task(task):
@@ -804,11 +799,11 @@ def _eval_task(task):
             rep.flagged += boundary * len(checked)
             bad = [_equality_outcome(p, alpha, n, r, None, boundary, row) for r, row in checked if row[1] != row[2]]
             slacks = [v - bound for _, (_, v, bound) in checked if v is not None]
-            rep.add(f"p={p},alpha={alpha}", slacks, len(checked) - len(bad), 0, bad)
+            rep.add(f"p={p},alpha={alpha}", slacks, len(checked) - len(bad), bad)
     elif check == "factorial-match":
         for n in block["n"]:
             o = check_factorial_match(n)
-            rep.add("all", (o.slack,), o.holds, 0, () if o.holds else (o,))
+            rep.add("all", (o.slack,), o.holds, () if o.holds else (o,))
     else:
         fn = check_floor_identity if check == "floor-identity" else check_split_identity
         fs = [(n, m, r, IntPolynomial(coeffs)) for n, m, r, coeffs in block["instance"]]
@@ -817,7 +812,7 @@ def _eval_task(task):
             for n, m, r, f in fs
             if not fn(n, m, r, f)
         ]
-        rep.add(None, (), len(fs) - len(bad), 0, bad)
+        rep.add(None, (), len(fs) - len(bad), bad)
     return reports
 
 

@@ -13,9 +13,26 @@ from pathlib import Path
 
 import pytest
 
-from padicsums import IntPolynomial, check_polysum_bound, polysum, stirling, su_bounds, verify
-from padicsums.cli import BINOM_DIGITS_CAP, build_parser, main
-from padicsums.su_bounds import DELTA_L_CAP
+from padicsums import (
+    IntPolynomial,
+    check_binom_weight_bound,
+    check_carry_bound,
+    check_equality_conjecture,
+    check_factorial_match,
+    check_plain_sum_bound,
+    check_polysum_bound,
+    check_stirling_diff_bound,
+    check_totient_bound,
+    default_grid,
+    parse_grid,
+    polysum,
+    stirling,
+    su_bounds,
+    sweep,
+    verify,
+)
+from padicsums.cli import DIGITS_CAP, build_parser, main
+from padicsums.verify import BOUND_L_CAP
 
 
 def run_cli(argv, capsys, entry=main):
@@ -244,7 +261,7 @@ def test_compute_delta_n_over_sum_cap_exits_2(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, kernel, want",
     [
-        (["compute", "delta", "--l", str(DELTA_L_CAP + 1)], (IntPolynomial, "monomial"), f"got l={DELTA_L_CAP + 1}"),
+        (["compute", "delta", "--l", str(BOUND_L_CAP + 1)], (IntPolynomial, "monomial"), f"got l={BOUND_L_CAP + 1}"),
         (["compute", "delta", "--l", "1000000000"], (IntPolynomial, "monomial"), "got l=1000000000"),
         (["table", "delta", "--from", "0", "--to", "100000"], (IntPolynomial, "monomial"), "got l=100000"),
         (["compute", "binom", "--n", "20000", "--k", "10000"], (math, "comb"), "got C(20000, 10000)"),
@@ -265,15 +282,99 @@ def test_oversized_delta_and_binom_exit_2(argv, kernel, want, capsys, monkeypatc
 
 
 def test_delta_and_binom_answer_at_their_caps(capsys):
-    assert run_cli(["compute", "delta", "--l", str(DELTA_L_CAP)], capsys) == (0, "9\n", "")
-    argv = ["table", "delta", "--from", str(DELTA_L_CAP - 2), "--to", str(DELTA_L_CAP), "--format", "csv"]
+    assert run_cli(["compute", "delta", "--l", str(BOUND_L_CAP)], capsys) == (0, "9\n", "")
+    argv = ["table", "delta", "--from", str(BOUND_L_CAP - 2), "--to", str(BOUND_L_CAP), "--format", "csv"]
     rc, out, _ = run_cli(argv, capsys)
     assert rc == 0 and len(out.splitlines()) == 4
-    # C(14291, 7145) has BINOM_DIGITS_CAP digits and C(14292, 7146) one more; the exact value decides both
+    # C(14291, 7145) has DIGITS_CAP digits and C(14292, 7146) one more; the exact value decides both
     rc, out, _ = run_cli(["compute", "binom", "--n", "14291", "--k", "7145"], capsys)
-    assert rc == 0 and int(out) == math.comb(14291, 7145) and len(out.strip()) == BINOM_DIGITS_CAP
-    over = f"capacity: binomials capped at {BINOM_DIGITS_CAP} digits, got C(14292, 7146)\n"
+    assert rc == 0 and int(out) == math.comb(14291, 7145) and len(out.strip()) == DIGITS_CAP
+    over = f"capacity: binomials capped at {DIGITS_CAP} digits, got C(14292, 7146)\n"
     assert run_cli(["compute", "binom", "--n", "14292", "--k", "7146"], capsys) == (2, "", over)
+
+
+@pytest.mark.parametrize(
+    "argv, kernel, want",
+    [
+        # S(2500, 100) >= 100**2400, past the cap before any row is built
+        (["compute", "stirling", "--k", "2500", "--m", "100"], "stirling_rows", "Stirling numbers capped at 4300 digits, got S(2500, 100)"),
+        (["compute", "mstirling", "--k", "1*7^100+5", "--m", "20", "--p", "3", "--E", "10000"], "power_rule", "moduli capped at 4300 digits, got 3^10000"),
+        (["compute", "mstirling", "--k", "10", "--m", "4", "--p", "3", "--E", "1000000"], "power_rule", "moduli capped at 4300 digits, got 3^1000000"),
+    ],
+)
+def test_oversized_printed_integers_exit_2(argv, kernel, want, capsys, monkeypatch):
+    def started(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(stirling, kernel, started)
+    assert run_cli(argv, capsys) == (2, "", f"capacity: {want}\n")
+
+
+def test_printed_integers_answer_at_the_digits_cap(capsys):
+    # S(2228, 100) has 4299 digits and S(2229, 100) 4301, their lower bounds 100**2128 and 100**2129 only 4257
+    # and 4259: the exact value decides
+    rc, out, err = run_cli(["compute", "stirling", "--k", "2228", "--m", "100"], capsys)
+    assert (rc, err, len(out)) == (0, "", 4299 + 1)
+    over = f"capacity: Stirling numbers capped at {DIGITS_CAP} digits, got S(2229, 100)\n"
+    assert run_cli(["compute", "stirling", "--k", "2229", "--m", "100"], capsys) == (2, "", over)
+    # 3**9012 has 4300 digits and 3**9013 has 4301; 4! S(10, 4) = 818520
+    argv = ["compute", "mstirling", "--k", "10", "--m", "4", "--p", "3", "--E"]
+    assert run_cli(argv + ["9012"], capsys) == (0, "818520 (mod 3^9012)\n", "")
+    over = f"capacity: moduli capped at {DIGITS_CAP} digits, got 3^9013\n"
+    assert run_cli(argv + ["9013"], capsys) == (2, "", over)
+    # mstirling_mod's own argument checks come first
+    big = ["--k", "10", "--m", "4", "--p", "4", "--E", "1000000"]
+    assert run_cli(["compute", "mstirling", *big], capsys) == (64, "", "error: p must be a prime, got p=4\n")
+    big[3] = "-1"
+    assert run_cli(["compute", "mstirling", *big], capsys) == (64, "", "error: m must be >= 0, got m=-1\n")
+
+
+_CHECKS = {
+    "polysum-bound": lambda p, alpha, n, r, l: check_polysum_bound(p, alpha, n, r, IntPolynomial.monomial(l)),
+    "carry-bound": check_carry_bound,
+    "binom-weight-bound": check_binom_weight_bound,
+    "plain-sum-bound": check_plain_sum_bound,
+    "totient-bound": check_totient_bound,
+    "stirling-diff-bound": check_stirling_diff_bound,
+    "factorial-match": check_factorial_match,
+    "equality-conjecture": check_equality_conjecture,
+}
+
+
+@pytest.mark.parametrize(
+    "check, grid, inst, want",
+    [
+        ("polysum-bound", "p=2,3,1;alpha=0..1;n=1..3;r=0;l=0..2", (1, 0, 1, 0, 0), "p must be >= 2, got 1"),
+        ("polysum-bound", "p=2;alpha=0;n=1..3,-1;r=0..2;l=0", (2, 0, -1, 0, 0), "n must be >= 0, got -1"),
+        ("carry-bound", "p=2;alpha=0;n=1;r=0;l=0..3,-1", (2, 0, 1, 0, -1), "l must be >= 0, got -1"),
+        ("binom-weight-bound", "p=2,3,4;alpha=0;n=1;r=0;l=0", (4, 0, 1, 0, 0), "p must be a prime, got p=4"),
+        ("plain-sum-bound", "p=2;alpha=0..2,-1;n=1;r=0", (2, -1, 1, 0), "alpha must be >= 0, got -1"),
+        # the value gate comes before the totient bound's own precondition, alpha >= 1
+        ("totient-bound", "p=3;alpha=1,-1;n=5;r=0", (3, -1, 5, 0), "alpha must be >= 0, got -1"),
+        ("stirling-diff-bound", "p=2,1;alpha=0;h=1;l=1;m=2;n=2", (1, 0, 1, 1, 2, 2), "p must be >= 2, got 1"),
+        ("stirling-diff-bound", "p=2;alpha=0,-1;h=1;l=1;m=2;n=2", (2, -1, 1, 1, 2, 2), "alpha must be >= 0, got -1"),
+        ("stirling-diff-bound", "p=3;alpha=0;h=1,-1;l=1;m=2;n=2", (3, 0, -1, 1, 2, 2), "h must be >= 0, got -1"),
+        ("stirling-diff-bound", "p=2;alpha=0;h=1;l=1,-1;m=2;n=2", (2, 0, 1, -1, 2, 2), "l must be >= 0, got -1"),
+        ("stirling-diff-bound", "p=2;alpha=0;h=1;l=0..2;m=0..3,-1;n=2", (2, 0, 1, 0, -1, 2), "m must be >= 0, got -1"),
+        ("stirling-diff-bound", "p=2;alpha=0;h=1;l=1;m=2;n=2,0", (2, 0, 1, 1, 2, 0), "n must be >= 1, got 0"),
+        ("factorial-match", "n=4,6,8,2", (2,), "n must be even and >= 4, got 2"),
+        ("factorial-match", "n=4,6,7", (7,), "n must be even and >= 4, got 7"),
+        ("equality-conjecture", "p=2,3;alpha=1..2,0;n=5;r=0..3", (2, 0, 5, 0), "alpha must be >= 1, got 0"),
+        ("equality-conjecture", "p=3,4;alpha=1;n=5;r=0", (4, 1, 5, 0), "p must be a prime, got p=4"),
+        ("equality-conjecture", "p=3,1;alpha=1;n=5;r=0", (1, 1, 5, 0), "p must be >= 2, got 1"),
+    ],
+)
+def test_value_gate_refuses_a_grid_before_any_task(check, grid, inst, want, capsys, monkeypatch):
+    # the bad value is the last of its axis, in the last block; the one-instance check raises the same error
+    def started(*args):
+        raise AssertionError("a sweep task ran")
+
+    monkeypatch.setattr(verify, "_run", started)
+    assert run_cli(["verify", check, "--grid", grid], capsys) == (64, "", f"error: {want}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        sweep(check, grid=default_grid(check)[:1] + [parse_grid(grid)])
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        _CHECKS[check](*inst)
 
 
 def test_usage_errors_exit_64(capsys):

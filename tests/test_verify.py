@@ -500,6 +500,30 @@ def test_bound_sweeps_refuse_l_past_their_cap(monkeypatch):
             sweep(check, grid="p=2;alpha=0;n=1;r=0;l=0,4096,3")
 
 
+@pytest.mark.parametrize(
+    "check, grid, want",
+    [
+        # the first block passes a cap (l, n, m or the scan of factorial-match's n); the last holds a bad value
+        ("carry-bound", [{"p": [2], "alpha": [0], "n": [1], "r": [0], "l": [0, 5000]},
+                         {"p": [2, 1], "alpha": [0], "n": [1], "r": [0], "l": [0]}], "p must be >= 2, got 1"),
+        ("plain-sum-bound", [{"p": [2], "alpha": [0], "n": [10**6], "r": [0]},
+                             {"p": [2], "alpha": [0], "n": [-1], "r": [0]}], "n must be >= 0, got -1"),
+        ("equality-conjecture", [{"p": [2], "alpha": [1], "n": [10**6], "r": [0]},
+                                 {"p": [2], "alpha": [1, 0], "n": [3], "r": [0]}], "alpha must be >= 1, got 0"),
+        ("stirling-diff-bound", [{"p": [2], "alpha": [3], "h": [1], "l": [400], "m": [1600], "n": [1600]},
+                                 {"p": [2], "alpha": [0], "h": [1], "l": [1], "m": [2], "n": [0]}], "n must be >= 1, got 0"),
+        ("factorial-match", "n=4,100000,7", "n must be even and >= 4, got 7"),
+    ],
+)
+def test_grid_values_are_refused_before_caps(check, grid, want, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("sweep work started for a grid with a bad value")
+
+    monkeypatch.setattr(verify, "_run", no_work)
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        sweep(check, grid=grid)
+
+
 def test_sweep_rejects_incomplete_grids():
     with pytest.raises(GridError, match="missing axes"):
         sweep("polysum-bound", grid={"q": [1]})
@@ -841,7 +865,7 @@ def _per_instance_reports(checks, grid):
                 rep.skipped += 1
                 continue
             slacks = () if oc.slack is None else (oc.slack,)
-            rep.add(f"p={p},alpha={alpha}", slacks, oc.holds is True, 0, () if oc.holds else (oc,))
+            rep.add(f"p={p},alpha={alpha}", slacks, oc.holds is True, () if oc.holds else (oc,))
     return reports
 
 
@@ -1007,19 +1031,17 @@ def test_identity_samples_cap_admits_the_cap_and_the_defaults(monkeypatch):
 
 def test_exit_codes():
     clean = SweepReport(check="carry-bound", grid="g", checked=5, held=5,
-                        violations=[], undetermined=0, skipped=0, flagged=0, slack={})
-    assert clean.exit_code(strict=False) == 0
+                        violations=[], skipped=0, flagged=0, slack={})
+    assert clean.exit_code(strict=False) == clean.exit_code(strict=True) == 0
+    assert clean.undetermined == 0 and clean.to_dict()["undetermined"] == 0
     bad = CheckOutcome(check="carry-bound", instance=(("p", 2),), lhs_ord=0,
                        lhs_exact=True, bound=1, slack=-1, holds=False)
     broken = SweepReport(check="carry-bound", grid="g", checked=5, held=4,
-                         violations=[bad], undetermined=0, skipped=0, flagged=0, slack={})
+                         violations=[bad], skipped=0, flagged=0, slack={})
     assert broken.exit_code(strict=False) == 1
-    fuzzy = SweepReport(check="carry-bound", grid="g", checked=5, held=4,
-                        violations=[], undetermined=1, skipped=0, flagged=0, slack={})
-    assert fuzzy.exit_code(strict=False) == 2
     # a failed conjecture instance is fatal only under strict mode
     conj = SweepReport(check="equality-conjecture", grid="g", checked=5, held=4,
-                       violations=[bad], undetermined=0, skipped=0, flagged=0, slack={})
+                       violations=[bad], skipped=0, flagged=0, slack={})
     assert conj.exit_code(strict=False) == 0
     assert conj.exit_code(strict=True) == 1
 
