@@ -7,6 +7,7 @@ uncertified or undetermined compute ep answer (partial output on stderr), 64 usa
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -210,7 +211,13 @@ def _cmd_verify(args) -> int:
     return report.exit_code(strict=args.strict)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on first use and shared by every later call in the process.
+
+    Parsing leaves a built parser unchanged, and each subcommand's handler
+    looks its kernels up when it runs, so one parser serves every main call.
+    """
     parser = _Parser(prog="padicsums", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -317,8 +324,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command on argv (default sys.argv[1:]) with build_parser's shared parser; returns its exit code."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PrecisionError as exc:

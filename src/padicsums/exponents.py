@@ -122,7 +122,10 @@ def power_rule(k, p: int, E: int):
     """The map j -> j**k mod p**E, 0**0 = 1, that the Stirling scans read powers through.
 
     Units take k modulo the Carmichael number of p**E; a multiple of p takes
-    min(k, E), as its E-th power is already 0 mod p**E.
+    min(k, E), as its E-th power is already 0 mod p**E.  The one copy of the
+    rule: mstirling_mod calls it for every j, and stirling._powers for 0, 1,
+    a prime unit and a multiple of p, building a composite unit's power as a
+    product.
     """
     k = as_exponent(k)
     k_unit = k.mod(carmichael_prime_power(p, E))  # refuses a p or E it cannot take before p**E is formed

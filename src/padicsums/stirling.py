@@ -15,6 +15,7 @@ enough, and the stabilized value can be certified from exact integer scans.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -30,8 +31,9 @@ WINDOW_STEP = 30
 STABLE_RUN = 25
 DEFAULT_RETRIES = 4
 # Largest m a minimum-order scan may read.  The stable-family scans stop by m = 87, 134, 174, 146
-# at p = 2, 3, 5, 7 (n <= 80, 120, 120, 60); a scan to the cap at the default precision takes
-# about 4 s (p=3, n=964), and the cost grows about as m**3.
+# at p = 2, 3, 5, 7 (n <= 80, 120, 120, 60).  A tower scan to the cap at the default precision
+# takes about 1.0 s (p=3, n=964) and 0.34 s at n=482, mostly the difference table's m**2/2
+# subtractions of numbers whose size grows with E, so with m.
 SCAN_CAP = 1024
 
 
@@ -86,14 +88,44 @@ def _diagonal(values):
         yield cur
 
 
+@functools.cache
+def _least_factors():
+    """lf[j], the least prime factor of j for 2 <= j <= SCAN_CAP, and lf[j] = j for j < 2: sieved on first use."""
+    lf = list(range(SCAN_CAP + 1))
+    for q in range(2, math.isqrt(SCAN_CAP) + 1):
+        if lf[q] == q:
+            for j in range(q * q, SCAN_CAP + 1, q):
+                lf[j] = min(lf[j], q)
+    return tuple(lf)
+
+
+def _powers(k, p: int, E: int):
+    """Yield power_rule(k, p, E)(j), j**k mod p**E, for j = 0, 1, 2, ...
+
+    0, 1, a prime unit and every multiple of p take the rule, one pow each.
+    A composite unit j <= SCAN_CAP with least prime factor q takes
+    q**k (j/q)**k mod p**E from the powers already yielded: both factors are
+    units, so the rule raises both to its one unit exponent.  Past SCAN_CAP,
+    where the least-factor table ends, every j takes the rule.
+    """
+    rule, M, lf = power_rule(k, p, E), p**E, _least_factors()
+    done = []
+    for j, q in enumerate(lf):
+        done.append(done[q] * done[j // q] % M if q < j and j % p else rule(j))
+        yield done[j]
+    yield from map(rule, itertools.count(len(lf)))
+
+
 def mstirling_scan(k, p: int, E: int):
     """Yield m! S(k, m) mod p**E for m = 0, 1, 2, ... from one difference table.
 
     m! S(k, m) is the m-th forward difference of j**k at 0, so a scan over
-    consecutive m needs each power once and O(m) additions per new m.
+    consecutive m reads each power once, from _powers (one pow per prime
+    unit and multiple of p, a product per composite unit), and O(m)
+    additions per new m.
     """
     M = p**E
-    return (x % M for x in _diagonal(map(power_rule(k, p, E), itertools.count())))
+    return (x % M for x in _diagonal(_powers(k, p, E)))
 
 
 def mstirling_mod(k, m: int, p: int, E: int) -> int:
@@ -101,7 +133,8 @@ def mstirling_mod(k, m: int, p: int, E: int) -> int:
 
     The surjection count sum((-1)**(m-j) C(m, j) j**k), (-1)**m times the exact
     signed binomial row dotted with the powers, reduced once: a route apart
-    from mstirling_scan's difference table.  m is capped at SCAN_CAP.
+    from mstirling_scan's difference table and its products of powers, with
+    one pow per j through power_rule.  m is capped at SCAN_CAP.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got m={m}")

@@ -27,7 +27,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .exponents import StructuredExponent, power_rule
+from .exponents import StructuredExponent
 from .padic import (
     CapacityError,
     carries,
@@ -48,7 +48,7 @@ from .polysum import (
     check_split_identity,
     class_sums,
 )
-from .stirling import _diagonal, check_scan_cap, stable_min_ord
+from .stirling import _diagonal, _powers, check_scan_cap, stable_min_ord
 
 
 IDENTITY_CHECKS = ("floor-identity", "split-identity")
@@ -65,8 +65,8 @@ SAMPLES_CAP = 10**6
 # cell summed l = 0..1024 in 0.07-0.12 s and 3.1 MB, and l = 0..4096 in 3.2-3.8 s and 56 MB; one delta at
 # n = SUM_CAP, alpha = 0 takes about 0.3 s at l = 1024 and 2 s at l = 4096.
 BOUND_L_CAP = 1024
-# Largest working precision E = bound + 2 of stirling-diff-bound: one table at m = SCAN_CAP took
-# 0.26 s at p = 2 and 1.3 s at p = 7 with E = 2048, and 0.66 s and 4.9 s with E = 4096.
+# Largest working precision E = bound + 2 of stirling-diff-bound: one block reading one table at
+# m = SCAN_CAP took 0.3 s at p = 2 and 1.6 s at p = 7 with E = 2048, and 0.9 s and 6.3 s with E = 4096.
 DIFF_PRECISION_CAP = 2048
 JOBS_CAP = 64  # worker processes one sweep may start; a fork-started pool starts them all at once
 
@@ -290,7 +290,8 @@ def check_stirling_diff_bound(p: int, alpha: int, h: int, l: int, m: int, n: int
     block = {a: [v] for a, v in inst}
     _check_values("stirling-diff-bound", block)
     bound = _diff_precision(block) - 2
-    live = _stirling_diff_block(p, alpha, h, n, [l], _m_axis(p, [m]))
+    axis = _m_axis(p, [m])
+    live = _stirling_diff_block(p, alpha, h, n, [l], axis, _diff_heads(p, n, axis, l, alpha))
     if live:
         return _outcome("stirling-diff-bound", inst, live[0][2], bound)
     return CheckOutcome("stirling-diff-bound", inst, bound + 2, False, bound, None, True)
@@ -320,24 +321,43 @@ def _m_axis(p, ms):
     return sorted((m, m // p + q, j, q) for j, m in enumerate(ms) for q in [ord_factorial(p, m // p)])
 
 
-def _stirling_diff_block(p, alpha, h, n, ls, axis):
+def _cut(p, n, axis, la):
+    """The length of axis' prefix with floor(m/p) <= n and ord_p(m!) < la + 2: the m a table of l (alpha+1) = la reads."""
+    top = bisect.bisect_left(axis, (p * (n + 1),))
+    return bisect.bisect_left(axis, la + 2, 0, top, key=operator.itemgetter(1))
+
+
+def _diff_heads(p, n, axis, l, alpha):
+    """j^(n-1) mod p**E for j up to the last m that a table of l (alpha+1) reads, E its bound + 2 at that m.
+
+    Cuts and bounds never shrink as l (alpha+1) grows, so with a task's
+    largest l and alpha this one row serves every (alpha, h) block of (p, n),
+    and it is no longer and no finer than the largest of their tables.
+    """
+    c = _cut(p, n, axis, l * (alpha + 1))
+    if not c:
+        return []
+    m, *_, q = axis[c - 1]
+    return list(itertools.islice(_powers(n - 1, p, _diff_bound(l, alpha, n, q) + 2), m + 1))
+
+
+def _stirling_diff_block(p, alpha, h, n, ls, axis, heads):
     """(l index, m index, order, bound) of each (p, alpha, h, n) block instance nonzero modulo p**(bound+2).
 
     axis is _m_axis(p, ms); every instance of ls x ms left out is a floor.
     With bound = min(l (alpha+1), n - 1 + ord_p(floor(m/p)!)), ord_p(m!) <
     bound + 2 exactly when floor(m/p) <= n and ord_p(m!) < l (alpha+1) + 2,
-    each a prefix of the axis.  Each l with such an m reads one table of
-    j^(n-1) (1 - j^H)^l up to that m, modulo p**(its largest bound + 2), from
-    j^(n-1) and 1 - j^H taken once modulo the block's largest p**E.
+    each a prefix of the axis (_cut).  Each l with such an m reads one table
+    of j^(n-1) (1 - j^H)^l up to that m, modulo p**(its largest bound + 2):
+    heads is _diff_heads' row of j^(n-1), shared by the blocks of (p, n),
+    and 1 - j^H is taken once modulo the block's largest p**E.
     """
-    top, fact = bisect.bisect_left(axis, (p * (n + 1),)), operator.itemgetter(1)  # floor(m/p) <= n below top
-    cuts = {l: c for l in ls if (c := bisect.bisect_left(axis, l * (alpha + 1) + 2, 0, top, key=fact))}
+    cuts = {l: c for l in ls if (c := _cut(p, n, axis, l * (alpha + 1)))}
     if not cuts:
         return []
     E = max(_diff_bound(l, alpha, n, axis[c - 1][3]) for l, c in cuts.items()) + 2
-    jn, jH = power_rule(n - 1, p, E), power_rule(StructuredExponent(h * (p - 1), p, alpha, 0), p, E)
     size = axis[max(cuts.values()) - 1][0] + 1
-    heads, tails = [jn(j) for j in range(size)], [1 - jH(j) for j in range(size)]
+    tails = [1 - x for x in itertools.islice(_powers(StructuredExponent(h * (p - 1), p, alpha, 0), p, E), size)]
     found = {}  # l -> (m index, residue, bound) of each nonzero sum
     for l, c in cuts.items():
         bounds = [_diff_bound(l, alpha, n, q) for *_, q in axis[:c]]
@@ -762,21 +782,27 @@ def _cell_sums(p, base, d, lv, facts, cell, pair):
 def _eval_stirling_diff(block, rep):
     """Count stirling-diff-bound over a sub-block, one (p, alpha, h, n) table block at a time.
 
-    The m axis is sorted once per p; an instance the kernel leaves out is a
-    held floor with no slack.  Violations are added in grid order (p, alpha, h, l, m, n).
+    The m axis is sorted once per p and the j^(n-1) row built once per (p, n);
+    an instance the kernel leaves out is a held floor with no slack.  Violations
+    are added in grid order (p, alpha, h, l, m, n).
     """
     ls, ms, ns = block["l"], block["m"], block["n"]
     check, axes = "stirling-diff-bound", _CHECK_AXES["stirling-diff-bound"]
+    top_l, top_alpha = max(ls, default=0), max(block["alpha"], default=0)
     for p in block["p"]:
         axis = _m_axis(p, ms)
-        for alpha, h in itertools.product(block["alpha"], block["h"]):
-            found = [(i, j, k, o, b) for k, n in enumerate(ns)
-                     for i, j, o, b in _stirling_diff_block(p, alpha, h, n, ls, axis)]
-            bad = sorted(f for f in found if f[3] < f[4])
+        pairs = list(itertools.product(block["alpha"], block["h"]))
+        found = [[] for _ in pairs]  # (l index, m index, n index, order, bound) of each (alpha, h)
+        for k, n in enumerate(ns):
+            heads = _diff_heads(p, n, axis, top_l, top_alpha)
+            for f, (alpha, h) in zip(found, pairs):
+                f += [(i, j, k, o, b) for i, j, o, b in _stirling_diff_block(p, alpha, h, n, ls, axis, heads)]
+        for f, (alpha, h) in zip(found, pairs):
+            bad = sorted(x for x in f if x[3] < x[4])
             held = len(ls) * len(ms) * len(ns) - len(bad)
             outcomes = [_outcome(check, tuple(zip(axes, (p, alpha, h, ls[i], ms[j], ns[k]))), o, b)
                         for i, j, k, o, b in bad]
-            rep.add(f"p={p},alpha={alpha}", [o - b for *_, o, b in found], held, outcomes)
+            rep.add(f"p={p},alpha={alpha}", [o - b for *_, o, b in f], held, outcomes)
 
 
 def _eval_task(task):

@@ -8,6 +8,7 @@ import re
 import shlex
 import shutil
 import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -553,6 +554,19 @@ def test_readme_commands_parse(capsys):
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}\n{capsys.readouterr().err}")
+
+
+def test_one_parser_per_process_gives_fresh_process_bytes(capsys, monkeypatch):
+    # the shared parser answers a usage error, a command and --help in one process as fresh processes do
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys; sys.path.insert(0, sys.argv[1]); from padicsums.cli import main; sys.exit(main(sys.argv[2:]))"
+    argvs = [["compute", "ord", "--p", "3"], ["compute", "ord", "--p", "3", "--x", "162"], ["--help"]]
+    shared = [run_cli(argv, capsys) for argv in argvs]
+    fresh = [subprocess.run([sys.executable, "-c", code, src, *argv], capture_output=True, text=True) for argv in argvs]
+    assert [rc for rc, *_ in shared] == [64, 0, 0] and shared[1][1] == "4\n"
+    assert shared == [(cp.returncode, cp.stdout, cp.stderr) for cp in fresh]
 
 
 def test_readme_family_examples_print_what_readme_shows(capsys):

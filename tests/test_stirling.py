@@ -25,7 +25,7 @@ from padicsums import (
     stirling_rows,
 )
 from padicsums import stirling
-from padicsums.exponents import power_rule
+from padicsums.exponents import MATERIALIZE_CAP, power_rule
 from padicsums.stirling import DEFAULT_RETRIES, SCAN_CAP, WINDOW_STEP
 
 
@@ -101,6 +101,41 @@ def test_residue_kernels_return_reduced_residues():
             for i in range(12):
                 assert 0 <= mstirling_mod(tower, i, p, E) < M, (p, E, i)
                 assert 0 <= power_rule(tower, p, E)(i) < M, (p, E, i)
+
+
+def test_least_factor_table_spans_the_scan_cap():
+    lf = stirling._least_factors()
+    assert len(lf) == SCAN_CAP + 1 and lf[:2] == (0, 1)
+    assert all(lf[j] == next(q for q in range(2, j + 1) if j % q == 0) for j in range(2, SCAN_CAP + 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+@pytest.mark.parametrize("E", [1, 2, 3, 60])
+def test_power_table_matches_the_rule(p, E):
+    # plain k = 0, 1, 2 <= k < E and k >= E, a materializable tower and one past MATERIALIZE_CAP,
+    # read past the least-factor table, where every j takes the rule
+    N = SCAN_CAP + 40
+    towers = [StructuredExponent(2, 3, 10, 4), StructuredExponent(1, 7, MATERIALIZE_CAP + 1, 5)]
+    for k in sorted({0, 1, max(2, E - 1), E, 3 * E + 5}) + towers:
+        rule = power_rule(k, p, E)
+        assert list(itertools.islice(stirling._powers(k, p, E), N)) == [rule(j) for j in range(N)], (p, E, str(k))
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_power_table_pows_only_primes_and_multiples_of_p(p, monkeypatch):
+    # 0, 1, a prime unit and a multiple of p take one pow each, and so does every j past SCAN_CAP;
+    # a composite unit up to SCAN_CAP takes a product
+    ruled = []
+
+    def counted(k, p, E):
+        rule = power_rule(k, p, E)
+        return lambda j: ruled.append(j) or rule(j)
+
+    monkeypatch.setattr(stirling, "power_rule", counted)
+    N = SCAN_CAP + 10
+    list(itertools.islice(stirling._powers(StructuredExponent(1, 7, 100, 5), p, 5), N))
+    lf = stirling._least_factors()
+    assert ruled == [j for j in range(N) if j > SCAN_CAP or j % p == 0 or lf[j] == j]
 
 
 def test_mstirling_mod_tower_vs_plain():

@@ -226,7 +226,9 @@ def test_stirling_diff_block_pairs_pinned():
     pairs, several = [], 0
     for p, alpha, h, n in itertools.product((2, 3), range(3), (1, 2), range(2, 13)):
         ls, ms = range(6), range(n, n + 13)
-        found = {(i, j): (o, b) for i, j, o, b in verify._stirling_diff_block(p, alpha, h, n, ls, verify._m_axis(p, ms))}
+        axis = verify._m_axis(p, ms)
+        heads = verify._diff_heads(p, n, axis, max(ls), alpha)
+        found = {(i, j): (o, b) for i, j, o, b in verify._stirling_diff_block(p, alpha, h, n, ls, axis, heads)}
         bounds = [min(l * (alpha + 1), n - 1 + ord_factorial(p, m // p)) for l in ls for m in ms]
         block = [found.get((i, j), (None, b)) for (i, j), b in zip(itertools.product(range(6), range(13)), bounds)]
         assert [b for _, b in block] == bounds
@@ -258,7 +260,9 @@ def test_stirling_diff_l_axis_builds_one_table_per_l(monkeypatch):
     assert (rep.checked, rep.held, len(built)) == (24, 24, 6)
     # and each (l, m) of the block reads its own l's table, as a one-instance block does
     ls, ms = range(1, 7), (2, 5, 8, 11)
-    found = {(ls[i], ms[j]): o for i, j, o, _ in verify._stirling_diff_block(3, 1, 1, 10, ls, verify._m_axis(3, ms))}
+    axis = verify._m_axis(3, ms)
+    heads = verify._diff_heads(3, 10, axis, max(ls), 1)
+    found = {(ls[i], ms[j]): o for i, j, o, _ in verify._stirling_diff_block(3, 1, 1, 10, ls, axis, heads)}
     ocs = {(l, m): check_stirling_diff_bound(3, 1, 1, l, m, 10) for l in ls for m in ms}
     assert found == {lm: oc.lhs_ord for lm, oc in ocs.items() if oc.lhs_exact}
     assert set(found.values()) == {2, 4, 6, 7, 8, 9, 10} and len(found) < len(ocs)
@@ -610,8 +614,8 @@ def _sweep_matches_single_instances(grid, monkeypatch):
     """
     real, read = verify._stirling_diff_block, []
 
-    def spy(p, alpha, h, n, ls, axis):
-        found = real(p, alpha, h, n, ls, axis)
+    def spy(p, alpha, h, n, ls, axis, heads):
+        found = real(p, alpha, h, n, ls, axis, heads)
         m_at = {j: m for m, _, j, _ in axis}
         read.extend(((p, alpha, h, ls[i], m_at[j], n), o) for i, j, o, _ in found)
         return found
@@ -670,8 +674,8 @@ def test_stirling_diff_violations_in_grid_order(monkeypatch):
     chosen = [(1, 4, 2), (2, 3, 2), (0, 5, 3), (1, 3, 4)]  # (l, m, n), in block order
     real = verify._stirling_diff_block
 
-    def fake(p, alpha, h, n, ls, axis):
-        found = {(i, j): (o, b) for i, j, o, b in real(p, alpha, h, n, ls, axis)}
+    def fake(p, alpha, h, n, ls, axis, heads):
+        found = {(i, j): (o, b) for i, j, o, b in real(p, alpha, h, n, ls, axis, heads)}
         for (i, l), (m, _, j, q) in itertools.product(enumerate(ls), axis):
             if (l, m, n) in chosen:
                 b = min(l * (alpha + 1), n - 1 + q)
