@@ -12,36 +12,29 @@ import math
 import sys
 
 from . import golden
-from .exponents import parse_exponent, symbolic_tower
-from .padic import CapacityError, carries, check_prime, is_prime, ord_factorial, ord_int
-from .polysum import binom_exact
-from .stirling import (
-    DEFAULT_WINDOW,
-    STIRLING_CAP,
-    PrecisionError,
-    mstirling_mod,
-    stable_min_ord,
-    stable_params,
-    stirling_exact,
-)
-from .su_bounds import (
-    bound_report,
-    emit_delta,
-    emit_table1,
-    emit_table2,
-    ep_auto,
-    render,
-    table_delta,
-    table_one,
-    table_two,
-)
-from .verify import CHECK_NAMES, sweep
+from .padic import CapacityError, PrecisionError, carries, check_prime, is_prime, ord_factorial, ord_int
 
 DIGITS_CAP = 4300  # the most digits str() writes of an int by default
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the usage-error exit status pinned to 64."""
+    """argparse with the usage-error exit status pinned to 64.
+
+    ``late(parser)``, when given, adds arguments on the parser's first parse, so a
+    subcommand whose choices live in a kernel module imports it only when it runs.
+    argparse lists optionals before positionals in usage and help, so the bytes do
+    not depend on when a positional is added.
+    """
+
+    def __init__(self, *args, late=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._late = late
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._late is not None:
+            late, self._late = self._late, None
+            late(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -78,6 +71,8 @@ def _capped(kind, what, log10, build):
 
 def _cmd_compute_binom(args) -> int:
     """C(n, k) >= 2**k, and the sum of logs is log10 C(n, k) to within 1e-6."""
+    from .polysum import binom_exact
+
     n, k = args.n, min(args.k, args.n - args.k)
     log10 = math.inf if k > 4 * DIGITS_CAP else sum(math.log10(n - i) - math.log10(k - i) for i in range(k))
     print(_capped("binomials", f"C({args.n}, {args.k})", log10, lambda: binom_exact(args.n, args.k)))
@@ -86,12 +81,17 @@ def _cmd_compute_binom(args) -> int:
 
 def _cmd_compute_stirling(args) -> int:
     """S(k, m) >= m**(k - m) for 1 <= m <= k; a k past STIRLING_CAP is refused by stirling_exact first."""
+    from .stirling import STIRLING_CAP, stirling_exact
+
     log10 = (args.k - args.m) * math.log10(args.m) if 0 < args.m <= args.k <= STIRLING_CAP else 0
     print(_capped("Stirling numbers", f"S({args.k}, {args.m})", log10, lambda: stirling_exact(args.k, args.m)))
     return 0
 
 
 def _cmd_compute_mstirling(args) -> int:
+    from .exponents import parse_exponent
+    from .stirling import mstirling_mod
+
     k, p, E = parse_exponent(args.k), args.p, args.E
     if args.m >= 0 and is_prime(p) and E >= 1:  # past mstirling_mod's own checks, before any power
         _capped("moduli", f"{p}^{E}", E * math.log10(p), lambda: p**E)
@@ -101,9 +101,14 @@ def _cmd_compute_mstirling(args) -> int:
 
 def _cmd_compute_ep(args) -> int:
     """--L auto needs the family form (p-1)*p^L+d and takes stable_min_ord's own height."""
+    from .exponents import parse_exponent, symbolic_tower
+    from .stirling import DEFAULT_WINDOW, stable_min_ord
+    from .su_bounds import ep_auto
+
+    window = DEFAULT_WINDOW if args.window is None else args.window
     if args.L == "auto":
-        if args.window < 0:
-            raise ValueError(f"window must be >= 0, got {args.window}")
+        if window < 0:
+            raise ValueError(f"window must be >= 0, got {window}")
         tower = symbolic_tower(args.k)
         if tower is None:
             raise ValueError("--L auto needs a symbolic exponent of the form 'c*base^L+d'")
@@ -113,7 +118,7 @@ def _cmd_compute_ep(args) -> int:
         L = res.stable.height
     else:
         k = parse_exponent(args.k)
-        res, L = ep_auto(args.p, args.n, k, window=args.window, precision=args.precision), k.L
+        res, L = ep_auto(args.p, args.n, k, window=window, precision=args.precision), k.L
     lo, hi = res.m_scanned
     if res.certified:
         detail = f"certified: {res.certificate}"
@@ -129,6 +134,8 @@ def _cmd_compute_ep(args) -> int:
 
 
 def _cmd_compute_stable(args) -> int:
+    from .stirling import stable_params
+
     params = stable_params(args.p, args.n)
     lo, hi = params.m_scanned
     print(f"N={params.N} N0={params.N0} L0={params.L0} m0={params.m0} m_scanned=[{lo}, {hi}]")
@@ -136,6 +143,8 @@ def _cmd_compute_stable(args) -> int:
 
 
 def _cmd_compute_bound(args) -> int:
+    from .su_bounds import bound_report
+
     rep = bound_report(args.p, args.n)
     old = "n/a" if rep.old is None else rep.old
     print(f"new={rep.new} old={old} restated={rep.restated}")
@@ -143,6 +152,8 @@ def _cmd_compute_bound(args) -> int:
 
 
 def _cmd_compute_delta(args) -> int:
+    from .su_bounds import emit_delta
+
     value = emit_delta(args.p, args.alpha, args.n, args.l, args.l)[0]
     print("inf" if value is None else value)
     return 0
@@ -160,6 +171,8 @@ def _golden_compare(cells) -> int:
 
 
 def _cmd_table_one(args) -> int:
+    from .su_bounds import emit_table1, render, table_one
+
     if args.golden and (args.lo < golden.TABLE1_N_FROM or args.hi > golden.TABLE1_N_TO):
         raise ValueError(
             f"--golden covers n in [{golden.TABLE1_N_FROM}, {golden.TABLE1_N_TO}], "
@@ -180,6 +193,8 @@ def _cmd_table_one(args) -> int:
 
 
 def _cmd_table_two(args) -> int:
+    from .su_bounds import emit_table2, render, table_two
+
     matrix = emit_table2()
     sys.stdout.write(render(table_two(matrix), args.format))
     if not args.golden:
@@ -188,6 +203,8 @@ def _cmd_table_two(args) -> int:
 
 
 def _cmd_table_delta(args) -> int:
+    from .su_bounds import emit_delta, render, table_delta
+
     if args.golden:
         defaults = (args.p, args.alpha, args.n) == (2, 2, 100)
         in_range = golden.DELTA_L_FROM <= args.lo and args.hi <= golden.DELTA_L_TO
@@ -204,7 +221,15 @@ def _cmd_table_delta(args) -> int:
     )
 
 
+def _add_check(parser) -> None:
+    from .verify import CHECK_NAMES
+
+    parser.add_argument("check", choices=CHECK_NAMES)
+
+
 def _cmd_verify(args) -> int:
+    from .verify import sweep
+
     report = sweep(args.check, grid=args.grid, jobs=args.jobs, samples=args.samples, seed=args.seed)
     sys.stdout.write(report.to_markdown() if args.format == "md" else report.to_json() + "\n")
     print(f"wall time: {report.wall_time:.1f}s", file=sys.stderr)
@@ -215,8 +240,10 @@ def _cmd_verify(args) -> int:
 def build_parser() -> _Parser:
     """The CLI's parser, built on first use and shared by every later call in the process.
 
-    Parsing leaves a built parser unchanged, and each subcommand's handler
-    looks its kernels up when it runs, so one parser serves every main call.
+    Building it imports no kernel module: each subcommand's handler imports its
+    kernels when it runs, and verify adds its check positional on its first parse.
+    Parsing otherwise leaves a built parser unchanged, so one parser serves every
+    main call, and the handlers' call-time lookups see any rebinding of a kernel.
     """
     parser = _Parser(prog="padicsums", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,7 +289,7 @@ def build_parser() -> _Parser:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--k", required=True, help="exponent, e.g. 163, '2*3^40+28', or '2*3^L+28' with --L auto")
     c.add_argument("--L", choices=("auto",), default=None, help="take the height the family scan certifies")
-    c.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    c.add_argument("--window", type=int, default=None)
     c.add_argument("--precision", type=int, default=None)
     c.set_defaults(func=_cmd_compute_ep)
 
@@ -310,8 +337,7 @@ def build_parser() -> _Parser:
     t.add_argument("--format", choices=("md", "csv", "json"), default="md")
     t.set_defaults(func=_cmd_table_delta)
 
-    verify = sub.add_parser("verify", help="sweep one check over a grid")
-    verify.add_argument("check", choices=CHECK_NAMES)
+    verify = sub.add_parser("verify", help="sweep one check over a grid", late=_add_check)
     verify.add_argument("--grid", default=None, help="'default' or 'p=2,3; alpha=0..3; n=1..200; ...'")
     verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--format", choices=("md", "json"), default="md")

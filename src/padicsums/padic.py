@@ -4,6 +4,9 @@ Primality checks, p-adic orders of integers and factorials, and carry
 counts, all as plain ints over exact integer arithmetic.  A quantity known
 only modulo p**E is reported as a floor ("at least E") whenever the residue
 cannot distinguish it from zero, never silently rounded.
+
+It also holds the package's two refusals, CapacityError and PrecisionError,
+so that the CLI catches both without importing a kernel module.
 """
 
 from __future__ import annotations
@@ -11,6 +14,17 @@ from __future__ import annotations
 
 class CapacityError(Exception):
     """Raised when a request exceeds a hard size cap instead of churning forever."""
+
+
+class PrecisionError(Exception):
+    """All scanned terms stayed indistinguishable from zero at the precision cap.
+
+    Carries the partial result, a stirling.EpResult whose value is a floor, on the ``partial`` attribute.
+    """
+
+    def __init__(self, message: str, partial):
+        super().__init__(message)
+        self.partial = partial
 
 
 def is_prime(p: int) -> bool:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from operator import mul
 
 from .exponents import StructuredExponent, as_exponent, power_rule
-from .padic import CapacityError, check_prime, class_bound, ord_factorial, ord_nonzero
+from .padic import CapacityError, PrecisionError, check_prime, class_bound, ord_factorial, ord_nonzero
 from .polysum import _comb_row
 
 STIRLING_CAP = 10**4
@@ -35,17 +35,6 @@ DEFAULT_RETRIES = 4
 # takes about 1.0 s (p=3, n=964) and 0.34 s at n=482, mostly the difference table's m**2/2
 # subtractions of numbers whose size grows with E, so with m.
 SCAN_CAP = 1024
-
-
-class PrecisionError(Exception):
-    """All scanned terms stayed indistinguishable from zero at the precision cap.
-
-    Carries the partial result, whose value is a floor, on the ``partial`` attribute.
-    """
-
-    def __init__(self, message: str, partial: EpResult):
-        super().__init__(message)
-        self.partial = partial
 
 
 def stirling_exact(k: int, m: int) -> int:

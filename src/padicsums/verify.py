@@ -24,7 +24,6 @@ import random
 import re
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .exponents import StructuredExponent
@@ -895,6 +894,8 @@ def _run(worker, tasks, jobs):
     if jobs == 1:
         yield from map(worker, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor  # here, so a one-job sweep never loads the pool
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         pending = collections.deque()
         for task in tasks:

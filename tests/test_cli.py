@@ -519,7 +519,7 @@ def _no_task(task):
 
 
 def test_verify_jobs_over_the_cap_exit_2(capsys, monkeypatch):
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", None)  # a pool that started would fail on it
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)  # a pool that started would fail on it
     monkeypatch.setattr(verify, "_eval_task", _no_task)
     cap, over = verify.JOBS_CAP, str(verify.JOBS_CAP + 1)
     argv = ["verify", "carry-bound", "--grid", "p=2;alpha=1;n=1..10;r=0..1;l=0..1"]
@@ -562,11 +562,25 @@ def test_one_parser_per_process_gives_fresh_process_bytes(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = "import sys; sys.path.insert(0, sys.argv[1]); from padicsums.cli import main; sys.exit(main(sys.argv[2:]))"
-    argvs = [["compute", "ord", "--p", "3"], ["compute", "ord", "--p", "3", "--x", "162"], ["--help"]]
+    argvs = [
+        ["compute", "ord", "--p", "3"],
+        ["compute", "ord", "--p", "3", "--x", "162"],
+        ["--help"],
+        ["verify", "--help"],
+        ["verify", "nope"],
+        ["verify", "factorial-match"],  # twice: verify adds its check positional on its first parse only
+        ["verify", "factorial-match"],
+        ["compute", "ep", "--help"],
+        ["compute", "ep", "--p", "3", "--n", "29", "--k", "163", "--window", "-1"],
+    ]
     shared = [run_cli(argv, capsys) for argv in argvs]
     fresh = [subprocess.run([sys.executable, "-c", code, src, *argv], capture_output=True, text=True) for argv in argvs]
-    assert [rc for rc, *_ in shared] == [64, 0, 0] and shared[1][1] == "4\n"
-    assert shared == [(cp.returncode, cp.stdout, cp.stderr) for cp in fresh]
+    assert [rc for rc, *_ in shared] == [64, 0, 0, 0, 64, 0, 0, 0, 64] and shared[1][1] == "4\n"
+
+    def timeless(rc, out, err):  # verify's wall time line differs from run to run
+        return rc, out, re.sub(r"(?m)^wall time: .*\n", "", err)
+
+    assert [timeless(*r) for r in shared] == [timeless(cp.returncode, cp.stdout, cp.stderr) for cp in fresh]
 
 
 def test_readme_family_examples_print_what_readme_shows(capsys):

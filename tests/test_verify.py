@@ -1097,7 +1097,7 @@ def test_sweeps_refuse_fewer_than_one_worker(jobs, monkeypatch):
 
 
 def test_sweeps_refuse_more_workers_than_the_cap(monkeypatch):
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", None)  # a pool that started would fail on it
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)  # a pool that started would fail on it
     cap, grid = verify.JOBS_CAP, "p=2,3;alpha=0..1;n=1..12;r=0..2;l=0..2"
     with pytest.raises(CapacityError, match=rf"^jobs must be <= {cap}, got {cap + 1}$"):
         sweep("carry-bound", grid=grid, jobs=cap + 1)
@@ -1106,7 +1106,7 @@ def test_sweeps_refuse_more_workers_than_the_cap(monkeypatch):
     with pytest.raises(CapacityError, match=rf"^jobs must be <= {cap}, got {cap + 1}$"):
         identity_sweep("split-identity", samples=10, jobs=cap + 1)
     # at the cap itself the sweep answers, through a pool of that size
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
     _InlinePool.sizes.clear()
     assert sweep("carry-bound", grid=grid, jobs=cap).to_dict() == sweep("carry-bound", grid=grid).to_dict()
     assert _InlinePool.sizes == [cap]
