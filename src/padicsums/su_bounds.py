@@ -23,7 +23,6 @@ from .stirling import (
     min_stirling_ord,
     stable_min_ord,
 )
-from .verify import BOUND_L_CAP, check_polysum_bound
 
 
 def lower_bound(p: int, n: int) -> int:
@@ -195,6 +194,8 @@ def emit_delta(
     delta(l) is the slack of check_polysum_bound at r = 0 and f = x^l; a
     vanishing sum yields None (infinite excess).
     """
+    from .verify import BOUND_L_CAP, check_polysum_bound  # here, so only a delta loads the sweep module
+
     if l_from < 0 or l_to < l_from:
         raise ValueError(f"need 0 <= l_from <= l_to, got [{l_from}, {l_to}]")
     if l_to > BOUND_L_CAP:

@@ -289,8 +289,7 @@ def check_stirling_diff_bound(p: int, alpha: int, h: int, l: int, m: int, n: int
     block = {a: [v] for a, v in inst}
     _check_values("stirling-diff-bound", block)
     bound = _diff_precision(block) - 2
-    axis = _m_axis(p, [m])
-    live = _stirling_diff_block(p, alpha, h, n, [l], axis, _diff_heads(p, n, axis, l, alpha))
+    (live,) = _stirling_diff_block(p, n, [(alpha, h)], [l], _m_axis(p, [m]))
     if live:
         return _outcome("stirling-diff-bound", inst, live[0][2], bound)
     return CheckOutcome("stirling-diff-bound", inst, bound + 2, False, bound, None, True)
@@ -326,44 +325,38 @@ def _cut(p, n, axis, la):
     return bisect.bisect_left(axis, la + 2, 0, top, key=operator.itemgetter(1))
 
 
-def _diff_heads(p, n, axis, l, alpha):
-    """j^(n-1) mod p**E for j up to the last m that a table of l (alpha+1) reads, E its bound + 2 at that m.
-
-    Cuts and bounds never shrink as l (alpha+1) grows, so with a task's
-    largest l and alpha this one row serves every (alpha, h) block of (p, n),
-    and it is no longer and no finer than the largest of their tables.
-    """
-    c = _cut(p, n, axis, l * (alpha + 1))
-    if not c:
-        return []
-    m, *_, q = axis[c - 1]
-    return list(itertools.islice(_powers(n - 1, p, _diff_bound(l, alpha, n, q) + 2), m + 1))
-
-
-def _stirling_diff_block(p, alpha, h, n, ls, axis, heads):
-    """(l index, m index, order, bound) of each (p, alpha, h, n) block instance nonzero modulo p**(bound+2).
+def _stirling_diff_block(p, n, pairs, ls, axis):
+    """One list per (alpha, h) of pairs: (l index, m index, order, bound) of each instance nonzero mod p**(bound+2).
 
     axis is _m_axis(p, ms); every instance of ls x ms left out is a floor.
     With bound = min(l (alpha+1), n - 1 + ord_p(floor(m/p)!)), ord_p(m!) <
     bound + 2 exactly when floor(m/p) <= n and ord_p(m!) < l (alpha+1) + 2,
     each a prefix of the axis (_cut).  Each l with such an m reads one table
-    of j^(n-1) (1 - j^H)^l up to that m, modulo p**(its largest bound + 2):
-    heads is _diff_heads' row of j^(n-1), shared by the blocks of (p, n),
-    and 1 - j^H is taken once modulo the block's largest p**E.
+    of j^(n-1) (1 - j^H)^l up to that m, modulo p**(its largest bound + 2).
+    Cuts and bounds never shrink as l (alpha+1) grows, so one row of j^(n-1),
+    built at the largest l and alpha, serves every pair and is no longer and
+    no finer than the largest table; 1 - j^H is taken once per pair, modulo
+    its largest p**E.
     """
-    cuts = {l: c for l in ls if (c := _cut(p, n, axis, l * (alpha + 1)))}
-    if not cuts:
-        return []
-    E = max(_diff_bound(l, alpha, n, axis[c - 1][3]) for l, c in cuts.items()) + 2
-    size = axis[max(cuts.values()) - 1][0] + 1
-    tails = [1 - x for x in itertools.islice(_powers(StructuredExponent(h * (p - 1), p, alpha, 0), p, E), size)]
-    found = {}  # l -> (m index, residue, bound) of each nonzero sum
-    for l, c in cuts.items():
-        bounds = [_diff_bound(l, alpha, n, q) for *_, q in axis[:c]]
-        P = p ** (bounds[-1] + 2)
-        table = list(_diagonal([a * pow(b, l, P) % P for a, b in zip(heads[: axis[c - 1][0] + 1], tails)]))
-        found[l] = [(j, r, b) for (m, _, j, _), b in zip(axis, bounds) if (r := table[m] % p ** (b + 2))]
-    return [(i, j, ord_nonzero(p, r), b) for i, l in enumerate(ls) if l in found for j, r, b in found[l]]
+    top_l, top_alpha = max(ls, default=0), max((alpha for alpha, _ in pairs), default=0)
+    if not (top := _cut(p, n, axis, top_l * (top_alpha + 1))):
+        return [[] for _ in pairs]
+    m, *_, q = axis[top - 1]
+    heads = list(itertools.islice(_powers(n - 1, p, _diff_bound(top_l, top_alpha, n, q) + 2), m + 1))
+    out = []
+    for alpha, h in pairs:
+        found = {}  # l -> (m index, residue, bound) of each nonzero sum
+        if cuts := {l: c for l in ls if (c := _cut(p, n, axis, l * (alpha + 1)))}:
+            E = max(_diff_bound(l, alpha, n, axis[c - 1][3]) for l, c in cuts.items()) + 2
+            H = StructuredExponent(h * (p - 1), p, alpha, 0)
+            tails = [1 - x for x in itertools.islice(_powers(H, p, E), axis[max(cuts.values()) - 1][0] + 1)]
+        for l, c in cuts.items():
+            bounds = [_diff_bound(l, alpha, n, q) for *_, q in axis[:c]]
+            P = p ** (bounds[-1] + 2)
+            table = list(_diagonal([a * pow(b, l, P) % P for a, b in zip(heads[: axis[c - 1][0] + 1], tails)]))
+            found[l] = [(j, r, b) for (m, _, j, _), b in zip(axis, bounds) if (r := table[m] % p ** (b + 2))]
+        out.append([(i, j, ord_nonzero(p, r), b) for i, l in enumerate(ls) if l in found for j, r, b in found[l]])
+    return out
 
 
 def check_factorial_match(n: int) -> CheckOutcome:
@@ -779,23 +772,21 @@ def _cell_sums(p, base, d, lv, facts, cell, pair):
 
 
 def _eval_stirling_diff(block, rep):
-    """Count stirling-diff-bound over a sub-block, one (p, alpha, h, n) table block at a time.
+    """Count stirling-diff-bound over a sub-block, one kernel call per (p, n) for all its (alpha, h) blocks.
 
-    The m axis is sorted once per p and the j^(n-1) row built once per (p, n);
-    an instance the kernel leaves out is a held floor with no slack.  Violations
-    are added in grid order (p, alpha, h, l, m, n).
+    The m axis is sorted once per p; an instance the kernel leaves out is a
+    held floor with no slack.  Violations are added in grid order
+    (p, alpha, h, l, m, n).
     """
     ls, ms, ns = block["l"], block["m"], block["n"]
     check, axes = "stirling-diff-bound", _CHECK_AXES["stirling-diff-bound"]
-    top_l, top_alpha = max(ls, default=0), max(block["alpha"], default=0)
+    pairs = list(itertools.product(block["alpha"], block["h"]))
     for p in block["p"]:
         axis = _m_axis(p, ms)
-        pairs = list(itertools.product(block["alpha"], block["h"]))
         found = [[] for _ in pairs]  # (l index, m index, n index, order, bound) of each (alpha, h)
         for k, n in enumerate(ns):
-            heads = _diff_heads(p, n, axis, top_l, top_alpha)
-            for f, (alpha, h) in zip(found, pairs):
-                f += [(i, j, k, o, b) for i, j, o, b in _stirling_diff_block(p, alpha, h, n, ls, axis, heads)]
+            for f, live in zip(found, _stirling_diff_block(p, n, pairs, ls, axis)):
+                f += [(i, j, k, o, b) for i, j, o, b in live]
         for f, (alpha, h) in zip(found, pairs):
             bad = sorted(x for x in f if x[3] < x[4])
             held = len(ls) * len(ms) * len(ns) - len(bad)

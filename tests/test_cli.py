@@ -1,5 +1,6 @@
 """Command line interface: outputs, formats, and exit codes."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -401,6 +402,20 @@ def test_package_reads_no_environment_variable():
                 names = [node.attr]
             reads += [f"{path.name}:{node.lineno} os.{name}" for name in names if name.startswith(("environ", "getenv"))]
     assert reads == []
+
+
+def test_cli_has_fifty_options():
+    # every flag of every subcommand, -h aside: a new knob must change this count on purpose
+    def flags(parser):
+        count = 0
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                count += sum(map(flags, action.choices.values()))
+            elif action.option_strings and not isinstance(action, argparse._HelpAction):
+                count += 1
+        return count
+
+    assert flags(build_parser()) == 50
 
 
 def test_table_one_csv(capsys):

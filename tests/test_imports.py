@@ -89,3 +89,15 @@ def test_from_import_of_a_submodule_and_unknown_names():
         padicsums.nope
     with pytest.raises(ImportError):
         exec("from padicsums import nope", {})
+
+
+def test_tables_and_bounds_load_no_sweep_module():
+    # table one/two, compute bound and compute ep never sweep, so only a delta loads verify
+    loaded = _fresh(
+        "import json, sys; sys.path.insert(0, sys.argv[1]); from padicsums import cli; seen = []\n"
+        "for argv in (['table', 'two', '--golden'], ['compute', 'bound', '--p', '3', '--n', '40'],\n"
+        "             ['table', 'delta', '--golden']):\n"
+        "    seen.append([cli.main(argv), 'padicsums.verify' in sys.modules])\n"
+        "print(json.dumps(seen))"
+    )
+    assert loaded == [[0, False], [0, False], [0, True]]

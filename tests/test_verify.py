@@ -1,5 +1,6 @@
 """Check functions, grids, and sweep reports."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -227,8 +228,8 @@ def test_stirling_diff_block_pairs_pinned():
     for p, alpha, h, n in itertools.product((2, 3), range(3), (1, 2), range(2, 13)):
         ls, ms = range(6), range(n, n + 13)
         axis = verify._m_axis(p, ms)
-        heads = verify._diff_heads(p, n, axis, max(ls), alpha)
-        found = {(i, j): (o, b) for i, j, o, b in verify._stirling_diff_block(p, alpha, h, n, ls, axis, heads)}
+        (live,) = verify._stirling_diff_block(p, n, [(alpha, h)], ls, axis)
+        found = {(i, j): (o, b) for i, j, o, b in live}
         bounds = [min(l * (alpha + 1), n - 1 + ord_factorial(p, m // p)) for l in ls for m in ms]
         block = [found.get((i, j), (None, b)) for (i, j), b in zip(itertools.product(range(6), range(13)), bounds)]
         assert [b for _, b in block] == bounds
@@ -261,11 +262,35 @@ def test_stirling_diff_l_axis_builds_one_table_per_l(monkeypatch):
     # and each (l, m) of the block reads its own l's table, as a one-instance block does
     ls, ms = range(1, 7), (2, 5, 8, 11)
     axis = verify._m_axis(3, ms)
-    heads = verify._diff_heads(3, 10, axis, max(ls), 1)
-    found = {(ls[i], ms[j]): o for i, j, o, _ in verify._stirling_diff_block(3, 1, 1, 10, ls, axis, heads)}
+    (live,) = verify._stirling_diff_block(3, 10, [(1, 1)], ls, axis)
+    found = {(ls[i], ms[j]): o for i, j, o, _ in live}
     ocs = {(l, m): check_stirling_diff_bound(3, 1, 1, l, m, 10) for l in ls for m in ms}
     assert found == {lm: oc.lhs_ord for lm, oc in ocs.items() if oc.lhs_exact}
     assert set(found.values()) == {2, 4, 6, 7, 8, 9, 10} and len(found) < len(ocs)
+
+
+def test_stirling_diff_kernel_builds_one_row_per_p_n(monkeypatch):
+    # The kernel builds one j^(n-1) row per (p, n) with a live instance, as
+    # long as the largest live m + 1 and modulo p**(largest live bound + 2),
+    # and one 1 - j^H row per live (alpha, h) block.
+    real, rows = verify._powers, []
+
+    def spy(k, p, E):
+        rows.append(row := [p, k, E, 0])  # the last item counts the powers read
+        for x in real(k, p, E):
+            row[3] += 1
+            yield x
+
+    monkeypatch.setattr(verify, "_powers", spy)
+    sweep("stirling-diff-bound")
+    heads = {(p, k + 1): (E, size) for p, k, E, size in rows if isinstance(k, int)}
+    live = collections.defaultdict(list)  # (p, n) -> (m, bound) of each live instance of the default grid
+    for block in verify.default_grid("stirling-diff-bound"):
+        for p, alpha, l, m, n in itertools.product(*(block[a] for a in ("p", "alpha", "l", "m", "n"))):
+            if m // p <= n and ord_factorial(p, m) < l * (alpha + 1) + 2:
+                live[p, n].append((m, min(l * (alpha + 1), n - 1 + ord_factorial(p, m // p))))
+    assert heads == {pn: (max(b for _, b in v) + 2, max(m for m, _ in v) + 1) for pn, v in live.items()}
+    assert len(rows) - len(heads) == 238 and [p for p, _ in heads].count(2) == 14 and len(heads) == 42
 
 
 def test_factorial_match_examples():
@@ -614,10 +639,11 @@ def _sweep_matches_single_instances(grid, monkeypatch):
     """
     real, read = verify._stirling_diff_block, []
 
-    def spy(p, alpha, h, n, ls, axis, heads):
-        found = real(p, alpha, h, n, ls, axis, heads)
+    def spy(p, n, pairs, ls, axis):
+        found = real(p, n, pairs, ls, axis)
         m_at = {j: m for m, _, j, _ in axis}
-        read.extend(((p, alpha, h, ls[i], m_at[j], n), o) for i, j, o, _ in found)
+        for (alpha, h), live in zip(pairs, found):
+            read.extend(((p, alpha, h, ls[i], m_at[j], n), o) for i, j, o, _ in live)
         return found
 
     with monkeypatch.context() as mp:
@@ -669,18 +695,21 @@ def test_stirling_diff_sweep_matches_single_instances_on_random_grids(monkeypatc
 
 
 def test_stirling_diff_violations_in_grid_order(monkeypatch):
-    # The worker reads one (p, alpha, h, n) block at a time; violations found
-    # across several n must still be reported in (p, alpha, h, l, m, n) order.
+    # The worker reads every (alpha, h) block of one (p, n) at a time; violations
+    # found across several n must still be reported in (p, alpha, h, l, m, n) order.
     chosen = [(1, 4, 2), (2, 3, 2), (0, 5, 3), (1, 3, 4)]  # (l, m, n), in block order
     real = verify._stirling_diff_block
 
-    def fake(p, alpha, h, n, ls, axis, heads):
-        found = {(i, j): (o, b) for i, j, o, b in real(p, alpha, h, n, ls, axis, heads)}
-        for (i, l), (m, _, j, q) in itertools.product(enumerate(ls), axis):
-            if (l, m, n) in chosen:
-                b = min(l * (alpha + 1), n - 1 + q)
-                found[i, j] = (b - 1, b)
-        return [(i, j, o, b) for (i, j), (o, b) in reversed(found.items())]
+    def fake(p, n, pairs, ls, axis):
+        out = []
+        for (alpha, _), live in zip(pairs, real(p, n, pairs, ls, axis)):
+            found = {(i, j): (o, b) for i, j, o, b in live}
+            for (i, l), (m, _, j, q) in itertools.product(enumerate(ls), axis):
+                if (l, m, n) in chosen:
+                    b = min(l * (alpha + 1), n - 1 + q)
+                    found[i, j] = (b - 1, b)
+            out.append([(i, j, o, b) for (i, j), (o, b) in reversed(found.items())])
+        return out
 
     monkeypatch.setattr(verify, "_stirling_diff_block", fake)
     rep = sweep("stirling-diff-bound", grid="p=2;alpha=0;h=1..2;l=0..2;m=3..5;n=2..4", jobs=1)
