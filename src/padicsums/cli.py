@@ -151,14 +151,6 @@ def _cmd_compute_bound(args) -> int:
     return 0
 
 
-def _cmd_compute_delta(args) -> int:
-    from .su_bounds import emit_delta
-
-    value = emit_delta(args.p, args.alpha, args.n, args.l, args.l)[0]
-    print("inf" if value is None else value)
-    return 0
-
-
 def _golden_compare(cells) -> int:
     """Print a golden mismatch line for each (label, computed, reference) that differs; 1 if any did."""
     mismatches = 0
@@ -178,7 +170,7 @@ def _cmd_table_one(args) -> int:
             f"--golden covers n in [{golden.TABLE1_N_FROM}, {golden.TABLE1_N_TO}], "
             f"got [{args.lo}, {args.hi}]"
         )
-    rows = emit_table1(args.lo, args.hi, with_max=args.with_max, k_budget=args.k_budget)
+    rows = emit_table1(args.lo, args.hi, k_budget=args.k_budget)
     sys.stdout.write(render(table_one(rows), args.format))
     if not args.golden:
         return 0
@@ -303,13 +295,6 @@ def build_parser() -> _Parser:
     c.add_argument("--n", type=int, required=True)
     c.set_defaults(func=_cmd_compute_bound)
 
-    c = csub.add_parser("delta", help="one excess order delta(l)")
-    c.add_argument("--l", type=int, required=True)
-    c.add_argument("--p", type=int, default=2)
-    c.add_argument("--alpha", type=int, default=2)
-    c.add_argument("--n", type=int, default=100)
-    c.set_defaults(func=_cmd_compute_delta)
-
     table = sub.add_parser("table", help="emit a reference table")
     tsub = table.add_subparsers(dest="which", required=True)
 
@@ -317,8 +302,8 @@ def build_parser() -> _Parser:
     t.add_argument("--from", dest="lo", type=int, default=golden.TABLE1_N_FROM)
     t.add_argument("--to", dest="hi", type=int, default=golden.TABLE1_N_TO)
     t.add_argument("--golden", action="store_true", help="compare against embedded reference values")
-    t.add_argument("--with-max", action="store_true", help="add the bounded-search observed maximum")
-    t.add_argument("--k-budget", type=int, default=40)
+    t.add_argument("--with-max", dest="k_budget", nargs="?", type=int, const=40, metavar="K",
+                   help="add the observed maximum over k <= n + K (K defaults to 40)")
     t.add_argument("--format", choices=("md", "csv", "json"), default="md")
     t.set_defaults(func=_cmd_table_one)
 

@@ -37,19 +37,33 @@ DEFAULT_RETRIES = 4
 SCAN_CAP = 1024
 
 
+def _check_stirling_cap(k: int):
+    if k > STIRLING_CAP:
+        raise CapacityError(f"exact Stirling numbers capped at k <= {STIRLING_CAP}, got k={k}")
+
+
+def _band(d: int):
+    """Yield S(j + d, j), j = 0, 1, ...: step j makes band[t] = S(j + t, j), t <= d, from S(j - 1 + t, j - 1)."""
+    band = [1] + [0] * d  # S(t, 0)
+    for j in itertools.count(1):
+        yield band[d]
+        acc = 0
+        for t, s in enumerate(band):
+            acc = j * acc + s  # S(j + t, j) = j S(j + t - 1, j) + S(j + t - 1, j - 1)
+            band[t] = acc
+
+
 def stirling_exact(k: int, m: int) -> int:
-    """S(k, m), read off the last row of stirling_rows(k, m)."""
+    """S(k, m) off the band of _band(k - m): m(k - m + 1) steps on numbers at most S(k, m)."""
     if k < 0 or m < 0:
         raise ValueError(f"need k, m >= 0, got k={k}, m={m}")
-    for _, row in stirling_rows(k, m):
-        pass
-    return row[m] if m <= k else 0
+    _check_stirling_cap(k)
+    return next(itertools.islice(_band(k - m), m, None)) if m <= k else 0
 
 
 def stirling_rows(k_max: int, m_max: int):
     """Yield (k, row) for k = 0..k_max with row[j] = S(k, j), j <= min(k, m_max)."""
-    if k_max > STIRLING_CAP:
-        raise CapacityError(f"exact Stirling numbers capped at k <= {STIRLING_CAP}, got k={k_max}")
+    _check_stirling_cap(k_max)
     row = [1]
     yield 0, row[:]
     for i in range(1, k_max + 1):

@@ -145,19 +145,16 @@ class Table1Row:
     k_searched: int | None = None
 
 
-def emit_table1(
-    n_from: int,
-    n_to: int,
-    with_max: bool = False,
-    k_budget: int = 40,
-) -> list[Table1Row]:
-    """Rows (n, stable family value, closed-form bound) for n in [n_from, n_to]."""
+def emit_table1(n_from: int, n_to: int, k_budget: int | None = None) -> list[Table1Row]:
+    """Rows (n, stable family value, closed-form bound) for n in [n_from, n_to], and unless k_budget is None
+    the observed maximum over k in [n, n + k_budget]."""
     if not 2 <= n_from <= n_to:
         raise ValueError(f"need 2 <= n_from <= n_to, got [{n_from}, {n_to}]")
-    if k_budget < 0:
-        raise ValueError(f"k_budget must be >= 0, got {k_budget}")
-    if k_budget > SCAN_CAP:
-        raise CapacityError(f"table one capped at k_budget <= {SCAN_CAP}, got k_budget={k_budget}")
+    if k_budget is not None:
+        if k_budget < 0:
+            raise ValueError(f"k_budget must be >= 0, got {k_budget}")
+        if k_budget > SCAN_CAP:
+            raise CapacityError(f"table one capped at k_budget <= {SCAN_CAP}, got k_budget={k_budget}")
     check_scan_cap(n_to)
     rows = []
     for n in range(n_from, n_to + 1):
@@ -166,7 +163,7 @@ def emit_table1(
         L = res.stable.height
         bound = lower_bound(3, n)
         max_observed = k_hi = None
-        if with_max:
+        if k_budget is not None:
             k_hi = n + k_budget
             finite = (min_stirling_ord(3, n, k).value for k in range(n, k_hi + 1))
             max_observed = max(stable, *finite)

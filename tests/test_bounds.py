@@ -169,7 +169,7 @@ def test_table1_internal_invariants():
 
 
 def test_table1_with_max_observed():
-    rows = emit_table1(20, 22, with_max=True, k_budget=15)
+    rows = emit_table1(20, 22, k_budget=15)
     assert [(r.n, r.stable, r.bound, r.max_observed, r.k_searched) for r in rows] == [
         (20, 21, 21, 21, 35),
         (21, 22, 22, 22, 36),
@@ -230,7 +230,7 @@ def test_renderers_are_stable_and_labeled():
     md = render(table_one(rows), "md")
     assert "| 19 |" in md and "observed" not in md
 
-    rows_max = emit_table1(20, 21, with_max=True, k_budget=5)
+    rows_max = emit_table1(20, 21, k_budget=5)
     assert render(table_one(rows_max), "csv").splitlines()[0] == "n,stable,bound,max_observed"
     assert "observed, not proven maximal" in render(table_one(rows_max), "md")
     assert "observed, not proven maximal" in render(table_one(rows_max), "json")

@@ -26,6 +26,7 @@ from padicsums import (
     check_stirling_diff_bound,
     check_totient_bound,
     default_grid,
+    ord_factorial,
     parse_grid,
     polysum,
     stirling,
@@ -65,7 +66,7 @@ def run_cli(argv, capsys, entry=main):
         ),
         (["compute", "bound", "--p", "3", "--n", "100"], "new=114 old=113 restated=114"),
         (["compute", "bound", "--p", "2", "--n", "40"], "new=57 old=n/a restated=57"),
-        (["compute", "delta", "--l", "30"], "3"),
+        (["table", "delta", "--from", "30", "--to", "30", "--format", "csv"], "l,delta\n30,3"),
         (["compute", "mstirling", "--k", "1*7^100+5", "--m", "1024", "--p", "3", "--E", "12"], "0 (mod 3^12)"),
     ],
 )
@@ -214,8 +215,8 @@ def test_verify_n_over_sum_cap_exits_2(capsys, monkeypatch, check, grid):
         (["table", "one", "--from", "1025", "--to", "1025", "--with-max"], "Stirling scans capped at m <= 1024, got m=1025"),
         # ord_p(m!) = 0 below p, so an exact scan for p past the cap cannot stop before m = p - 1
         (["compute", "ep", "--p", "1031", "--n", "5", "--k", "5000"], "Stirling scans capped at m <= 1024, got m=1030"),
-        (["table", "one", "--with-max", "--k-budget", "1025"], "table one capped at k_budget <= 1024, got k_budget=1025"),
-        (["table", "one", "--with-max", "--k-budget", "1000000000"], "table one capped at k_budget <= 1024, got k_budget=1000000000"),
+        (["table", "one", "--with-max", "1025"], "table one capped at k_budget <= 1024, got k_budget=1025"),
+        (["table", "one", "--with-max", "1000000000"], "table one capped at k_budget <= 1024, got k_budget=1000000000"),
     ],
 )
 def test_oversized_stirling_scans_exit_2(argv, want, capsys, monkeypatch):
@@ -243,6 +244,18 @@ def test_table_one_with_max_checks_only_to(capsys, monkeypatch):
     assert out.splitlines()[1].startswith("1000,7,")
 
 
+def test_with_max_takes_an_optional_budget(capsys):
+    # K = 0 searches k = n alone, whose one term m = n is n! S(n, n) = n!: a column, not no column
+    rc, out, err = run_cli(["table", "one", "--from", "19", "--to", "22", "--with-max", "0", "--format", "json"], capsys)
+    rows = json.loads(out)["rows"]
+    assert (rc, err) == (0, "") and [r["n"] for r in rows] == list(range(19, 23))
+    for r in rows:
+        assert (r["max_observed"], r["k_searched"]) == (max(r["stable"], ord_factorial(3, r["n"])), r["n"])
+    # a bare --with-max is K = 40
+    bare = run_cli(["table", "one", "--from", "19", "--to", "19", "--with-max", "--format", "csv"], capsys)
+    assert bare == run_cli(["table", "one", "--from", "19", "--to", "19", "--with-max", "40", "--format", "csv"], capsys)
+
+
 @pytest.mark.parametrize("m", [1025, 10**9])
 def test_oversized_mstirling_exits_2(m, capsys, monkeypatch):
     def built(n):
@@ -253,9 +266,9 @@ def test_oversized_mstirling_exits_2(m, capsys, monkeypatch):
     assert run_cli(argv, capsys) == (2, "", f"capacity: Stirling scans capped at m <= 1024, got m={m}\n")
 
 
-def test_compute_delta_n_over_sum_cap_exits_2(capsys, monkeypatch):
+def test_delta_n_over_sum_cap_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(polysum, "_comb_row", None)  # a sum that started would fail on it
-    rc, out, err = run_cli(["compute", "delta", "--n", "3000000", "--l", "1"], capsys)
+    rc, out, err = run_cli(["table", "delta", "--n", "3000000", "--from", "1", "--to", "1"], capsys)
     assert (rc, out) == (2, "")
     assert err == "capacity: residue-class sums capped at n <= 4096, got n=3000000\n"
 
@@ -263,8 +276,8 @@ def test_compute_delta_n_over_sum_cap_exits_2(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, kernel, want",
     [
-        (["compute", "delta", "--l", str(BOUND_L_CAP + 1)], (IntPolynomial, "monomial"), f"got l={BOUND_L_CAP + 1}"),
-        (["compute", "delta", "--l", "1000000000"], (IntPolynomial, "monomial"), "got l=1000000000"),
+        (["table", "delta", "--from", str(BOUND_L_CAP + 1), "--to", str(BOUND_L_CAP + 1)], (IntPolynomial, "monomial"), f"got l={BOUND_L_CAP + 1}"),
+        (["table", "delta", "--from", "1000000000", "--to", "1000000000"], (IntPolynomial, "monomial"), "got l=1000000000"),
         (["table", "delta", "--from", "0", "--to", "100000"], (IntPolynomial, "monomial"), "got l=100000"),
         (["compute", "binom", "--n", "20000", "--k", "10000"], (math, "comb"), "got C(20000, 10000)"),
         (["compute", "binom", "--n", "10000000", "--k", "5000000"], (math, "comb"), "got C(10000000, 5000000)"),
@@ -284,10 +297,9 @@ def test_oversized_delta_and_binom_exit_2(argv, kernel, want, capsys, monkeypatc
 
 
 def test_delta_and_binom_answer_at_their_caps(capsys):
-    assert run_cli(["compute", "delta", "--l", str(BOUND_L_CAP)], capsys) == (0, "9\n", "")
     argv = ["table", "delta", "--from", str(BOUND_L_CAP - 2), "--to", str(BOUND_L_CAP), "--format", "csv"]
     rc, out, _ = run_cli(argv, capsys)
-    assert rc == 0 and len(out.splitlines()) == 4
+    assert rc == 0 and len(out.splitlines()) == 4 and out.endswith(f"\n{BOUND_L_CAP},9\n")
     # C(14291, 7145) has DIGITS_CAP digits and C(14292, 7146) one more; the exact value decides both
     rc, out, _ = run_cli(["compute", "binom", "--n", "14291", "--k", "7145"], capsys)
     assert rc == 0 and int(out) == math.comb(14291, 7145) and len(out.strip()) == DIGITS_CAP
@@ -298,8 +310,8 @@ def test_delta_and_binom_answer_at_their_caps(capsys):
 @pytest.mark.parametrize(
     "argv, kernel, want",
     [
-        # S(2500, 100) >= 100**2400, past the cap before any row is built
-        (["compute", "stirling", "--k", "2500", "--m", "100"], "stirling_rows", "Stirling numbers capped at 4300 digits, got S(2500, 100)"),
+        # S(2500, 100) >= 100**2400, past the cap before any band is walked
+        (["compute", "stirling", "--k", "2500", "--m", "100"], "stirling_exact", "Stirling numbers capped at 4300 digits, got S(2500, 100)"),
         (["compute", "mstirling", "--k", "1*7^100+5", "--m", "20", "--p", "3", "--E", "10000"], "power_rule", "moduli capped at 4300 digits, got 3^10000"),
         (["compute", "mstirling", "--k", "10", "--m", "4", "--p", "3", "--E", "1000000"], "power_rule", "moduli capped at 4300 digits, got 3^1000000"),
     ],
@@ -385,11 +397,14 @@ def test_usage_errors_exit_64(capsys):
     assert run_cli(["compute", "ep", "--p", "3", "--n", "29", "--k", "junk"], capsys)[0] == 64
     assert run_cli(["compute", "ep", "--p", "3", "--n", "29", "--k", "2*3^L+28", "--L", "5"], capsys)[0] == 64
     assert run_cli(["compute", "mstirling", "--k", "2*3^L+28", "--L", "5", "--m", "3", "--p", "3", "--E", "4"], capsys)[0] == 64
-    assert run_cli(["compute", "delta", "--l", "30", "--baseline", "22"], capsys)[0] == 64
+    assert run_cli(["table", "delta", "--from", "30", "--to", "30", "--baseline", "22"], capsys)[0] == 64
     assert run_cli(["compute", "stable", "--p", "3", "--n", "29", "--d", "28"], capsys)[0] == 64
     assert run_cli(["verify", "nonsense"], capsys)[0] == 64
     assert run_cli(["verify", "carry-bound", "--grid", "p=2..1"], capsys)[0] == 64
     assert run_cli(["nope"], capsys)[0] == 64
+    # removed spellings: compute delta is table delta --from L --to L, and --k-budget is --with-max K
+    assert run_cli(["compute", "delta", "--l", "30"], capsys)[0] == 64
+    assert run_cli(["table", "one", "--k-budget", "40"], capsys)[0] == 64
 
 
 def test_package_reads_no_environment_variable():
@@ -404,7 +419,7 @@ def test_package_reads_no_environment_variable():
     assert reads == []
 
 
-def test_cli_has_fifty_options():
+def test_cli_has_forty_five_options():
     # every flag of every subcommand, -h aside: a new knob must change this count on purpose
     def flags(parser):
         count = 0
@@ -415,7 +430,7 @@ def test_cli_has_fifty_options():
                 count += 1
         return count
 
-    assert flags(build_parser()) == 50
+    assert flags(build_parser()) == 45
 
 
 def test_table_one_csv(capsys):
@@ -459,7 +474,8 @@ def test_table_two_golden(capsys):
 
 
 def test_delta_is_the_polysum_bound_slack(capsys):
-    assert run_cli(["compute", "delta", "--p", "3", "--alpha", "1", "--n", "50", "--l", "3"], capsys) == (0, "15\n", "")
+    argv = ["table", "delta", "--p", "3", "--alpha", "1", "--n", "50", "--from", "3", "--to", "3", "--format", "csv"]
+    assert run_cli(argv, capsys) == (0, "l,delta\n3,15\n", "")
     argv = ["table", "delta", "--p", "3", "--alpha", "1", "--n", "50", "--from", "0", "--to", "5", "--format", "json"]
     rc, out, _ = run_cli(argv, capsys)
     want = [{"l": l, "delta": check_polysum_bound(3, 1, 50, 0, IntPolynomial.monomial(l)).slack} for l in range(6)]

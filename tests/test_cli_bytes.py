@@ -44,7 +44,6 @@ CASES = [
     ["compute", "ep", "--p", "3", "--n", "28", "--k", "2*3^L+27", "--L", "auto"],
     ["compute", "stable", "--p", "3", "--n", "29"],
     ["compute", "bound", "--p", "3", "--n", "100"],
-    ["compute", "delta", "--l", "30"],
     ["compute", "ord", "--p", "3", "--x", "0"],
     ["compute", "ep", "--p", "3", "--n", "10", "--k", "40"],
     ["compute", "ep", "--p", "5", "--n", "12", "--k", "1*7^100+20"],
@@ -95,7 +94,6 @@ DIGESTS = {
     'compute ep --p 3 --n 28 --k 2*3^L+27 --L auto': "41588011e056517722c6c32e320fd85ea45961d332df8bad677dc7b0b2a3b576",
     'compute stable --p 3 --n 29': "342d01e87014d59b447121c5f1a940b9ff50e133c2f3d48add263e32b66c5dd8",
     'compute bound --p 3 --n 100': "57083f74cc055ce38b2659fb4c4eafc54f016a78d46fce77c4e60d0ee99c4fde",
-    'compute delta --l 30': "3664dc7cef1188c7bc0ebd9e452a0856d6c63e57239371f5f4dda2f0d1eaaa03",
     # Recorded while orders, residues and e_p values were still wrapped in
     # value classes: the infinite order, an exact and an uncertified e_p, a
     # PrecisionError floor, and the two ring checks of m! S(k, m) mod p^E.

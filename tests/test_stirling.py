@@ -54,6 +54,19 @@ def test_stirling_rows_agree_with_point_queries():
         assert row == [stirling_exact(k, m) for m in range(len(row))]
 
 
+def test_band_equals_the_triangle():
+    # every S(k, m) with k <= 300 and m <= k + 2: the band of each d = k - m is walked once to k = 300,
+    # and stirling_exact, which reads one band to its m, is queried at every point up to k = 60
+    rows = [row for _, row in stirling_rows(300, 300)]
+    for d in range(301):
+        band = list(itertools.islice(stirling._band(d), 301 - d))
+        assert band == [rows[j + d][j] for j in range(301 - d)], d
+    for k, row in enumerate(rows):
+        assert stirling_exact(k, k + 1) == stirling_exact(k, k + 2) == 0
+        if k <= 60:
+            assert [stirling_exact(k, m) for m in range(k + 1)] == row, k
+
+
 def test_surjection_sum_oracle():
     """m! S(k,m) equals the signed binomial sum over j^k, exactly."""
     for k in range(0, 41):
