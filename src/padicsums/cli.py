@@ -79,11 +79,21 @@ def _cmd_compute_binom(args) -> int:
     return 0
 
 
+def _stirling_log10(k, m):
+    """A lower bound on log10 S(k, m) for 1 <= m <= k: S(k, m) >= m**d with d = k - m, and for d <= m,
+    S(k, m) >= C(k, 2d) (2d-1)!! = k! / ((k-2d)! d! 2**d), the partitions into d pairs and k - 2d singletons."""
+    d = k - m
+    if d > m:
+        return d * math.log10(m)
+    pairs = (math.lgamma(k + 1) - math.lgamma(k - 2 * d + 1) - math.lgamma(d + 1)) / math.log(10) - d * math.log10(2)
+    return max(d * math.log10(m), pairs)
+
+
 def _cmd_compute_stirling(args) -> int:
-    """S(k, m) >= m**(k - m) for 1 <= m <= k; a k past STIRLING_CAP is refused by stirling_exact first."""
+    """A k past STIRLING_CAP is refused by stirling_exact first."""
     from .stirling import STIRLING_CAP, stirling_exact
 
-    log10 = (args.k - args.m) * math.log10(args.m) if 0 < args.m <= args.k <= STIRLING_CAP else 0
+    log10 = _stirling_log10(args.k, args.m) if 0 < args.m <= args.k <= STIRLING_CAP else 0
     print(_capped("Stirling numbers", f"S({args.k}, {args.m})", log10, lambda: stirling_exact(args.k, args.m)))
     return 0
 

@@ -10,8 +10,11 @@ coefficients.  Every sum reads one cached row of signed binomials
 C-level dot product with its weight values (one table where classes share
 them).  alt_sums_upto sums x^l and (x)_l for every l at once with C-level
 list passes: a short class term by term, a long class l by l, or from its
-sums at r - m by differences.  Two exact rewriting identities are checked;
-the bounds live in verify.
+sums at r - m by differences.  _diagonal, the running form of the signed
+rows, yields every forward difference D^m a(0) of a sequence; it is the one
+such kernel, read by those unit shifts, by the Stirling scans
+(m! S(k, m) = D^m j^k (0)) and by verify's stirling-diff-bound tables.  Two
+exact rewriting identities are checked; the bounds live in verify.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, mul
 
 from .padic import CapacityError
 
@@ -58,19 +61,6 @@ class IntPolynomial:
             total = total * x + c
         return total
 
-    def shift(self, t: int) -> "IntPolynomial":
-        """The polynomial x -> f(x + t)."""
-        n = len(self.coeffs)
-        out = [0] * n
-        for j, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            tp = 1
-            for i in range(j, -1, -1):
-                out[i] += a * math.comb(j, i) * tp
-                tp *= t
-        return IntPolynomial(tuple(out))
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -104,8 +94,9 @@ def binom_exact(n: int, k: int) -> int:
 
 
 def poly_delta(f: IntPolynomial) -> IntPolynomial:
-    """Forward difference x -> f(x+1) - f(x); drops the degree by one."""
-    return IntPolynomial(tuple(a - b for a, b in zip(f.shift(1).coeffs, f.coeffs)))
+    """Forward difference x -> f(x+1) - f(x); drops the degree by one.  Its x^i coefficient is sum(C(j, i) a_j) over j > i."""
+    cs = f.coeffs
+    return IntPolynomial(tuple(sum(math.comb(j, i) * cs[j] for j in range(i + 1, len(cs))) for i in range(len(cs) - 1)))
 
 
 def binom_poly(l: int) -> IntPolynomial:
@@ -148,6 +139,21 @@ _large_rows = lru_cache(maxsize=4)(_binomials)
 def _comb_row(n: int) -> tuple[int, ...]:
     """The signed row (-1)**k C(n, k) for k = 0..n, from one of two caches bounded in memory."""
     return _small_rows(n) if n <= 1024 else _large_rows(n)
+
+
+def _diagonal(values):
+    """Yield the forward differences D^m a(0) = (-1)**m sum(_comb_row(m)[j] a_j), m = 0, 1, ..., of a_0, a_1, ...
+
+    row[i] holds D^i a(m-i), so each new a_m costs m subtractions.  Exact
+    integers stay exact; a caller working mod M reduces what it reads.
+    """
+    row = []
+    for cur in values:
+        for i, prev in enumerate(row):
+            row[i] = cur
+            cur -= prev
+        row.append(cur)
+        yield cur
 
 
 def _evaluator(f: IntPolynomial):
@@ -247,15 +253,11 @@ def _moments(cs, x0, maxl, falling):
 
 def _unit_shift(sums, falling):
     """Class sums at x - 1 from the class sums at x, l <= len(sums) - 1, without a product of two sums."""
+    if not falling:
+        return list(_diagonal(sums))
     out = [sums[0]]
-    if falling:
-        for l in range(1, len(sums)):
-            out.append(sums[l] - l * out[-1])
-        return out
-    diffs = sums
-    for _ in range(len(sums) - 1):
-        diffs = list(map(sub, diffs[1:], diffs))
-        out.append(diffs[0])
+    for l in range(1, len(sums)):
+        out.append(sums[l] - l * out[-1])
     return out
 
 

@@ -23,7 +23,7 @@ from operator import mul
 
 from .exponents import StructuredExponent, as_exponent, power_rule
 from .padic import CapacityError, PrecisionError, check_prime, class_bound, ord_factorial, ord_nonzero
-from .polysum import _comb_row
+from .polysum import _comb_row, _diagonal
 
 STIRLING_CAP = 10**4
 DEFAULT_WINDOW = 60
@@ -74,21 +74,6 @@ def stirling_rows(k_max: int, m_max: int):
             row[j] = j * row[j] + row[j - 1]
         row[0] = 0
         yield i, row[:]
-
-
-def _diagonal(values):
-    """Yield the forward differences D^m a(0), m = 0, 1, ..., of a_0, a_1, ...
-
-    row[i] holds D^i a(m-i), so each new a_m costs m subtractions.  Exact
-    integers stay exact; a caller working mod M reduces what it reads.
-    """
-    row = []
-    for cur in values:
-        for i, prev in enumerate(row):
-            row[i] = cur
-            cur -= prev
-        row.append(cur)
-        yield cur
 
 
 @functools.cache

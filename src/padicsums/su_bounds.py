@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .exponents import as_exponent
-from .padic import CapacityError, carries, check_prime, ord_factorial
+from .padic import CapacityError, carries, check_prime, class_bound
 from .polysum import IntPolynomial
 from .stirling import (
     DEFAULT_WINDOW,
@@ -30,7 +30,7 @@ def lower_bound(p: int, n: int) -> int:
     check_prime(p)
     if n < 2:
         raise ValueError(f"n must be >= 2, got n={n}")
-    return n - 1 + ord_factorial(p, n // p)
+    return n - 1 + class_bound(p, 1, n)
 
 
 def old_bound(p: int, n: int) -> int:

@@ -24,7 +24,7 @@ import random
 import re
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .exponents import StructuredExponent
 from .padic import (
@@ -40,6 +40,7 @@ from .polysum import (
     SUM_CAP,
     IntPolynomial,
     ONE,
+    _diagonal,
     alt_sum,
     alt_sums_upto,
     binom_poly,
@@ -47,7 +48,7 @@ from .polysum import (
     check_split_identity,
     class_sums,
 )
-from .stirling import _diagonal, _powers, check_scan_cap, stable_min_ord
+from .stirling import _powers, check_scan_cap, stable_min_ord
 
 
 IDENTITY_CHECKS = ("floor-identity", "split-identity")
@@ -104,17 +105,7 @@ class CheckOutcome:
         return str(self.lhs_ord) if self.lhs_exact else f">={self.lhs_ord}"
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "instance": dict(self.instance),
-            "lhs_ord": self.lhs_ord,
-            "lhs_exact": self.lhs_exact,
-            "bound": self.bound,
-            "slack": self.slack,
-            "holds": self.holds,
-            "skipped": self.skipped,
-            "note": self.note,
-        }
+        return {**asdict(self), "instance": dict(self.instance)}
 
 
 def _outcome(check, inst, s_ord, bound, note=""):
@@ -308,7 +299,7 @@ def _diff_precision(block):
     top_m, p = max(block["m"], default=0), min(block["p"], default=2)
     check_scan_cap(top_m)
     l, alpha, n = (max(block[a], default=0) for a in ("l", "alpha", "n"))
-    E = _diff_bound(l, alpha, n, ord_factorial(p, top_m // p)) + 2
+    E = _diff_bound(l, alpha, n, class_bound(p, 1, top_m)) + 2
     if E > DIFF_PRECISION_CAP:
         raise CapacityError(f"stirling-diff-bound capped at precision E <= {DIFF_PRECISION_CAP}, got E={E}")
     return E
@@ -316,7 +307,7 @@ def _diff_precision(block):
 
 def _m_axis(p, ms):
     """(m, ord_p(m!), index in ms, q = ord_p(floor(m/p)!)) in increasing m; ord_p(m!) = floor(m/p) + q (Legendre)."""
-    return sorted((m, m // p + q, j, q) for j, m in enumerate(ms) for q in [ord_factorial(p, m // p)])
+    return sorted((m, m // p + q, j, q) for j, m in enumerate(ms) for q in [class_bound(p, 1, m)])
 
 
 def _cut(p, n, axis, la):

@@ -5,6 +5,7 @@ import ast
 import importlib
 import json
 import math
+import random
 import re
 import shlex
 import shutil
@@ -30,11 +31,13 @@ from padicsums import (
     parse_grid,
     polysum,
     stirling,
+    stirling_exact,
+    stirling_rows,
     su_bounds,
     sweep,
     verify,
 )
-from padicsums.cli import DIGITS_CAP, build_parser, main
+from padicsums.cli import DIGITS_CAP, _stirling_log10, build_parser, main
 from padicsums.verify import BOUND_L_CAP
 
 
@@ -314,6 +317,8 @@ def test_delta_and_binom_answer_at_their_caps(capsys):
         (["compute", "stirling", "--k", "2500", "--m", "100"], "stirling_exact", "Stirling numbers capped at 4300 digits, got S(2500, 100)"),
         (["compute", "mstirling", "--k", "1*7^100+5", "--m", "20", "--p", "3", "--E", "10000"], "power_rule", "moduli capped at 4300 digits, got 3^10000"),
         (["compute", "mstirling", "--k", "10", "--m", "4", "--p", "3", "--E", "1000000"], "power_rule", "moduli capped at 4300 digits, got 3^1000000"),
+        # S(10000, 9000) has 5071 digits; 9000**1000 promises 3954, the pairings C(10000, 2000) 1999!! 5038
+        (["compute", "stirling", "--k", "10000", "--m", "9000"], "stirling_exact", "Stirling numbers capped at 4300 digits, got S(10000, 9000)"),
     ],
 )
 def test_oversized_printed_integers_exit_2(argv, kernel, want, capsys, monkeypatch):
@@ -322,6 +327,18 @@ def test_oversized_printed_integers_exit_2(argv, kernel, want, capsys, monkeypat
 
     monkeypatch.setattr(stirling, kernel, started)
     assert run_cli(argv, capsys) == (2, "", f"capacity: {want}\n")
+
+
+def test_stirling_digits_estimate_is_a_lower_bound():
+    # every S(k, m) with 1 <= m <= k <= 200, and 400 random points with k <= 600
+    for k, row in stirling_rows(200, 200):
+        for m in range(1, k + 1):
+            assert _stirling_log10(k, m) <= math.log10(row[m]) + 1e-9, (k, m)
+    rng = random.Random(29)
+    for _ in range(400):
+        k = rng.randint(1, 600)
+        m = rng.randint(1, k)
+        assert _stirling_log10(k, m) <= math.log10(stirling_exact(k, m)) + 1e-9, (k, m)
 
 
 def test_printed_integers_answer_at_the_digits_cap(capsys):

@@ -1,9 +1,11 @@
 """Integer polynomials and exact alternating sums over residue classes."""
 
+import ast
 import collections
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from padicsums import (
     check_split_identity,
     poly_delta,
 )
-from padicsums import polysum
+from padicsums import polysum, stirling, verify
 from padicsums.polysum import ONE, SUM_CAP, _comb_row, alt_sums_upto
 
 ZERO = IntPolynomial(())
@@ -53,16 +55,6 @@ def test_polynomial_evaluation_and_accessors():
     assert IntPolynomial.monomial(2)(7) == 49
     assert IntPolynomial((5,))(-100) == 5
     assert ZERO(3) == 0 and ONE(3) == 1 and X(3) == 3
-
-
-def test_shift_property():
-    rng = random.Random(101)
-    for _ in range(100):
-        f = random_poly(rng)
-        t = rng.randint(-6, 6)
-        g = f.shift(t)
-        for x in range(-5, 6):
-            assert g(x) == f(x + t)
 
 
 def test_poly_delta_is_forward_difference():
@@ -289,6 +281,21 @@ def test_alt_sums_upto_unsorted_repeated_and_gapped_r(maxl, short, monkeypatch):
         # unit steps 2 -> 7, -8 -> -3 (class 2) and 4 -> 9 (class 4); every other r, 17, 12, 12 and -8 too, is summed l by l
         assert dict(seen) == {"_moments": 12, "_unit_shift": 6}
     _assert_cells_are_alt_sums(n, rs, m, maxl, cells)
+
+
+def test_one_forward_difference_kernel():
+    # the Stirling scans, the stirling-diff-bound tables and the unit shift of x^l sums read one _diagonal;
+    # poly_delta builds its coefficients itself, so IntPolynomial keeps no Taylor shift
+    found = []
+    for path in sorted(Path(polysum.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_diagonal":
+                found.append(f"{path.name} _diagonal")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.name} {node.name}.shift" for f in node.body if getattr(f, "name", None) == "shift"]
+    assert found == ["polysum.py _diagonal"]
+    assert stirling._diagonal is verify._diagonal is polysum._diagonal
+    assert list(polysum._diagonal([0, 1, 8, 27])) == [0, 1, 6, 6]  # D^m j^3 at 0 is m! S(3, m)
 
 
 def test_alt_sums_upto_negative_r_empty_classes_and_maxl_0():
