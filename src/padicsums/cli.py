@@ -208,11 +208,12 @@ def _cmd_table_delta(args) -> int:
     from .su_bounds import emit_delta, render, table_delta
 
     if args.golden:
-        defaults = (args.p, args.alpha, args.n) == (2, 2, 100)
+        defaults = (args.p, args.alpha, args.n) == (golden.DELTA_P, golden.DELTA_ALPHA, golden.DELTA_N)
         in_range = golden.DELTA_L_FROM <= args.lo and args.hi <= golden.DELTA_L_TO
         if not (defaults and in_range):
             raise ValueError(
-                f"--golden covers p=2 alpha=2 n=100, l in [{golden.DELTA_L_FROM}, {golden.DELTA_L_TO}]"
+                f"--golden covers p={golden.DELTA_P} alpha={golden.DELTA_ALPHA} n={golden.DELTA_N}, "
+                f"l in [{golden.DELTA_L_FROM}, {golden.DELTA_L_TO}]"
             )
     values = emit_delta(args.p, args.alpha, args.n, args.lo, args.hi)
     sys.stdout.write(render(table_delta(values, args.lo), args.format))
@@ -325,9 +326,9 @@ def build_parser() -> _Parser:
     t = tsub.add_parser("delta", help="excess order sequence delta(l)")
     t.add_argument("--from", dest="lo", type=int, default=golden.DELTA_L_FROM)
     t.add_argument("--to", dest="hi", type=int, default=golden.DELTA_L_TO)
-    t.add_argument("--p", type=int, default=2)
-    t.add_argument("--alpha", type=int, default=2)
-    t.add_argument("--n", type=int, default=100)
+    t.add_argument("--p", type=int, default=golden.DELTA_P)
+    t.add_argument("--alpha", type=int, default=golden.DELTA_ALPHA)
+    t.add_argument("--n", type=int, default=golden.DELTA_N)
     t.add_argument("--golden", action="store_true")
     t.add_argument("--format", choices=("md", "csv", "json"), default="md")
     t.set_defaults(func=_cmd_table_delta)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .padic import CapacityError, check_prime
+from .padic import CapacityError, check_prime, euler_phi_prime_power
 
 # Largest L for which c * base**L + d is materialized as a plain integer.
 MATERIALIZE_CAP = 64
@@ -102,9 +102,9 @@ def as_exponent(k) -> StructuredExponent:
 def carmichael_prime_power(p: int, E: int) -> int:
     """Carmichael function of p**E: the exponent of the unit group (Z/p**E)*.
 
-    For odd p this is (p-1)*p**(E-1); powers of two need the special cases
-    lambda(2)=1, lambda(4)=2 and lambda(2**E)=2**(E-2) for E >= 3, because
-    the unit group is not cyclic there.
+    For odd p the group is cyclic, so this is its order phi(p**E); powers
+    of two need the special cases lambda(2)=1, lambda(4)=2 and
+    lambda(2**E)=2**(E-2) for E >= 3, because the group is not cyclic there.
     """
     check_prime(p)
     if E < 1:
@@ -115,7 +115,7 @@ def carmichael_prime_power(p: int, E: int) -> int:
         if E == 2:
             return 2
         return 2 ** (E - 2)
-    return (p - 1) * p ** (E - 1)
+    return euler_phi_prime_power(p, E)
 
 
 def power_rule(k, p: int, E: int):

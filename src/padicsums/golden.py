@@ -34,6 +34,7 @@ TABLE2 = (
     (0, 0, 0, 0, 0, 0, 0, 0, 0),
 )
 
+DELTA_P, DELTA_ALPHA, DELTA_N = 2, 2, 100
 DELTA_L_FROM = 25
 DELTA_L_TO = 45
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import golden
 from .exponents import as_exponent
 from .padic import CapacityError, carries, check_prime, class_bound
 from .polysum import IntPolynomial
@@ -180,11 +181,11 @@ def emit_table2() -> tuple[tuple[int, ...], ...]:
 
 
 def emit_delta(
-    p: int = 2,
-    alpha: int = 2,
-    n: int = 100,
-    l_from: int = 25,
-    l_to: int = 45,
+    p: int = golden.DELTA_P,
+    alpha: int = golden.DELTA_ALPHA,
+    n: int = golden.DELTA_N,
+    l_from: int = golden.DELTA_L_FROM,
+    l_to: int = golden.DELTA_L_TO,
 ) -> list[int | None]:
     """Excess orders delta(l) of the residue-class monomial sums over ord_p(floor(n/p^alpha)!).
 

@@ -375,7 +375,7 @@ def conjecture_modulus(p: int, alpha: int, n: int) -> tuple[int, int]:
     e = 0
     while p ** (e + 1 + alpha) <= n:
         e += 1
-    return (p - 1) * p**e, e
+    return euler_phi_prime_power(p, e + 1), e
 
 
 def check_equality_conjecture(p: int, alpha: int, n: int, r: int, l: int | None = None) -> CheckOutcome:
@@ -483,66 +483,55 @@ def _grid_axes(text, n_capped=False):
                     raise GridError(f"bad value {item!r} in axis {name!r}") from None
     if not axes:
         raise GridError("empty grid")
-    size = math.prod(sum(map(len, items)) for items in axes.values())
-    if size > GRID_CAP:
-        raise CapacityError(f"grid has {size} instances, over the cap of {GRID_CAP}")
+    _check_grid_size(math.prod(sum(map(len, items)) for items in axes.values()))
     if n_capped:
         _check_n_axis(max((it[-1] for it in axes.get("n", ())), default=0))
     return {name: items[0] if len(items) == 1 else [v for it in items for v in it] for name, items in axes.items()}
 
 
-_SUM_CHECKS = (*_BOUNDS, "equality-conjecture")  # checks whose n axis SUM_CAP bounds
-
-_DEFAULT_GRID_DESC = {
+# Each grid check's default grid: the line its report prints, and its product blocks, built when asked for.
+_DEFAULT_GRIDS = {
     **{
-        c: "p=2,3,5; alpha=0..3; n=1..200; r=-10..2*p^alpha" + "; l=0..30" * d.uses_l
+        c: (
+            "p=2,3,5; alpha=0..3; n=1..200; r=-10..2*p^alpha" + "; l=0..30" * d.uses_l,
+            lambda uses_l=d.uses_l: [
+                {"p": [p], "alpha": [alpha], "n": list(range(1, 201)), "r": list(range(-10, 2 * p**alpha + 1))}
+                | ({"l": list(range(31))} if uses_l else {})
+                for p in (2, 3, 5) for alpha in range(4)
+            ],
+        )
         for c, d in _BOUNDS.items()
     },
-    "stirling-diff-bound": "p=2,3; alpha=0..3; h=1..2; l=0..3; n=2..30; m=n..n+20",
-    "factorial-match": "n=4..40 even; L=max(N,N0)",
-    "equality-conjecture": "p=2,3,5; alpha=1,2; n=2p^alpha-1..120; r=0..n; l smallest admissible",
+    "stirling-diff-bound": (
+        "p=2,3; alpha=0..3; h=1..2; l=0..3; n=2..30; m=n..n+20",
+        lambda: [
+            {"p": [2, 3], "alpha": [0, 1, 2, 3], "h": [1, 2], "l": [0, 1, 2, 3], "m": list(range(n, n + 21)), "n": [n]}
+            for n in range(2, 31)
+        ],
+    ),
+    "factorial-match": ("n=4..40 even; L=max(N,N0)", lambda: [{"n": list(range(4, 41, 2))}]),
+    "equality-conjecture": (
+        "p=2,3,5; alpha=1,2; n=2p^alpha-1..120; r=0..n; l smallest admissible",
+        lambda: [
+            {"p": [p], "alpha": [alpha], "n": [n], "r": list(range(n + 1))}
+            for p in (2, 3, 5) for alpha in (1, 2) for n in range(2 * p**alpha - 1, 121)
+        ],
+    ),
 }
 
 
 def default_grid(check: str) -> list[dict[str, list[int]]]:
     """The acceptance grid for a check, as a list of product blocks."""
-    if check in _BOUNDS:
-        uses_l = _BOUNDS[check].uses_l
-        return [
-            {"p": [p], "alpha": [alpha], "n": list(range(1, 201)), "r": list(range(-10, 2 * p**alpha + 1))}
-            | ({"l": list(range(31))} if uses_l else {})
-            for p in (2, 3, 5)
-            for alpha in range(4)
-        ]
-    if check == "stirling-diff-bound":
-        return [
-            {
-                "p": [2, 3],
-                "alpha": [0, 1, 2, 3],
-                "h": [1, 2],
-                "l": [0, 1, 2, 3],
-                "m": list(range(n, n + 21)),
-                "n": [n],
-            }
-            for n in range(2, 31)
-        ]
-    if check == "factorial-match":
-        return [{"n": list(range(4, 41, 2))}]
-    if check == "equality-conjecture":
-        return [
-            {"p": [p], "alpha": [alpha], "n": [n], "r": list(range(n + 1))}
-            for p in (2, 3, 5)
-            for alpha in (1, 2)
-            for n in range(2 * p**alpha - 1, 121)
-        ]
-    raise GridError(f"no default grid for check {check!r}")
+    if check not in _DEFAULT_GRIDS:
+        raise GridError(f"no default grid for check {check!r}")
+    return _DEFAULT_GRIDS[check][1]()
 
 
 def _resolve_grid(check, grid):
     if grid is None or grid == "default":
-        return default_grid(check), _DEFAULT_GRID_DESC[check]
+        return default_grid(check), _DEFAULT_GRIDS[check][0]
     if isinstance(grid, str):
-        return [_grid_axes(grid, check in _SUM_CHECKS)], grid
+        return [_grid_axes(grid, "r" in _CHECK_AXES[check])], grid
     if isinstance(grid, dict):
         return [grid], "custom"
     return list(grid), "custom"
@@ -564,8 +553,9 @@ def _check_block_axes(checks, blocks):
             _check_values(check, block)
     if need_l and not all(block["l"] for block in blocks):
         raise GridError("grid is missing axes ['l'] for this check")
+    _check_grid_size(sum(math.prod(map(len, block.values())) for block in blocks))  # every block's instances
     top_n = max((max(block["n"], default=0) for block in blocks), default=0)
-    if checks[0] in _SUM_CHECKS:
+    if "r" in _CHECK_AXES[checks[0]]:  # a residue-class sum check
         _check_n_axis(top_n)
     elif checks[0] == "factorial-match":
         check_scan_cap(top_n - 1)  # the first term of the last n's scan
@@ -574,6 +564,11 @@ def _check_block_axes(checks, blocks):
             _diff_precision(block)
     if need_l and (top_l := max(max(block["l"]) for block in blocks)) > BOUND_L_CAP:
         raise CapacityError(f"bound sweeps capped at l <= {BOUND_L_CAP}, got l={top_l}")
+
+
+def _check_grid_size(size):
+    if size > GRID_CAP:
+        raise CapacityError(f"grid has {size} instances, over the cap of {GRID_CAP}")
 
 
 def _check_n_axis(top):
@@ -862,17 +857,15 @@ def _identity_tasks(check, samples, seed):
         yield (check,), {"instance": chunk}
 
 
-def check_jobs(jobs: int):
-    """Refuse a worker count below 1 or above JOBS_CAP, before any task runs or pool starts."""
+def _run(worker, tasks, jobs):
+    """worker(task) for each task, in order; a pool is sent at most 2 * jobs tasks ahead of the results read.
+
+    A worker count below 1 or above JOBS_CAP is refused before any task runs or pool starts.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs > JOBS_CAP:
         raise CapacityError(f"jobs must be <= {JOBS_CAP}, got {jobs}")
-
-
-def _run(worker, tasks, jobs):
-    """worker(task) for each task, in order; a pool is sent at most 2 * jobs tasks ahead of the results read."""
-    check_jobs(jobs)
     if jobs == 1:
         yield from map(worker, tasks)
         return

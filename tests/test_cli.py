@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from padicsums import (
+    CapacityError,
     IntPolynomial,
     check_binom_weight_bound,
     check_carry_bound,
@@ -406,6 +407,31 @@ def test_value_gate_refuses_a_grid_before_any_task(check, grid, inst, want, caps
         sweep(check, grid=default_grid(check)[:1] + [parse_grid(grid)])
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         _CHECKS[check](*inst)
+
+
+def test_block_grids_meet_the_instance_cap(monkeypatch):
+    # a grid of blocks is capped after its value pass, at the sum over blocks of their axis products, in the
+    # words test_verify_oversized_grid_exits_2 pins for the same grid typed
+    monkeypatch.setattr(verify, "_run", None)  # a sweep that started would fail on it
+    big = {"p": [2], "alpha": list(range(10)), "n": list(range(1, 1001)), "r": list(range(1001)), "l": [0, 1]}
+    with pytest.raises(CapacityError, match="^grid has 20020000 instances, over the cap of 10000000$"):
+        sweep("carry-bound", grid=big)
+    with pytest.raises(ValueError, match="^p must be a prime, got p=4$"):
+        sweep("carry-bound", grid=big | {"p": [4]})
+    half = big | {"alpha": list(range(5))}  # 10,010,000 instances in two blocks, each under the cap
+    with pytest.raises(CapacityError, match="^grid has 10010000 instances"):
+        sweep("carry-bound", grid=[half | {"l": [0]}, half | {"l": [1]}])
+
+
+def test_a_typed_sum_grid_meets_its_caps_before_its_values(capsys, monkeypatch):
+    # a typed grid's instance count and a residue-class sum check's n axis are capped while the text is
+    # parsed, before any axis is expanded; the same grid given as a block has its values checked first
+    monkeypatch.setattr(verify, "_run", None)  # a sweep that started would fail on it
+    argv = ["verify", "plain-sum-bound", "--grid", "p=4;alpha=0;n=5000;r=0"]
+    want = "capacity: grid axis n reaches 5000, over the residue-class sum cap of 4096\n"
+    assert run_cli(argv, capsys) == (2, "", want)
+    with pytest.raises(ValueError, match="^p must be a prime, got p=4$"):
+        sweep("plain-sum-bound", grid={"p": [4], "alpha": [0], "n": [5000], "r": [0]})
 
 
 def test_usage_errors_exit_64(capsys):

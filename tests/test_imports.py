@@ -1,6 +1,7 @@
 """What a cold start imports, and the public names the package resolves on first use."""
 
 import ast
+import collections
 import importlib
 import json
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import padicsums
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "padicsums"
 KERNELS = ("verify", "stirling", "polysum", "exponents", "su_bounds")
 
 # Every name the package exported while its __init__ imported each module eagerly, by defining module.
@@ -101,3 +103,25 @@ def test_tables_and_bounds_load_no_sweep_module():
         "print(json.dumps(seen))"
     )
     assert loaded == [[0, False], [0, False], [0, True]]
+
+
+def test_every_private_helper_is_referenced():
+    # a module-level _helper that no code of the package names outside its own def is dead code
+    def names(tree):
+        return collections.Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        )
+
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    helpers = [
+        (module, node)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    assert ("verify.py", "_run") in [(module, node.name) for module, node in helpers]
+    everywhere = sum(map(names, trees.values()), collections.Counter())
+    dead = [f"{module} {node.name}" for module, node in helpers if everywhere[node.name] == names(node)[node.name]]
+    assert dead == []
