@@ -10,7 +10,9 @@ forward difference of j**k at 0, so a scan reads every m off one
 difference table of j**k mod p**E, and only the residue of k modulo the
 Carmichael number of p**E is ever needed.  For the geometric family of
 exponents k = (p-1) p**L + d the minimum stabilizes once L is large
-enough, and the stabilized value can be certified from exact integer scans.
+enough, and stable_min_ord reads the stabilized value off one exact
+integer scan of the family sums and the precision ladder, with no
+modular scan.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import mul
 
-from .exponents import StructuredExponent, as_exponent, power_rule
+from .exponents import as_exponent, power_rule
 from .padic import CapacityError, PrecisionError, check_prime, class_bound, ord_factorial, ord_nonzero
 from .polysum import _comb_row, _diagonal
 
@@ -231,10 +233,10 @@ def _family_tail(p, d):
     return lambda m: max(ord_factorial(p, m), d + class_bound(p, 1, m) if m > d else 0)
 
 
-def _min_ord(p, n, k, precision, m_hi, tail, certificate):
-    """min ord_p(m! S(k, m)) over m >= n by _scan_min mod p**E, E = min(E0 << i, E_cap) for i <= DEFAULT_RETRIES.
+def _ladder(p, n, precision):
+    """The precisions E = min(E0 << i, E_cap), i <= DEFAULT_RETRIES, a scan runs at, in order and without repeats.
 
-    Repeated E are dropped.  E_cap = default_precision << DEFAULT_RETRIES also caps the start E0.
+    E0 defaults to default_precision, and E_cap = default_precision << DEFAULT_RETRIES also caps E0.
     """
     E0 = default_precision(p, n) if precision is None else precision
     if E0 < 1:
@@ -242,25 +244,27 @@ def _min_ord(p, n, k, precision, m_hi, tail, certificate):
     E_cap = default_precision(p, n) << DEFAULT_RETRIES
     if E0 > E_cap:
         raise CapacityError(f"precision capped at {E_cap} for p={p}, n={n}, got {E0}")
-    ladder = sorted({min(E0 << i, E_cap) for i in range(DEFAULT_RETRIES + 1)})
-    for retries, E in enumerate(ladder):
+    return sorted({min(E0 << i, E_cap) for i in range(DEFAULT_RETRIES + 1)})
+
+
+def _floor(p, n, hi, ladder):
+    """The PrecisionError of a scan whose terms for m in [n, hi] all vanished mod p**E at the ladder's last E."""
+    E = ladder[-1]
+    return PrecisionError(
+        f"every term for m in [{n}, {hi}] is divisible by {p}**{E}; "
+        f"precision cap reached after {len(ladder) - 1} retries",
+        partial=EpResult(E, (n, hi), "heuristic-window", None, E),
+    )
+
+
+def _min_ord(p, n, k, precision, m_hi, tail, certificate):
+    """min ord_p(m! S(k, m)) over m >= n by _scan_min mod p**E, at each E of the _ladder until a term survives."""
+    ladder = _ladder(p, n, precision)
+    for E in ladder:
         best, witness, _, hi = _scan_min(p, n, mstirling_scan(k, p, E), m_hi, E, tail)
         if best is not None:
-            break
-    res = EpResult(
-        value=E if best is None else best,
-        m_scanned=(n, hi),
-        certificate="heuristic-window" if best is None else certificate,
-        witness_m=witness,
-        precision=E,
-    )
-    if best is None:
-        raise PrecisionError(
-            f"every term for m in [{n}, {hi}] is divisible by {p}**{E}; "
-            f"precision cap reached after {retries} retries",
-            partial=res,
-        )
-    return res
+            return EpResult(best, (n, hi), certificate, witness, E)
+    raise _floor(p, n, hi, ladder)
 
 
 def min_stirling_ord(
@@ -318,24 +322,19 @@ def stable_min_ord(
     d: int | None = None,
     precision: int | None = None,
 ) -> EpResult:
-    """Certified minimum order for the family exponent k = (p-1) p**L + d.
+    """Certified minimum order for the family exponent k = (p-1) p**L + d, read off stable_params and the _ladder.
 
-    L defaults to max(N, N0), the smallest height at which both the
-    stabilization and the bound threshold are guaranteed.  The engine scan
-    stops by the family tail, since its terms are +-S_m mod p**(L+1) and
-    L >= L0, and must agree with the exact family value.
+    L may be any height from max(N, N0), where the stabilization and the bound threshold are both guaranteed.
+    m! S(k, m) is +-S_m mod p**(L+1) and L >= N0 >= L0, so a tower scan mod p**E finds every term vanished at
+    each E <= L0, and at the first E > L0 the minimum L0 at m0, stopped where stable_params stops.  With no E
+    past L0 it stops at the first m with tail(m+1) >= E: a floor.  The tests run that scan against this answer.
     """
     params = stable_params(p, n, d=d)
-    floor_L = params.height
-    if L is None:
-        L = floor_L
-    elif L < floor_L:
-        raise ValueError(f"L={L} is below the stabilization threshold max(N, N0)={floor_L}")
-    k = StructuredExponent(p - 1, p, L, n - 1 if d is None else d)
-    res = _min_ord(p, n, k, precision, n, _family_tail(p, k.d), "stable-family")
-    if res.value != params.L0:
-        raise AssertionError(
-            f"engine minimum {res.value} disagrees with exact family value {params.L0} "
-            f"(p={p}, n={n}, k={k})"
-        )
-    return replace(res, stable=params)
+    if L is not None and L < params.height:
+        raise ValueError(f"L={L} is below the stabilization threshold max(N, N0)={params.height}")
+    ladder = _ladder(p, n, precision)
+    E = next((E for E in ladder if E > params.L0), None)
+    if E is None:
+        tail = _family_tail(p, n - 1 if d is None else d)
+        raise _floor(p, n, next(m for m in itertools.count(n) if tail(m + 1) >= ladder[-1]), ladder)
+    return EpResult(params.L0, params.m_scanned, "stable-family", params.m0, E, params)

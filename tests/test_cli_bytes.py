@@ -52,6 +52,7 @@ CASES = [
     ["compute", "mstirling", "--k", "10", "--m", "4", "--p", "3", "--E", "0"],
     ["compute", "ep", "--p", "3", "--n", "29", "--k", "2*3^40+28"],
     ["compute", "mstirling", "--k", "2*3^5+28", "--m", "30", "--p", "3", "--E", "12"],
+    ["compute", "ep", "--p", "3", "--n", "29", "--k", "2*3^L+28", "--L", "auto", "--precision", "2"],
 ]
 
 # Recorded before the bound-table refactor of verify.py.  The four that
@@ -108,6 +109,9 @@ DIGESTS = {
     # Recorded while a tower height could still be passed as --L <int>.
     'compute ep --p 3 --n 29 --k 2*3^40+28': "26fa59f51ed4202b6e4ebadddbf6d8f5b8623be54f4e8541c87cc0f7890e208c",
     'compute mstirling --k 2*3^5+28 --m 30 --p 3 --E 12': "202b5be84c03ac5c7afcb513d8c5f681b48d4183e68108e883f3ee0dfe5bc160",
+    # Recorded while stable_min_ord still scanned the tower mod p^E: a
+    # stable-family floor, whose ladder 2, 4, ..., 32 never passes L0 = 32.
+    'compute ep --p 3 --n 29 --k 2*3^L+28 --L auto --precision 2': "ac22d4b4c9e9b9add6d51427af0b74812bae479fd034abbc76b722439b6f6a46",
 }
 
 

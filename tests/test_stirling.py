@@ -1,10 +1,12 @@
 """Stirling numbers, modular m!S(k,m) kernels, and minimum-order search."""
 
+import ast
 import hashlib
 import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -430,12 +432,79 @@ def test_family_tail_bounds_every_family_sum():
                 assert s == 0 or ord_int(p, s) >= tail(m), (p, n, m)
 
 
-def test_family_scans_stop_by_the_tail(monkeypatch):
-    # no family answer reads a window, and the engine reads the exact scan's range
+def _no_scan(k, p, E):
+    raise AssertionError(f"a modular scan ran at E={E}")
+
+
+def _tower_scan(p, n, L=None, d=None, precision=None):
+    """The tower k = (p-1) p**L + d scanned mod p**E, stopped by the family tail: stable_min_ord's reference."""
+    d = n - 1 if d is None else d
+    k = StructuredExponent(p - 1, p, stable_params(p, n, d=d).height if L is None else L, d)
+    return stirling._min_ord(p, n, k, precision, n, stirling._family_tail(p, d), "stable-family")
+
+
+def _outcome(query, *args):
+    """(floor message or None, (value, m_scanned, witness_m, precision, certificate) of the answer or partial)."""
+    try:
+        res, msg = query(*args), None
+    except PrecisionError as e:
+        res, msg = e.partial, str(e)
+    return msg, (res.value, res.m_scanned, res.witness_m, res.precision, res.certificate)
+
+
+def test_tower_scans_agree_with_stable_answers(monkeypatch):
+    # Every stable answer, and every floor of a low precision, equals the tower scan's field by field; the
+    # stable answers run no modular scan and read no window, and stop where the tail passes the minimum
+    cases = [(p, n, None, None, None) for p, top in FAMILY_RANGES for n in range(1, top + 1)]
+    rng = random.Random(311)
+    for _ in range(300):
+        p, n = rng.choice((2, 3, 5, 7)), rng.randint(1, 40)
+        d = rng.choice((None, rng.randint(0, 45)))
+        L = rng.choice((None, stable_params(p, n, d=d).height + rng.randint(0, 3)))
+        cases.append((p, n, L, d, rng.choice((None, rng.randint(1, 4), rng.randint(1, 12), rng.randint(1, 60)))))
     for name in ("DEFAULT_WINDOW", "WINDOW_STEP", "STABLE_RUN"):
         monkeypatch.setattr(stirling, name, None)
-    for p, top in ((2, 30), (3, 40), (7, 60)):
-        for n in range(2, top + 1):
-            res = stable_min_ord(p, n)
-            assert res.m_scanned == res.stable.m_scanned, (p, n)
-            assert stirling._family_tail(p, n - 1)(res.m_scanned[1] + 1) > res.value, (p, n)
+    with monkeypatch.context() as m:
+        m.setattr(stirling, "mstirling_scan", _no_scan)
+        stable = [_outcome(stable_min_ord, *case) for case in cases]
+    assert [_outcome(_tower_scan, *case) for case in cases] == stable
+    assert sum(msg is not None for msg, _ in stable) >= 20
+    for (p, n, _, d, _), (msg, (value, (_, hi), *_)) in zip(cases, stable):
+        assert msg is not None or stirling._family_tail(p, n - 1 if d is None else d)(hi + 1) > value, (p, n, d)
+
+
+def test_stable_precision_is_the_first_rung_past_the_minimum(monkeypatch):
+    # stable_min_ord(3, 29) has L0 = 32: each start answers at its first rung past 32, and the ladders
+    # from 1 and 2, which end at 16 and 32, end in a floor there after DEFAULT_RETRIES = 4 doublings
+    monkeypatch.setattr(stirling, "mstirling_scan", _no_scan)
+    for start, E in ((None, 57), (300, 300), (500, 500), (912, 912)):
+        res = stable_min_ord(3, 29, precision=start)
+        assert (res.value, res.m_scanned, res.witness_m, res.precision) == (32, (29, 35), 30, E), start
+    for start, E in ((1, 16), (2, 32)):
+        msg = rf"^every term for m in \[29, 29\] is divisible by 3\*\*{E}; precision cap reached after 4 retries$"
+        with pytest.raises(PrecisionError, match=msg) as ei:
+            stable_min_ord(3, 29, precision=start)
+        part = ei.value.partial
+        got = (part.value, part.m_scanned, part.witness_m, part.precision, part.certificate, part.stable)
+        assert got == (E, (29, 29), None, E, "heuristic-window", None), start
+
+
+def test_one_precision_ladder_and_no_second_stable_scan():
+    # the ladder's cap is written once, in _ladder, and stable_min_ord reads no modular scan
+    shifts, named = [], set()
+    for path in sorted(Path(stirling.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                owner.update((node, f"{path.name} {func.name}") for node in ast.walk(func))
+                if func.name == "stable_min_ord":
+                    named |= {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(func)}
+        shifts += [
+            owner.get(node, path.name) for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+            and getattr(node.right, "id", None) == "DEFAULT_RETRIES"
+        ]
+    assert shifts == ["stirling.py _ladder"]
+    assert "stable_params" in named and "_ladder" in named
+    assert not named & {"_min_ord", "mstirling_scan", "_powers"}
